@@ -20,19 +20,7 @@ from .bounds import (
     sub,
     write_curve_csv,
 )
-from .constellation import (
-    ClassCounts,
-    FacetClass,
-    FiniteConstellation,
-    LatticePoint,
-    classify_point,
-    constellation_points,
-    count_points_by_class,
-    enumerate_points,
-    facet_count,
-    points_per_facet,
-    subset_rank,
-)
+from .constellation import FiniteConstellation, facet_count, points_per_facet
 from .cvp import (
     BatchDecoder,
     Decoder,
@@ -57,26 +45,16 @@ from .lattices import (
     write_lattice_file,
 )
 from .sep import (
-    JEstimate,
     JSource,
     SepEstimate,
     SepMethod,
     SimPlan,
     exact_sep_theorem1,
-    j_integral_mc,
-    j_integral_zn,
     sep_csv_rows,
     simulate_sep,
     write_sep_csv,
 )
-from .special import (
-    RadiusKind,
-    SphereRadiusSpec,
-    clamp_probability,
-    q_function,
-    regularized_gamma_upper,
-    sphere_radius_sq,
-)
+from .special import clamp_probability, q_function, regularized_gamma_upper
 from .streams import SHARD_SIZE, derive_seed, standard_normals, stream, uniform_symbols
 from .svgplot import CurveSeries, render_svg, write_svg
 
@@ -86,46 +64,34 @@ __all__ = [
     "BatchDecoder",
     "BoundCurve",
     "BudgetError",
-    "ClassCounts",
     "ConvergenceError",
     "CurveKind",
     "CurveSeries",
     "Decoder",
     "DminMethod",
-    "FacetClass",
     "FiniteConstellation",
     "InternalCheckError",
-    "JEstimate",
     "JSource",
     "Lattice",
-    "LatticePoint",
     "LatticeSepError",
-    "RadiusKind",
     "SHARD_SIZE",
     "SepEstimate",
     "SepMethod",
     "SimPlan",
     "SnrGrid",
-    "SphereRadiusSpec",
     "SublatticeSelector",
     "catalog_lattice",
     "catalog_names",
     "clamp_probability",
-    "classify_point",
     "closest_point",
-    "constellation_points",
-    "count_points_by_class",
     "curve_csv_rows",
     "derive_seed",
-    "enumerate_points",
     "enumerate_within_radius",
     "exact_sep_theorem1",
     "facet_count",
     "facet_weights",
     "format_sig",
     "is_integer_orthonormal",
-    "j_integral_mc",
-    "j_integral_zn",
     "load_lattice",
     "minimum_distance",
     "mslb",
@@ -139,12 +105,10 @@ __all__ = [
     "shortest_vector_norm",
     "simulate_sep",
     "slb",
-    "sphere_radius_sq",
     "standard_normals",
     "stream",
     "sub",
     "sublattice_generator",
-    "subset_rank",
     "triangularize",
     "uniform_symbols",
     "voronoi_test_vectors",

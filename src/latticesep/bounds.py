@@ -19,13 +19,7 @@ import numpy as np
 
 from .constellation import FiniteConstellation
 from .lattices import Lattice
-from .special import (
-    RadiusKind,
-    SphereRadiusSpec,
-    clamp_probability,
-    regularized_gamma_upper,
-    sphere_radius_sq,
-)
+from .special import clamp_probability, regularized_gamma_upper
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,6 +94,32 @@ def _chi_square_tail(k: int, radius_sq: float, rho: float) -> float:
     return regularized_gamma_upper(0.5 * k, 0.5 * radius_sq * rho)
 
 
+def volume_matched_radius_sq(k: int, n: int, mean_norm: float) -> float:
+    """Squared radius of the k-ball whose volume is ``W**k`` (k < n) or 1 (k = n).
+
+    ``R**2 = Gamma(k/2 + 1)**(2/k) / pi`` times ``W**2`` or 1 respectively:
+    the MSLB sphere for facet dimension k of an N-dimensional constellation.
+    """
+    if not isinstance(k, int) or not isinstance(n, int):
+        raise ValueError("sphere radius dimensions k and n must be integers")
+    if n < 1 or k < 1 or k > n:
+        raise ValueError(f"sphere radius requires 1 <= k <= n, got k={k}, n={n}")
+    # Gamma(k/2 + 1)**(2/k) via lgamma keeps full precision for all k here.
+    unit = math.exp((2.0 / k) * math.lgamma(0.5 * k + 1.0)) / math.pi
+    if k == n:
+        return unit
+    if mean_norm is None or not math.isfinite(mean_norm) or mean_norm <= 0.0:
+        raise ValueError(f"MSLB radius with k < n requires finite mean_norm > 0, got {mean_norm!r}")
+    return unit * mean_norm * mean_norm
+
+
+def inscribed_radius_sq(min_dist: float) -> float:
+    """Squared radius of the packing sphere, ``d_min**2 / 4``, in every dimension."""
+    if min_dist is None or not math.isfinite(min_dist) or min_dist <= 0.0:
+        raise ValueError(f"MSUB radius requires finite min_dist > 0, got {min_dist!r}")
+    return min_dist * min_dist / 4.0
+
+
 def slb(lattice: Lattice, grid: SnrGrid) -> BoundCurve:
     """Single-sphere lower bound: every point's cell replaced by the
     volume-matched N-sphere, ``Q(N/2, R_N**2 rho / 2)``.
@@ -109,7 +129,7 @@ def slb(lattice: Lattice, grid: SnrGrid) -> BoundCurve:
     multiple-sphere version repairs exactly that.
     """
     n = lattice.dimension
-    r_sq = sphere_radius_sq(SphereRadiusSpec(k=n, n=n, kind=RadiusKind.MSLB_RADIUS))
+    r_sq = volume_matched_radius_sq(n, n, lattice.mean_norm)
     values = np.array([clamp_probability(_chi_square_tail(n, r_sq, r)) for r in grid.rho])
     return BoundCurve(kind=CurveKind.SLB, lattice=lattice.name, K=None,
                       snr_db=grid.db.copy(), values=values)
@@ -119,9 +139,7 @@ def sub(lattice: Lattice, grid: SnrGrid) -> BoundCurve:
     """Single-sphere upper bound from the inscribed (packing) sphere:
     ``Q(N/2, d_min**2 rho / 8)``."""
     n = lattice.dimension
-    r_sq = sphere_radius_sq(
-        SphereRadiusSpec(k=n, n=n, kind=RadiusKind.MSUB_RADIUS, min_dist=lattice.d_min)
-    )
+    r_sq = inscribed_radius_sq(lattice.d_min)
     values = np.array([clamp_probability(_chi_square_tail(n, r_sq, r)) for r in grid.rho])
     return BoundCurve(kind=CurveKind.SUB, lattice=lattice.name, K=None,
                       snr_db=grid.db.copy(), values=values)
@@ -139,25 +157,19 @@ def facet_weights(n: int, big_k: int) -> np.ndarray:
     return np.array([math.comb(n, k) * p**k * q ** (n - k) for k in range(n + 1)])
 
 
-def _multi_sphere(constellation: FiniteConstellation, grid: SnrGrid, kind: RadiusKind,
+def _multi_sphere(constellation: FiniteConstellation, grid: SnrGrid, radii: list,
                   curve_kind: CurveKind) -> BoundCurve:
+    # radii[k - 1] is the squared sphere radius for facet dimension k.
     lat = constellation.lattice
     n = lat.dimension
     big_k = constellation.K
     weights = facet_weights(n, big_k)
-    radii = [None] + [
-        sphere_radius_sq(
-            SphereRadiusSpec(k=k, n=n, kind=kind, mean_norm=lat.mean_norm,
-                             min_dist=lat.d_min)
-        )
-        for k in range(1, n + 1)
-    ]
     values = np.empty(len(grid))
     for i, rho in enumerate(grid.rho):
         # k = 0 facets (vertices' inner cones) never err in this model: I_0 = 1.
         acc = weights[0]
         for k in range(1, n + 1):
-            inside = 1.0 - _chi_square_tail(k, radii[k], rho)
+            inside = 1.0 - _chi_square_tail(k, radii[k - 1], rho)
             acc += weights[k] * inside
         values[i] = clamp_probability(1.0 - acc)
     return BoundCurve(kind=curve_kind, lattice=lat.name, K=big_k,
@@ -171,17 +183,23 @@ def mslb(constellation: FiniteConstellation, grid: SnrGrid) -> BoundCurve:
     volume-matched k-sphere (radius from ``W`` for k < N, from the unit cell
     for k = N):
     ``P = 1 - sum_k C(N,k)(K-1)^k/K^N * (1 - Q(k/2, R_k**2 rho/2))``.
-    A true lower bound at every SNR, converging to the single-sphere bound
-    as K grows.
+    Converges to the single-sphere bound as K grows.  ``W`` depends on the
+    chosen basis, so for skewed user bases the curve is not guaranteed to
+    lie below the true SEP.
     """
-    return _multi_sphere(constellation, grid, RadiusKind.MSLB_RADIUS, CurveKind.MSLB)
+    lat = constellation.lattice
+    n = lat.dimension
+    radii = [volume_matched_radius_sq(k, n, lat.mean_norm) for k in range(1, n + 1)]
+    return _multi_sphere(constellation, grid, radii, CurveKind.MSLB)
 
 
 def msub(constellation: FiniteConstellation, grid: SnrGrid) -> BoundCurve:
     """Multiple-sphere upper bound: same decomposition with every sphere
     shrunk to the inscribed one, ``Q(k/2, d_min**2 rho / 8)`` per facet
     dimension."""
-    return _multi_sphere(constellation, grid, RadiusKind.MSUB_RADIUS, CurveKind.MSUB)
+    lat = constellation.lattice
+    radii = [inscribed_radius_sq(lat.d_min)] * lat.dimension
+    return _multi_sphere(constellation, grid, radii, CurveKind.MSUB)
 
 
 def format_sig(x: float) -> str:

@@ -47,6 +47,10 @@ from .cvp import BatchDecoder, Decoder, shortest_vector_norm
 from .exceptions import LatticeSepError
 from .lattices import Lattice, catalog_lattice, catalog_names, is_integer_orthonormal, read_lattice_file
 from .sep import (
+    _CI_FACTOR,
+    _MIN_J_TRIALS,
+    _MIN_MAX_TRIALS,
+    _MIN_TARGET_ERRORS,
     JSource,
     SepEstimate,
     SimPlan,
@@ -55,16 +59,13 @@ from .sep import (
     write_sep_csv,
 )
 from .special import q_function
-from .streams import stream
+from .streams import _MAX_SEED, stream
 from .svgplot import CurveSeries, write_svg
 
 __all__ = ["ConfigError", "ExperimentConfig", "main", "parse_config_data", "preset_names"]
 
 CURVE_NAMES = ("SEP_SIM", "SEP_EXACT", "MSLB", "MSUB", "SLB", "SUB")
 THREADS_ENV_VAR = "LATTICESEP_THREADS"
-
-_CI_FACTOR = 1.96
-_CATALOG_PATTERN = re.compile(r"^(z_?\d+|a2|e4|e8)$", re.IGNORECASE)
 
 
 class ConfigError(ValueError):
@@ -105,6 +106,15 @@ class ExperimentConfig:
             )
         if self.K < 2:
             raise ConfigError(f"K must be at least 2, got {self.K}")
+        if not 0 <= self.seed < _MAX_SEED:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
+        for name, minimum in (
+            ("max_trials", _MIN_MAX_TRIALS),
+            ("target_errors", _MIN_TARGET_ERRORS),
+            ("trials_per_j", _MIN_J_TRIALS),
+        ):
+            if getattr(self, name) < minimum:
+                raise ConfigError(f"{name} must be at least {minimum}, got {getattr(self, name)}")
 
 
 def _require(data: dict, key: str, source: str):
@@ -229,18 +239,17 @@ def load_preset(name: str) -> ExperimentConfig:
 
 
 def _resolve_lattice(name_or_path: str) -> Lattice:
-    if _CATALOG_PATTERN.match(name_or_path):
+    try:
         return catalog_lattice(name_or_path)
+    except ValueError as exc:
+        catalog_error = exc
     path = Path(name_or_path)
     if path.exists():
         try:
             return read_lattice_file(path)
         except (ValueError, LatticeSepError, OSError) as exc:
             raise ConfigError(f"lattice file {name_or_path}: {exc}") from None
-    raise ConfigError(
-        f"lattice {name_or_path!r} is neither a catalog name "
-        f"({', '.join(catalog_names())}, any Z<N>) nor an existing file"
-    )
+    raise ConfigError(f"lattice {name_or_path!r} is not an existing file: {catalog_error}")
 
 
 def _default_threads() -> int:
@@ -444,13 +453,10 @@ def _check_facet_example():
     return ok, f"3-cube boundary: {edges} edges, {faces} faces, {vertices} vertices"
 
 
-def _check_catalog(matrix_overrides: dict[str, np.ndarray] | None = None):
+def _check_catalog():
     worst = 0.0
     for name, (w_expected, d_expected) in _CATALOG_EXPECTED.items():
-        if matrix_overrides and name in matrix_overrides:
-            matrix = np.asarray(matrix_overrides[name], dtype=float)
-        else:
-            matrix = catalog_lattice(name).generator
+        matrix = catalog_lattice(name).generator
         det_err = abs(abs(float(np.linalg.det(matrix))) - 1.0)
         if det_err > 1e-9:
             return False, f"{name}: |det M| deviates from 1 by {det_err:.3g}"

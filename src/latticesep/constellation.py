@@ -11,19 +11,10 @@ are interior; each class contains ``2**(N-k)`` mirror-image facets holding
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator
 
-import numpy as np
-
-from .exceptions import BudgetError
 from .lattices import Lattice
-
-_ENUMERATION_BUDGET = 1 << 24
-_COUNT_BUDGET = 1 << 63
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,32 +37,6 @@ class FiniteConstellation:
         return self.K**self.dimension
 
 
-@dataclass(frozen=True)
-class FacetClass:
-    """One equivalence class of k-facets.
-
-    ``subset`` lists the 1-based interior coordinate indices (size k) and
-    ``p`` is the 1-based position of that subset in lexicographic order
-    among all ``C(N, k)`` subsets.
-    """
-
-    k: int
-    p: int
-    subset: tuple[int, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class LatticePoint:
-    """A constellation point: integer coordinates ``u`` and position ``x``."""
-
-    u: np.ndarray
-    x: np.ndarray
-
-    def __post_init__(self):
-        self.u.setflags(write=False)
-        self.x.setflags(write=False)
-
-
 def facet_count(n: int, k: int) -> int:
     """Number of k-dimensional facets of the N-parallelotope: 2**(N-k) C(N, k)."""
     if not isinstance(n, int) or not isinstance(k, int):
@@ -88,110 +53,3 @@ def points_per_facet(big_k: int, k: int) -> int:
     if big_k < 2 or k < 0:
         raise ValueError(f"points_per_facet requires K >= 2 and k >= 0, got K={big_k}, k={k}")
     return (big_k - 2) ** k
-
-
-@lru_cache(maxsize=None)
-def _subset_ranks(n: int, k: int) -> dict[tuple[int, ...], int]:
-    # 1-based lexicographic rank of every size-k subset of {1..n}.
-    combos = itertools.combinations(range(1, n + 1), k)
-    return {subset: p for p, subset in enumerate(combos, start=1)}
-
-
-def subset_rank(n: int, subset: tuple[int, ...]) -> int:
-    """1-based lexicographic rank of ``subset`` among size-k subsets of {1..n}."""
-    ranks = _subset_ranks(n, len(subset))
-    try:
-        return ranks[tuple(subset)]
-    except KeyError:
-        raise ValueError(f"{subset!r} is not a sorted subset of 1..{n}") from None
-
-
-def classify_point(u, big_k: int) -> FacetClass:
-    """Facet class of the point with integer coordinates ``u``.
-
-    The class dimension k counts strictly interior coordinates
-    (``0 < u_i < K-1``); the subset records which ones they are.
-    """
-    uv = np.asarray(u)
-    if uv.ndim != 1 or uv.size < 1:
-        raise ValueError(f"u must be a 1-d coordinate vector, got shape {uv.shape}")
-    if not np.issubdtype(uv.dtype, np.integer):
-        raise ValueError("u must have integer coordinates")
-    if big_k < 2:
-        raise ValueError(f"K must be >= 2, got {big_k}")
-    if np.any(uv < 0) or np.any(uv > big_k - 1):
-        raise ValueError(f"coordinates must lie in [0, {big_k - 1}], got {uv.tolist()}")
-    interior = tuple(int(i) + 1 for i in np.nonzero((uv > 0) & (uv < big_k - 1))[0])
-    k = len(interior)
-    return FacetClass(k=k, p=subset_rank(uv.size, interior), subset=interior)
-
-
-@dataclass(frozen=True)
-class ClassCounts:
-    """Point tallies: per facet class, per facet dimension, and in total."""
-
-    per_class: dict[FacetClass, int]
-    by_dimension: dict[int, int]
-    total: int
-
-
-def count_points_by_class(n: int, big_k: int) -> ClassCounts:
-    """Exact point counts for every facet class of the (N, K) constellation.
-
-    Each class holds ``2**(N-k) * (K-2)**k`` points; dimension-k classes
-    together hold ``facet_count(N, k) * points_per_facet(K, k)`` and the
-    grand total is ``K**N`` (checked).  Counts stay in exact integer
-    arithmetic; totals beyond 2**63 are refused.
-    """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    if big_k < 2:
-        raise ValueError(f"K must be >= 2, got {big_k}")
-    total = big_k**n
-    if total >= _COUNT_BUDGET:
-        raise BudgetError(f"K**N = {total} exceeds the 2**63 counting budget")
-    per_class: dict[FacetClass, int] = {}
-    by_dimension: dict[int, int] = {}
-    for k in range(n + 1):
-        class_count = (1 << (n - k)) * points_per_facet(big_k, k)
-        for p, subset in enumerate(itertools.combinations(range(1, n + 1), k), start=1):
-            per_class[FacetClass(k=k, p=p, subset=subset)] = class_count
-        by_dimension[k] = facet_count(n, k) * points_per_facet(big_k, k)
-    grand = sum(by_dimension.values())
-    if grand != total or sum(per_class.values()) != total:
-        raise AssertionError(f"facet tallies sum to {grand}, expected {total}")
-    return ClassCounts(per_class=per_class, by_dimension=by_dimension, total=total)
-
-
-def enumerate_points(constellation: FiniteConstellation) -> Iterator[LatticePoint]:
-    """Yield every constellation point in row-major coordinate order.
-
-    Row-major means the last coordinate varies fastest, matching the layout
-    of :func:`constellation_points`.  Refused above 2**24 points.
-    """
-    if constellation.size > _ENUMERATION_BUDGET:
-        raise BudgetError(
-            f"enumerating {constellation.size} points exceeds the 2**24 budget"
-        )
-    gen = constellation.lattice.generator
-    n = constellation.dimension
-    for u in itertools.product(range(constellation.K), repeat=n):
-        uv = np.array(u, dtype=np.int64)
-        yield LatticePoint(u=uv, x=gen @ uv.astype(float))
-
-
-def constellation_points(constellation: FiniteConstellation) -> tuple[np.ndarray, np.ndarray]:
-    """All coordinates and positions as arrays ``(U, X)``, row-major order.
-
-    ``U`` has shape ``(K**N, N)`` int64 and ``X = U @ generator.T`` float.
-    Refused above 2**24 points.
-    """
-    if constellation.size > _ENUMERATION_BUDGET:
-        raise BudgetError(
-            f"materializing {constellation.size} points exceeds the 2**24 budget"
-        )
-    n = constellation.dimension
-    k = constellation.K
-    grids = np.meshgrid(*[np.arange(k, dtype=np.int64)] * n, indexing="ij")
-    coords = np.stack([g.reshape(-1) for g in grids], axis=1)
-    return coords, coords.astype(float) @ constellation.lattice.generator.T

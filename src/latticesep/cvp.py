@@ -178,7 +178,8 @@ def closest_point(
         which is rejected for condition numbers above 1e8.
     method : Decoder
         ``SPHERE_DECODER`` (default) or the ``BRUTE_FORCE`` reference, which
-        requires ``box`` and materializes all ``box**k`` points.
+        requires ``box`` and scores the :class:`BatchDecoder` table of all
+        ``box**k`` points.
 
     Returns
     -------
@@ -197,7 +198,7 @@ def closest_point(
     if method is Decoder.BRUTE_FORCE:
         if box is None:
             raise ValueError("brute-force search requires a box")
-        return _closest_point_brute(g, yv, box)
+        return BatchDecoder(g, box, Decoder.BRUTE_FORCE).decode(yv)[0]
     if box is None and np.linalg.cond(g) > _MAX_CONDITION:
         raise ValueError("unbounded search rejected: generator condition number exceeds 1e8")
     q, r = triangularize(g)
@@ -206,20 +207,6 @@ def closest_point(
     lo, hi = (0, box - 1) if box is not None else (None, None)
     best_z, _ = _sphere_search(r_rows, yt, lo, hi)
     return np.array(best_z, dtype=np.int64)
-
-
-def _closest_point_brute(g, y, box):
-    k = g.shape[0]
-    total = box**k
-    if total > 1 << 24:
-        raise BudgetError(f"brute-force search over {total} points exceeds the 2**24 budget")
-    coeffs = np.array(list(itertools.product(range(box), repeat=k)), dtype=np.int64)
-    points = coeffs @ g.T
-    dist = np.sum((points - y) ** 2, axis=1)
-    best = dist.min()
-    # First index within the tie window; coeffs are in lexicographic order.
-    idx = int(np.argmax(dist <= best + TIE_TOL))
-    return coeffs[idx]
 
 
 def enumerate_within_radius(

@@ -12,7 +12,7 @@ import enum
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +50,8 @@ class Lattice:
     mean_norm : float
         W, the mean of ``basis_norms``.
     d_min : float
-        Minimum distance; equals ``basis_norms.min()`` unless enumeration
-        found a shorter vector.
+        Minimum distance: the known value for catalog lattices, the
+        enumerated one for user lattices.
     """
 
     name: str
@@ -173,6 +173,9 @@ def load_lattice(matrix, name: str = "user", normalize: bool = True) -> Lattice:
         ``normalize=False`` the matrix must already have ``|det| == 1``
         within 1e-9.  ``mean_norm`` and ``d_min`` always describe the stored
         (normalized) basis.
+
+    ``d_min`` is found by complete shortest-vector enumeration, so user
+    lattices are limited to N <= 12 (:class:`BudgetError` above).
     """
     m = np.array(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -191,9 +194,11 @@ def load_lattice(matrix, name: str = "user", normalize: bool = True) -> Lattice:
             f"|det| = {det!r} is not 1; pass normalize=True to rescale to unit volume"
         )
     try:
-        return _build_lattice(name, m)
+        lattice = _build_lattice(name, m)
     except InternalCheckError as exc:
         raise ValueError(str(exc)) from None
+    # The shortest basis vector overestimates d_min for unreduced bases.
+    return replace(lattice, d_min=minimum_distance(lattice, DminMethod.ENUMERATE))
 
 
 def minimum_distance(lattice: Lattice, method: DminMethod = DminMethod.BASIS_MIN) -> float:

@@ -39,22 +39,18 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import SnrGrid, format_sig
-from .constellation import FacetClass, FiniteConstellation, subset_rank
-from .cvp import TIE_TOL, BatchDecoder, Decoder, closest_point, voronoi_test_vectors
+from .constellation import FiniteConstellation
+from .cvp import TIE_TOL, BatchDecoder, Decoder, voronoi_test_vectors
 from .lattices import SublatticeSelector, is_integer_orthonormal, sublattice_generator
 from .special import q_function
-from .streams import SHARD_SIZE, derive_seed, standard_normals, stream, uniform_symbols
+from .streams import _MAX_SEED, SHARD_SIZE, derive_seed, standard_normals, stream, uniform_symbols
 
 __all__ = [
-    "JEstimate",
     "JSource",
     "SepEstimate",
     "SepMethod",
     "SimPlan",
-    "closest_point",
     "exact_sep_theorem1",
-    "j_integral_mc",
-    "j_integral_zn",
     "sep_csv_rows",
     "simulate_sep",
     "write_sep_csv",
@@ -81,18 +77,6 @@ class SepMethod(enum.Enum):
     THEOREM1 = "theorem1"
     DIRECT_MC = "direct_mc"
     CLOSED_FORM_ZN = "closed_form_zn"
-
-
-@dataclass(frozen=True)
-class JEstimate:
-    """Gaussian mass of one sublattice Voronoi cell at one SNR."""
-
-    facet_class: FacetClass
-    rho: float
-    mean: float
-    std_err: float
-    method: JSource
-    trials: int
 
 
 @dataclass(frozen=True)
@@ -135,7 +119,7 @@ class SimPlan:
                 f"simulation supports dimensions up to {_MAX_SIM_DIMENSION}, "
                 f"got {self.constellation.dimension}"
             )
-        if not isinstance(self.seed, int) or not 0 <= self.seed < (1 << 64):
+        if not isinstance(self.seed, int) or not 0 <= self.seed < _MAX_SEED:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.max_trials < _MIN_MAX_TRIALS:
             raise ValueError(f"max_trials must be at least {_MIN_MAX_TRIALS}, got {self.max_trials}")
@@ -145,34 +129,6 @@ class SimPlan:
             )
         if not isinstance(self.decoder, Decoder):
             raise ValueError(f"decoder must be a Decoder, got {self.decoder!r}")
-
-
-def _check_rho(rho: float) -> float:
-    rho = float(rho)
-    if not math.isfinite(rho) or rho <= 0.0:
-        raise ValueError(f"rho must be a positive finite SNR, got {rho}")
-    return rho
-
-
-def j_integral_zn(k: int, rho: float) -> JEstimate:
-    """Voronoi-cell mass for a rank-k cubic sublattice, in closed form.
-
-    The cell is the unit cube, so the Gaussian mass factorizes into
-    ``(1 - 2 Q(sqrt(rho)/2))**k``; ``k = 0`` gives 1 by convention.
-    """
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"k must be a non-negative integer, got {k!r}")
-    rho = _check_rho(rho)
-    edge = 1.0 - 2.0 * q_function(math.sqrt(rho) / 2.0)
-    facet_class = FacetClass(k=k, p=1, subset=tuple(range(1, k + 1)))
-    return JEstimate(
-        facet_class=facet_class,
-        rho=rho,
-        mean=edge**k,
-        std_err=0.0,
-        method=JSource.ANALYTIC_ZN,
-        trials=0,
-    )
 
 
 def _membership_halfspaces(generator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -201,39 +157,6 @@ def _cell_mass_mc(
     return mean, std_err
 
 
-def j_integral_mc(sel: SublatticeSelector, rho: float, trials: int, seed: int) -> JEstimate:
-    """Voronoi-cell mass for a general sublattice, by Monte Carlo.
-
-    Draws ``trials`` Gaussian vectors with per-coordinate variance
-    ``1/rho`` in the sublattice's own span frame and counts the fraction
-    for which the origin is a closest sublattice point.  Membership is
-    decided exactly by the half-space test of
-    :func:`latticesep.cvp.voronoi_test_vectors`; samples tied with a
-    boundary (within 1e-12) count as inside.
-
-    Sampling is sharded: shard ``s`` draws from ``stream(seed, s)``, so
-    the estimate is deterministic for a fixed seed.
-    """
-    n = sel.lattice.dimension
-    if n > _MAX_SIM_DIMENSION:
-        raise ValueError(f"Monte Carlo cell masses support dimensions up to {_MAX_SIM_DIMENSION}")
-    rho = _check_rho(rho)
-    if trials < _MIN_J_TRIALS:
-        raise ValueError(f"trials must be at least {_MIN_J_TRIALS}, got {trials}")
-    generator = sublattice_generator(sel)
-    vt, half_norms = _membership_halfspaces(generator)
-    mean, std_err = _cell_mass_mc(vt, half_norms, sel.k, rho, trials, seed)
-    facet_class = FacetClass(k=sel.k, p=subset_rank(n, sel.subset), subset=sel.subset)
-    return JEstimate(
-        facet_class=facet_class,
-        rho=rho,
-        mean=mean,
-        std_err=std_err,
-        method=JSource.MC_VORONOI,
-        trials=trials,
-    )
-
-
 def _subset_weight(n: int, big_k: int, k: int) -> float:
     # (K-1)**k / K**N as a correctly rounded float, valid for any K.
     return float(Fraction((big_k - 1) ** k, big_k**n))
@@ -260,10 +183,13 @@ def exact_sep_theorem1(
     exact (method ``CLOSED_FORM_ZN``, zero CI).
 
     With ``MC_VORONOI`` each distinct sublattice geometry is estimated by
-    :func:`j_integral_mc`-style sampling with ``trials_per_j`` samples;
-    subsets are shared only when their Gram matrices are bit-identical
-    (the cubic shortcut), otherwise all ``C(N, k)`` estimates are
-    computed.  Each shared estimate contributes its multiplicity to both
+    Monte Carlo with ``trials_per_j`` samples: the fraction of Gaussian
+    vectors (per-coordinate variance ``1/rho``, drawn in the sublattice's
+    own span frame) that the exact half-space test of
+    :func:`latticesep.cvp.voronoi_test_vectors` places in the cell, with
+    boundary ties (within 1e-12) counted as inside.  Subsets are shared
+    only when their Gram matrices are bit-identical (the cubic shortcut),
+    otherwise all ``C(N, k)`` estimates are computed.  Each shared estimate contributes its multiplicity to both
     the mean and the propagated variance; distinct estimates use disjoint
     streams (child seed from ``(seed, k, p)``) and combine in quadrature.
     The reported ``trials`` is the per-J sample budget.
@@ -279,9 +205,12 @@ def exact_sep_theorem1(
             raise ValueError("ANALYTIC_ZN applies only to the identity-generator cubic lattices")
         estimates = []
         for db, rho in zip(grid.db, grid.rho):
+            # Every rank-k cell is the unit k-cube, whose mass factorizes
+            # per coordinate.
+            edge = 1.0 - 2.0 * q_function(math.sqrt(float(rho)) / 2.0)
             total = weights[0]
             for k in range(1, n + 1):
-                total += weights[k] * math.comb(n, k) * j_integral_zn(k, float(rho)).mean
+                total += weights[k] * math.comb(n, k) * edge**k
             estimates.append(
                 SepEstimate(
                     snr_db=float(db),

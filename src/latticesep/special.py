@@ -10,9 +10,7 @@ exact rewrite of ``erfc``.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
 from .exceptions import ConvergenceError, InternalCheckError
 
@@ -141,72 +139,3 @@ def _gamma_upper_continued_fraction(a: float, x: float) -> float:
         if abs(delta - 1.0) < _GAMMA_TOL:
             return h * _gamma_prefactor(a, x)
     raise ConvergenceError(f"gamma continued fraction did not converge for a={a}, x={x}")
-
-
-class RadiusKind(enum.Enum):
-    """Which effective-sphere radius a bound term uses.
-
-    ``MSLB_RADIUS`` matches the sphere volume to the decision-region volume
-    (``W**k`` for facet dimension k < n, the unit cell volume 1 for k = n).
-    ``MSUB_RADIUS`` is the inscribed sphere fixed by the packing,
-    ``d_min**2 / 4``, for every dimension.
-    """
-
-    MSLB_RADIUS = "mslb_radius"
-    MSUB_RADIUS = "msub_radius"
-
-
-@dataclass(frozen=True)
-class SphereRadiusSpec:
-    """Parameters selecting one effective-sphere radius.
-
-    Attributes
-    ----------
-    k : int
-        Facet (sublattice) dimension, 1 <= k <= n.
-    n : int
-        Dimension of the full constellation.
-    kind : RadiusKind
-        Volume-matched (lower bound) or inscribed (upper bound) radius.
-    mean_norm : float, optional
-        Mean basis-vector norm W; required for MSLB_RADIUS with k < n.
-    min_dist : float, optional
-        Minimum lattice distance d_min; required for MSUB_RADIUS.
-    """
-
-    k: int
-    n: int
-    kind: RadiusKind
-    mean_norm: float | None = None
-    min_dist: float | None = None
-
-
-def sphere_radius_sq(spec: SphereRadiusSpec) -> float:
-    """Squared radius of the effective sphere selected by ``spec``.
-
-    For ``MSLB_RADIUS`` the k-ball volume is matched to ``W**k`` when k < n
-    and to the unit fundamental volume when k = n, giving
-    ``R**2 = Gamma(k/2 + 1)**(2/k) / pi`` times ``W**2`` or 1 respectively.
-    For ``MSUB_RADIUS`` the radius is half the minimum distance:
-    ``R**2 = d_min**2 / 4``.
-    """
-    k, n = spec.k, spec.n
-    if not isinstance(k, int) or not isinstance(n, int):
-        raise ValueError("sphere radius dimensions k and n must be integers")
-    if n < 1 or k < 1 or k > n:
-        raise ValueError(f"sphere radius requires 1 <= k <= n, got k={k}, n={n}")
-    if spec.kind is RadiusKind.MSUB_RADIUS:
-        d = spec.min_dist
-        if d is None or not math.isfinite(d) or d <= 0.0:
-            raise ValueError(f"MSUB radius requires finite min_dist > 0, got {d!r}")
-        return d * d / 4.0
-    if spec.kind is RadiusKind.MSLB_RADIUS:
-        # Gamma(k/2 + 1)**(2/k) via lgamma keeps full precision for all k here.
-        unit = math.exp((2.0 / k) * math.lgamma(0.5 * k + 1.0)) / math.pi
-        if k == n:
-            return unit
-        w = spec.mean_norm
-        if w is None or not math.isfinite(w) or w <= 0.0:
-            raise ValueError(f"MSLB radius with k < n requires finite mean_norm > 0, got {w!r}")
-        return unit * w * w
-    raise ValueError(f"unknown radius kind {spec.kind!r}")

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latticesep.bounds import (
@@ -25,7 +25,8 @@ from latticesep.bounds import (
     write_curve_csv,
 )
 from latticesep.constellation import FiniteConstellation
-from latticesep.lattices import catalog_lattice
+from latticesep.lattices import catalog_lattice, load_lattice
+from latticesep.sep import SimPlan, simulate_sep
 
 
 def _grid(*db):
@@ -202,6 +203,44 @@ class TestMultiSphereBounds:
         msub_gaps = [abs(msub(_const("Z2", k), grid).values[0] - sub_val) for k in (4, 8, 32, 128)]
         assert all(a > b for a, b in zip(mslb_gaps, mslb_gaps[1:]))
         assert all(a > b for a, b in zip(msub_gaps, msub_gaps[1:]))
+
+
+class TestUserLatticeBounds:
+    def test_msub_above_simulation_on_unreduced_basis(self):
+        # v2 - v1 is much shorter than either basis vector; an MSUB built
+        # from the shortest basis vector falls two decades below the SEP.
+        c = FiniteConstellation(load_lattice([[1.0, 0.9], [0.0, 0.5]]), 4)
+        grid = _grid(18.0)
+        plan = SimPlan(constellation=c, grid=grid, seed=1, max_trials=10**5, target_errors=10**9)
+        est = simulate_sep(plan)[0]
+        assert est.reliable
+        assert est.mean - 3.0 * est.ci_half_width / 1.96 <= msub(c, grid).values[0]
+
+    @given(
+        matrix=st.integers(2, 3).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False),
+                    min_size=n,
+                    max_size=n,
+                ),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_msub_above_simulation_on_random_bases(self, matrix):
+        # MSLB is not checked: its W depends on the basis, and on skewed
+        # bases it can exceed the simulated SEP.
+        m = np.array(matrix)
+        norms = np.linalg.norm(m, axis=0)
+        assume(np.all(norms > 0.1) and abs(np.linalg.det(m)) >= 0.05 * np.prod(norms))
+        c = FiniteConstellation(load_lattice(m), 4)
+        grid = _grid(0.0, 6.0, 12.0, 18.0)
+        plan = SimPlan(constellation=c, grid=grid, seed=1, max_trials=10**4, target_errors=50)
+        for est, upper in zip(simulate_sep(plan), msub(c, grid).values):
+            assert est.mean - 3.0 * est.ci_half_width / 1.96 <= upper
 
 
 class TestCurveCsv:

@@ -1,10 +1,11 @@
 """Tests for the command-line interface: config parsing, subcommands, exit codes."""
 
+import dataclasses
 import json
 
-import numpy as np
 import pytest
 
+from latticesep import cli
 from latticesep.cli import (
     ConfigError,
     ExperimentConfig,
@@ -225,6 +226,31 @@ class TestRunCommand:
         config_path.write_text(json.dumps(make_config_data(lattice="Q7")))
         assert main(["run", "--config", str(config_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("seed", -1),
+            ("max_trials", 5),
+            ("target_errors", 1),
+            ("trials_per_j", 5),
+            ("lattice", "Z99"),
+        ],
+    )
+    def test_out_of_range_field_exits_2(self, tmp_path, capsys, field, value):
+        data = make_config_data(lattice="E4", curves=["SEP_SIM", "SEP_EXACT"])
+        data[field] = value
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(data))
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_out_of_range_seed_flag_exits_2(self, tmp_path, capsys):
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(make_config_data(curves=["MSLB"])))
+        argv = ["run", "--config", str(config_path), "--seed", "-1", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "seed" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_verify_passes(self, capsys):
@@ -234,12 +260,19 @@ class TestVerifyCommand:
         assert "FAIL" not in out
         assert "6/6 checks passed" in out
 
-    def test_catalog_check_catches_corruption(self):
-        from latticesep import catalog_lattice
+    def test_catalog_check_catches_corruption(self, monkeypatch):
+        real = cli.catalog_lattice
 
-        corrupted = catalog_lattice("E8").generator.copy()
-        corrupted[0, 0] += 1e-3
-        ok, detail = _check_catalog(matrix_overrides={"E8": corrupted})
+        def corrupted(name):
+            lattice = real(name)
+            if lattice.name != "E8":
+                return lattice
+            generator = lattice.generator.copy()
+            generator[0, 0] += 1e-3
+            return dataclasses.replace(lattice, generator=generator)
+
+        monkeypatch.setattr(cli, "catalog_lattice", corrupted)
+        ok, detail = _check_catalog()
         assert not ok
         assert "E8" in detail
 

@@ -1,24 +1,12 @@
-"""Facet combinatorics and constellation point enumeration."""
+"""Facet combinatorics of the K-PAM carving."""
 
 import itertools
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticesep import BudgetError
-from latticesep.constellation import (
-    FacetClass,
-    FiniteConstellation,
-    classify_point,
-    constellation_points,
-    count_points_by_class,
-    enumerate_points,
-    facet_count,
-    points_per_facet,
-    subset_rank,
-)
+from latticesep.constellation import FiniteConstellation, facet_count, points_per_facet
 from latticesep.lattices import catalog_lattice
 
 
@@ -57,147 +45,41 @@ class TestPointsPerFacet:
             points_per_facet(4, -1)
 
 
-class TestClassifyPoint:
-    def test_interior_point(self):
-        fc = classify_point(np.array([1, 2]), 4)
-        assert fc == FacetClass(k=2, p=1, subset=(1, 2))
-
-    def test_edge_point(self):
-        fc = classify_point(np.array([0, 2]), 4)
-        assert fc.k == 1
-        assert fc.subset == (2,)
-        assert fc.p == 2  # subsets of size 1 in order: (1,), (2,)
-
-    def test_vertex(self):
-        fc = classify_point(np.array([0, 3, 3]), 4)
-        assert fc == FacetClass(k=0, p=1, subset=())
-
-    def test_binary_constellation_has_only_vertices(self):
-        for u in itertools.product(range(2), repeat=3):
-            assert classify_point(np.array(u), 2).k == 0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            classify_point(np.array([0, 4]), 4)
-        with pytest.raises(ValueError):
-            classify_point(np.array([-1, 0]), 4)
-        with pytest.raises(ValueError):
-            classify_point(np.array([0.5, 1.0]), 4)
-
-    @given(
-        n=st.integers(1, 8),
-        big_k=st.integers(2, 9),
-        data=st.data(),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_mirror_symmetry(self, n, big_k, data):
-        # Reflecting any subset of coordinates (u -> K-1-u) preserves the class.
-        u = np.array(
-            data.draw(st.lists(st.integers(0, big_k - 1), min_size=n, max_size=n)),
-            dtype=np.int64,
-        )
-        flip = np.array(
-            data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool
-        )
-        mirrored = np.where(flip, big_k - 1 - u, u)
-        assert classify_point(u, big_k) == classify_point(mirrored, big_k)
-
-
-class TestSubsetRank:
-    def test_lexicographic_order(self):
-        combos = list(itertools.combinations(range(1, 6), 3))
-        for p, subset in enumerate(combos, start=1):
-            assert subset_rank(5, subset) == p
-
-    def test_invalid_subset(self):
-        with pytest.raises(ValueError):
-            subset_rank(4, (2, 1))
-
-
 class TestCountPointsByClass:
+    # Facet class k holds facet_count(N, k) facets of points_per_facet(K, k)
+    # points each.
+
     def test_z2_4pam_tallies(self):
-        counts = count_points_by_class(2, 4)
-        assert counts.total == 16
-        assert counts.by_dimension == {0: 4, 1: 8, 2: 4}
-        per = counts.per_class
-        assert per[FacetClass(k=0, p=1, subset=())] == 4
-        assert per[FacetClass(k=1, p=1, subset=(1,))] == 4
-        assert per[FacetClass(k=1, p=2, subset=(2,))] == 4
-        assert per[FacetClass(k=2, p=1, subset=(1, 2))] == 4
+        by_dimension = {k: facet_count(2, k) * points_per_facet(4, k) for k in range(3)}
+        assert by_dimension == {0: 4, 1: 8, 2: 4}
 
     def test_k2_everything_is_vertex(self):
-        counts = count_points_by_class(4, 2)
-        assert counts.by_dimension[0] == 16
-        assert sum(v for fc, v in counts.per_class.items() if fc.k > 0) == 0
+        assert facet_count(4, 0) * points_per_facet(2, 0) == 16
+        assert all(points_per_facet(2, k) == 0 for k in range(1, 5))
 
     @pytest.mark.parametrize("n", range(1, 11))
     @pytest.mark.parametrize("big_k", [2, 3, 4, 8, 32])
     def test_partition_identity(self, n, big_k):
-        counts = count_points_by_class(n, big_k)
-        assert counts.total == big_k**n
-        assert sum(counts.by_dimension.values()) == big_k**n
-        assert sum(counts.per_class.values()) == big_k**n
+        total = sum(facet_count(n, k) * points_per_facet(big_k, k) for k in range(n + 1))
+        assert total == big_k**n
 
     @given(n=st.integers(1, 8), big_k=st.integers(2, 64))
     @settings(max_examples=100, deadline=None)
     def test_partition_identity_property(self, n, big_k):
-        counts = count_points_by_class(n, big_k)
-        assert counts.total == big_k**n
-        assert sum(counts.per_class.values()) == big_k**n
+        total = sum(facet_count(n, k) * points_per_facet(big_k, k) for k in range(n + 1))
+        assert total == big_k**n
 
     def test_matches_explicit_classification(self):
+        # A point's facet dimension counts its strictly interior coordinates.
         for n, big_k in [(2, 2), (2, 4), (3, 3), (3, 4)]:
-            counts = count_points_by_class(n, big_k)
-            tally: dict = {}
+            tally = dict.fromkeys(range(n + 1), 0)
             for u in itertools.product(range(big_k), repeat=n):
-                fc = classify_point(np.array(u, dtype=np.int64), big_k)
-                tally[fc] = tally.get(fc, 0) + 1
-            nonzero = {fc: c for fc, c in counts.per_class.items() if c > 0}
-            assert tally == nonzero
-
-    def test_counting_budget(self):
-        with pytest.raises(BudgetError):
-            count_points_by_class(4, 1 << 16)
+                tally[sum(1 for ui in u if 0 < ui < big_k - 1)] += 1
+            expected = {k: facet_count(n, k) * points_per_facet(big_k, k) for k in range(n + 1)}
+            assert tally == expected
 
 
-class TestEnumeratePoints:
-    def test_z1_line(self):
-        c = FiniteConstellation(catalog_lattice("Z1"), 4)
-        xs = [float(pt.x[0]) for pt in enumerate_points(c)]
-        assert xs == [0.0, 1.0, 2.0, 3.0]
-
-    def test_row_major_order(self):
-        c = FiniteConstellation(catalog_lattice("Z2"), 3)
-        coords = [pt.u.tolist() for pt in enumerate_points(c)]
-        assert coords[:4] == [[0, 0], [0, 1], [0, 2], [1, 0]]
-        assert len(coords) == 9
-
-    def test_a2_k2_corners(self):
-        lat = catalog_lattice("A2")
-        c = FiniteConstellation(lat, 2)
-        pts = list(enumerate_points(c))
-        assert len(pts) == 4
-        v1, v2 = lat.generator[:, 0], lat.generator[:, 1]
-        assert np.allclose(pts[0].x, 0.0)
-        assert np.allclose(pts[1].x, v2)
-        assert np.allclose(pts[2].x, v1)
-        assert np.allclose(pts[3].x, v1 + v2)
-
-    def test_materialized_matches_iterator(self):
-        c = FiniteConstellation(catalog_lattice("E4"), 4)
-        coords, points = constellation_points(c)
-        assert coords.shape == (256, 4)
-        for i, pt in enumerate(enumerate_points(c)):
-            assert np.array_equal(coords[i], pt.u)
-            assert np.allclose(points[i], pt.x, atol=1e-15)
-
-    def test_enumeration_budget(self):
-        c = FiniteConstellation(catalog_lattice("Z8"), 32)
-        with pytest.raises(BudgetError):
-            next(enumerate_points(c))
-        with pytest.raises(BudgetError):
-            constellation_points(c)
-
+class TestFiniteConstellation:
     def test_constellation_validation(self):
         with pytest.raises(ValueError):
             FiniteConstellation(catalog_lattice("Z2"), 1)

@@ -138,6 +138,18 @@ class TestLoadLattice:
         # Mean norm describes the normalized basis.
         assert lat.mean_norm == pytest.approx(1.25, rel=1e-12)
 
+    def test_d_min_is_enumerated_for_unreduced_basis(self):
+        # Normalized by sqrt(2), v2 - v1 = (-0.1, 0.5) is shorter than both
+        # basis vectors.
+        lat = load_lattice([[1.0, 0.9], [0.0, 0.5]])
+        assert lat.d_min == pytest.approx(math.sqrt(0.52), rel=1e-12)
+        assert lat.basis_norms.min() == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+    def test_d_min_enumeration_dimension_budget(self):
+        assert load_lattice(np.eye(12), normalize=False).d_min == 1.0
+        with pytest.raises(BudgetError):
+            load_lattice(np.eye(13), normalize=False)
+
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
             load_lattice([[1.0, 1.0], [0.0, 0.0]])

@@ -14,14 +14,12 @@ import pytest
 from latticesep.bounds import SnrGrid, mslb, msub
 from latticesep.constellation import FiniteConstellation
 from latticesep.cvp import Decoder
-from latticesep.lattices import SublatticeSelector, catalog_lattice
+from latticesep.lattices import catalog_lattice
 from latticesep.sep import (
     JSource,
     SepMethod,
     SimPlan,
     exact_sep_theorem1,
-    j_integral_mc,
-    j_integral_zn,
     sep_csv_rows,
     simulate_sep,
     write_sep_csv,
@@ -38,102 +36,91 @@ def closed_form_zn(n, big_k, rho):
     return 1.0 - ((1.0 + (big_k - 1) * (1.0 - 2.0 * q)) / big_k) ** n
 
 
+def analytic_zn(n, big_k, db_values):
+    c = FiniteConstellation(lattice=catalog_lattice(f"Z{n}"), K=big_k)
+    return exact_sep_theorem1(c, SnrGrid.from_db_values(db_values), JSource.ANALYTIC_ZN)
+
+
+def monte_carlo(name, big_k, db_values, trials, seed):
+    c = FiniteConstellation(lattice=catalog_lattice(name), K=big_k)
+    grid = SnrGrid.from_db_values(db_values)
+    return exact_sep_theorem1(c, grid, JSource.MC_VORONOI, trials_per_j=trials, seed=seed)
+
+
 class TestJIntegralZn:
     def test_k_zero_is_one(self):
-        for rho in (0.01, 1.0, 1e4):
-            assert j_integral_zn(0, rho).mean == 1.0
+        # As rho -> 0 every J with k >= 1 vanishes, leaving J[0] = 1 alone:
+        # P -> 1 - 1/K**N.
+        for n, big_k in ((1, 2), (2, 4), (3, 32)):
+            est = analytic_zn(n, big_k, [-300.0])[0]
+            assert est.mean == pytest.approx(1.0 - 1.0 / big_k**n, abs=1e-12)
 
     def test_k_one_matches_q_function(self):
-        est = j_integral_zn(1, 10.0)
-        assert est.mean == pytest.approx(J1_AT_10, abs=1e-15)
-        assert est.std_err == 0.0
-        assert est.method is JSource.ANALYTIC_ZN
+        # Z1 with K = 2: P = 1 - (1 + J1) / 2.
+        est = analytic_zn(1, 2, [10.0])[0]
+        assert 1.0 - 2.0 * est.mean == pytest.approx(J1_AT_10, abs=1e-15)
+        assert est.ci_half_width == 0.0
+        assert est.method is SepMethod.CLOSED_FORM_ZN
 
     def test_factorizes_over_coordinates(self):
-        for rho in (0.5, 10.0, 200.0):
-            assert j_integral_zn(3, rho).mean == pytest.approx(j_integral_zn(1, rho).mean ** 3, rel=1e-15)
-
-    def test_facet_class_is_the_leading_subset(self):
-        est = j_integral_zn(2, 10.0)
-        assert est.facet_class.k == 2
-        assert est.facet_class.p == 1
-        assert est.facet_class.subset == (1, 2)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            j_integral_zn(-1, 10.0)
-        with pytest.raises(ValueError):
-            j_integral_zn(1.5, 10.0)
-        with pytest.raises(ValueError):
-            j_integral_zn(1, 0.0)
-        with pytest.raises(ValueError):
-            j_integral_zn(1, math.inf)
+        # Every J on Z_N is a power of the 1-d interval mass, so the
+        # probability of a correct decision is the per-coordinate one cubed.
+        for db in (-3.0, 10.0, 23.0):
+            p1 = analytic_zn(1, 4, [db])[0].mean
+            p3 = analytic_zn(3, 4, [db])[0].mean
+            assert 1.0 - p3 == pytest.approx((1.0 - p1) ** 3, rel=1e-14)
 
 
 class TestJIntegralMc:
     def test_cubic_sublattice_matches_analytic(self):
-        # A coordinate-subset sublattice of Z4 has a unit-cube cell, so the
-        # estimate must land within four standard errors of the closed form.
-        z4 = catalog_lattice("Z4")
-        sel = SublatticeSelector(lattice=z4, subset=(1, 3))
-        est = j_integral_mc(sel, 10.0, 10**5, seed=17)
-        assert est.std_err > 0.0
-        assert abs(est.mean - j_integral_zn(2, 10.0).mean) <= 4.0 * est.std_err
+        # Every coordinate-subset sublattice of Z4 has a unit-cube cell, so
+        # the estimate must land within four standard errors of the closed form.
+        est = monte_carlo("Z4", 4, [10.0], 10**5, seed=17)[0]
+        sigma = est.ci_half_width / 1.96
+        assert sigma > 0.0
+        assert abs(est.mean - analytic_zn(4, 4, [10.0])[0].mean) <= 4.0 * sigma
 
     def test_deterministic_for_fixed_seed(self):
-        a2 = catalog_lattice("A2")
-        sel = SublatticeSelector(lattice=a2, subset=(1, 2))
-        a = j_integral_mc(sel, 10.0, 10**4, seed=5)
-        b = j_integral_mc(sel, 10.0, 10**4, seed=5)
-        c = j_integral_mc(sel, 10.0, 10**4, seed=6)
-        assert a.mean == b.mean
-        assert a.mean != c.mean
+        a = monte_carlo("A2", 4, [10.0], 10**4, seed=5)
+        b = monte_carlo("A2", 4, [10.0], 10**4, seed=5)
+        c = monte_carlo("A2", 4, [10.0], 10**4, seed=6)
+        assert a[0].mean == b[0].mean
+        assert a[0].mean != c[0].mean
 
     def test_vanishing_noise_fills_the_cell(self):
-        a2 = catalog_lattice("A2")
-        sel = SublatticeSelector(lattice=a2, subset=(1, 2))
-        assert j_integral_mc(sel, 1e6, 10**4, seed=5).mean == 1.0
+        est = monte_carlo("A2", 4, [60.0], 10**4, seed=5)[0]
+        assert est.mean == 0.0
+        assert est.ci_half_width == 0.0
 
     def test_full_cell_mass_between_sphere_envelopes(self):
-        # The cell contains its packing sphere and has the volume of the
-        # unit-volume sphere, which brackets the Gaussian mass.
+        # The rank-1 cells of A2 are intervals of length d_min, whose mass is
+        # exact, so the bracket comes from the full hexagonal cell: it
+        # contains its packing circle and has the area of the unit-area circle.
         a2 = catalog_lattice("A2")
-        sel = SublatticeSelector(lattice=a2, subset=(1, 2))
         rho = 10.0
-        est = j_integral_mc(sel, rho, 10**5, seed=11)
-        lower = 1.0 - regularized_gamma_upper(1.0, rho * a2.d_min**2 / 8.0)
-        upper = 1.0 - regularized_gamma_upper(1.0, rho / (2.0 * math.pi))
-        assert lower - 4.0 * est.std_err <= est.mean <= upper + 4.0 * est.std_err
+        est = monte_carlo("A2", 4, [10.0], 10**5, seed=11)[0]
+        j1 = 1.0 - 2.0 * q_function(math.sqrt(rho) * a2.d_min / 2.0)
+
+        def sep(j2):
+            return 1.0 - (1.0 + 2 * 3 * j1 + 9 * j2) / 16.0
+
+        packing = 1.0 - regularized_gamma_upper(1.0, rho * a2.d_min**2 / 8.0)
+        equal_area = 1.0 - regularized_gamma_upper(1.0, rho / (2.0 * math.pi))
+        sigma = est.ci_half_width / 1.96
+        assert sep(equal_area) - 4.0 * sigma <= est.mean <= sep(packing) + 4.0 * sigma
 
     def test_monotone_in_snr_for_a_shared_seed(self):
-        # One seed means one sample cloud scaled by sigma; the cell is convex
+        # One seed means one sample cloud scaled by sigma; the cells are convex
         # and symmetric, so membership can only grow as the noise shrinks.
-        a2 = catalog_lattice("A2")
-        sel = SublatticeSelector(lattice=a2, subset=(1, 2))
-        means = [j_integral_mc(sel, rho, 10**4, seed=5).mean for rho in (1.0, 2.0, 5.0, 10.0, 50.0)]
-        assert all(b >= a for a, b in zip(means, means[1:]))
-
-    def test_facet_class_identifies_the_subset(self):
-        e4 = catalog_lattice("E4")
-        sel = SublatticeSelector(lattice=e4, subset=(2, 4))
-        est = j_integral_mc(sel, 10.0, 10**4, seed=1)
-        assert est.facet_class.k == 2
-        assert est.facet_class.subset == (2, 4)
-        assert est.facet_class.p == 5  # lexicographic rank among C(4,2) pairs
-        assert est.method is JSource.MC_VORONOI
-        assert est.trials == 10**4
+        db_values = [10.0 * math.log10(rho) for rho in (1.0, 2.0, 5.0, 10.0, 50.0)]
+        means = [est.mean for est in monte_carlo("A2", 4, db_values, 10**4, seed=5)]
+        assert all(b <= a for a, b in zip(means, means[1:]))
 
     def test_validation(self):
-        a2 = catalog_lattice("A2")
-        sel = SublatticeSelector(lattice=a2, subset=(1,))
         with pytest.raises(ValueError):
-            j_integral_mc(sel, 10.0, 10**3, seed=0)
+            monte_carlo("A2", 4, [10.0], 10**3, seed=0)
         with pytest.raises(ValueError):
-            j_integral_mc(sel, -1.0, 10**4, seed=0)
-        z9 = catalog_lattice("Z9")
-        big = SublatticeSelector(lattice=z9, subset=(1, 2))
-        with pytest.raises(ValueError):
-            j_integral_mc(big, 10.0, 10**4, seed=0)
+            monte_carlo("Z9", 2, [10.0], 10**4, seed=0)
 
 
 class TestExactSepClosedForm:

@@ -16,13 +16,11 @@ from hypothesis import strategies as st
 from latticesep import (
     ConvergenceError,
     InternalCheckError,
-    RadiusKind,
-    SphereRadiusSpec,
     clamp_probability,
     q_function,
     regularized_gamma_upper,
-    sphere_radius_sq,
 )
+from latticesep.bounds import inscribed_radius_sq, volume_matched_radius_sq
 
 
 class TestRegularizedGammaUpper:
@@ -126,49 +124,38 @@ class TestQFunction:
 class TestSphereRadiusSq:
     def test_volume_matched_examples(self):
         # 1-d cell of length W=1: ball of volume 1 is [-1/2, 1/2], R^2 = 1/4.
-        spec = SphereRadiusSpec(k=1, n=2, kind=RadiusKind.MSLB_RADIUS, mean_norm=1.0)
-        assert sphere_radius_sq(spec) == pytest.approx(0.25, rel=1e-12)
+        assert volume_matched_radius_sq(1, 2, 1.0) == pytest.approx(0.25, rel=1e-12)
         # Full-dimension cell of volume 1 in 2-d: pi R^2 = 1.
-        spec = SphereRadiusSpec(k=2, n=2, kind=RadiusKind.MSLB_RADIUS)
-        assert sphere_radius_sq(spec) == pytest.approx(1.0 / math.pi, rel=1e-12)
+        assert volume_matched_radius_sq(2, 2, None) == pytest.approx(1.0 / math.pi, rel=1e-12)
 
     def test_inscribed_example(self):
-        spec = SphereRadiusSpec(k=3, n=8, kind=RadiusKind.MSUB_RADIUS, min_dist=math.sqrt(2.0))
-        assert sphere_radius_sq(spec) == pytest.approx(0.5, rel=1e-12)
+        assert inscribed_radius_sq(math.sqrt(2.0)) == pytest.approx(0.5, rel=1e-12)
 
     def test_volume_consistency(self):
         # The k-ball of the returned radius has volume W^k (k < n) or 1 (k = n).
         for n in (2, 4, 8, 16):
             for k in range(1, n + 1):
                 for w in (0.7, 1.0, 1.4874):
-                    spec = SphereRadiusSpec(k=k, n=n, kind=RadiusKind.MSLB_RADIUS, mean_norm=w)
-                    r_sq = sphere_radius_sq(spec)
+                    r_sq = volume_matched_radius_sq(k, n, w)
                     volume = math.pi ** (k / 2.0) * r_sq ** (k / 2.0) / math.gamma(k / 2.0 + 1.0)
                     target = w**k if k < n else 1.0
                     assert volume == pytest.approx(target, rel=1e-12)
 
     def test_inscribed_ignores_dimension(self):
-        values = {
-            sphere_radius_sq(
-                SphereRadiusSpec(k=k, n=8, kind=RadiusKind.MSUB_RADIUS, min_dist=1.5)
-            )
-            for k in range(1, 9)
-        }
-        assert values == {1.5 * 1.5 / 4.0}
+        # The packing radius takes no dimension: MSUB uses it for every k.
+        assert inscribed_radius_sq(1.5) == 1.5 * 1.5 / 4.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            sphere_radius_sq(SphereRadiusSpec(k=0, n=2, kind=RadiusKind.MSLB_RADIUS, mean_norm=1.0))
+            volume_matched_radius_sq(0, 2, 1.0)
         with pytest.raises(ValueError):
-            sphere_radius_sq(SphereRadiusSpec(k=3, n=2, kind=RadiusKind.MSLB_RADIUS, mean_norm=1.0))
+            volume_matched_radius_sq(3, 2, 1.0)
         with pytest.raises(ValueError):
-            sphere_radius_sq(SphereRadiusSpec(k=1, n=2, kind=RadiusKind.MSLB_RADIUS))
+            volume_matched_radius_sq(1, 2, None)
         with pytest.raises(ValueError):
-            sphere_radius_sq(SphereRadiusSpec(k=1, n=2, kind=RadiusKind.MSUB_RADIUS))
+            inscribed_radius_sq(None)
         with pytest.raises(ValueError):
-            sphere_radius_sq(
-                SphereRadiusSpec(k=1, n=2, kind=RadiusKind.MSUB_RADIUS, min_dist=-1.0)
-            )
+            inscribed_radius_sq(-1.0)
 
 
 class TestClampProbability:
