@@ -12,7 +12,6 @@ from .bounds import (
     CurveKind,
     SnrGrid,
     curve_csv_rows,
-    facet_weights,
     format_sig,
     mslb,
     msub,
@@ -20,7 +19,7 @@ from .bounds import (
     sub,
     write_curve_csv,
 )
-from .constellation import FiniteConstellation, facet_count, points_per_facet
+from .constellation import FiniteConstellation, facet_count, facet_weights, points_per_facet
 from .cvp import (
     BatchDecoder,
     Decoder,

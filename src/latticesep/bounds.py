@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constellation import FiniteConstellation
+from .constellation import FiniteConstellation, facet_sum
 from .lattices import Lattice
 from .special import clamp_probability, regularized_gamma_upper
 
@@ -145,34 +145,18 @@ def sub(lattice: Lattice, grid: SnrGrid) -> BoundCurve:
                       snr_db=grid.db.copy(), values=values)
 
 
-def facet_weights(n: int, big_k: int) -> np.ndarray:
-    """Fraction of constellation points on k-facets, k = 0..N.
-
-    ``C(N,k) (K-1)^k / K^N`` computed as an exact binomial probability,
-    ``C(N,k) p^k (1-p)^(N-k)`` with ``p = (K-1)/K``: no overflow for any K
-    and relative error well below 1e-12.  The weights sum to 1.
-    """
-    p = (big_k - 1.0) / big_k
-    q = 1.0 / big_k
-    return np.array([math.comb(n, k) * p**k * q ** (n - k) for k in range(n + 1)])
+def _sphere_mass(k: int, radius_sq: float):
+    return lambda rho: (1.0 - _chi_square_tail(k, radius_sq, rho), 0.0)
 
 
 def _multi_sphere(constellation: FiniteConstellation, grid: SnrGrid, radii: list,
                   curve_kind: CurveKind) -> BoundCurve:
-    # radii[k - 1] is the squared sphere radius for facet dimension k.
-    lat = constellation.lattice
-    n = lat.dimension
-    big_k = constellation.K
-    weights = facet_weights(n, big_k)
-    values = np.empty(len(grid))
-    for i, rho in enumerate(grid.rho):
-        # k = 0 facets (vertices' inner cones) never err in this model: I_0 = 1.
-        acc = weights[0]
-        for k in range(1, n + 1):
-            inside = 1.0 - _chi_square_tail(k, radii[k - 1], rho)
-            acc += weights[k] * inside
-        values[i] = clamp_probability(1.0 - acc)
-    return BoundCurve(kind=curve_kind, lattice=lat.name, K=big_k,
+    # radii[k - 1] is the squared sphere radius for facet dimension k; one
+    # sphere stands in for all C(N, k) rank-k cells.
+    n = constellation.dimension
+    groups = [(k, math.comb(n, k), _sphere_mass(k, radii[k - 1])) for k in range(1, n + 1)]
+    values = np.array([clamp_probability(p) for p, _ in facet_sum(constellation, grid.rho, groups)])
+    return BoundCurve(kind=curve_kind, lattice=constellation.lattice.name, K=constellation.K,
                       snr_db=grid.db.copy(), values=values)
 
 

@@ -53,6 +53,7 @@ from .sep import (
     _MIN_TARGET_ERRORS,
     JSource,
     SepEstimate,
+    SepMethod,
     SimPlan,
     exact_sep_theorem1,
     simulate_sep,
@@ -284,8 +285,10 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def _sim_sigma(est: SepEstimate) -> float:
-    return est.ci_half_width / _CI_FACTOR
+def _beyond_3_sigma(est: SepEstimate, bound: float, is_lower: bool) -> bool:
+    """Whether a bound sits on the wrong side of a simulated estimate by more than 3 sigma."""
+    slack = 3.0 * est.ci_half_width / _CI_FACTOR
+    return bound > est.mean + slack if is_lower else est.mean - slack > bound
 
 
 def _run_curves(config: ExperimentConfig, lattice: Lattice, grid: SnrGrid, threads: int):
@@ -341,7 +344,7 @@ def _write_outputs(config, lattice, grid, results, out_dir: Path, plot: bool) ->
         if isinstance(result, BoundCurve):
             write_curve_csv(result, path)
         else:
-            seed = None if result[0].method.value == "closed_form_zn" else config.seed
+            seed = None if result[0].method is SepMethod.CLOSED_FORM_ZN else config.seed
             write_sep_csv(path, result, lattice.name, config.K, seed)
         written.append(path)
 
@@ -378,15 +381,10 @@ def _print_summary(config, results) -> None:
             if bound_name not in results:
                 continue
             bound = results[bound_name].values
-            violations = 0
-            for i, est in enumerate(estimates):
-                if not est.reliable:
-                    continue
-                slack = 3.0 * _sim_sigma(est)
-                if is_lower and bound[i] > est.mean + slack:
-                    violations += 1
-                if not is_lower and est.mean - slack > bound[i]:
-                    violations += 1
+            violations = sum(
+                est.reliable and _beyond_3_sigma(est, bound[i], is_lower)
+                for i, est in enumerate(estimates)
+            )
             print(f"  sandwich {bound_name} vs SEP_SIM: {violations} violation(s) beyond 3 sigma")
 
 
@@ -496,8 +494,7 @@ def _check_simulation_sandwich():
     for i, est in enumerate(estimates):
         if not est.reliable:
             return False, f"unexpectedly few errors at {est.snr_db} dB"
-        slack = 3.0 * _sim_sigma(est)
-        if lower[i] > est.mean + slack or est.mean - slack > upper[i]:
+        if _beyond_3_sigma(est, lower[i], True) or _beyond_3_sigma(est, upper[i], False):
             return False, f"bound sandwich violated at {est.snr_db} dB"
     return True, "MSLB <= simulated SEP <= MSUB (3 sigma) at 6, 10, 14 dB"
 

@@ -6,13 +6,17 @@ a point belongs to a k-facet when exactly k of its coordinates are strictly
 interior (``0 < u_i < K-1``) and the remaining N-k sit on the box edge.  The
 k-facets split into ``C(N, k)`` equivalence classes by *which* coordinates
 are interior; each class contains ``2**(N-k)`` mirror-image facets holding
-``(K-2)**k`` points apiece.
+``(K-2)**k`` points apiece.  :func:`facet_sum` weighs a cell mass per
+class into the symbol-error probability (paper Theorem 1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
 
 from .lattices import Lattice
 
@@ -53,3 +57,43 @@ def points_per_facet(big_k: int, k: int) -> int:
     if big_k < 2 or k < 0:
         raise ValueError(f"points_per_facet requires K >= 2 and k >= 0, got K={big_k}, k={k}")
     return (big_k - 2) ** k
+
+
+def facet_weights(n: int, big_k: int) -> np.ndarray:
+    """Fraction of constellation points on k-facets, k = 0..N.
+
+    ``C(N,k) (K-1)^k / K^N`` computed as an exact binomial probability,
+    ``C(N,k) p^k (1-p)^(N-k)`` with ``p = (K-1)/K``: no overflow for any K
+    and relative error well below 1e-12.  The weights sum to 1.
+    """
+    p = (big_k - 1.0) / big_k
+    q = 1.0 / big_k
+    return np.array([math.comb(n, k) * p**k * q ** (n - k) for k in range(n + 1)])
+
+
+def facet_sum(constellation: FiniteConstellation, rhos, groups) -> list[tuple[float, float]]:
+    """Theorem-1 sum ``1 - sum_k (K-1)**k / K**N sum_p J[k, p](rho)`` at each rho.
+
+    Each group ``(k, multiplicity, cell_mass)`` stands for ``multiplicity``
+    of the ``C(N, k)`` rank-k subsets, all with the cell mass
+    ``cell_mass(rho) -> (J, std_err)``.  Its weight
+    ``facet_weights[k] * multiplicity / C(N, k)`` is rounded once, so a
+    group that covers every subset weighs exactly ``facet_weights[k]``.
+    The k = 0 term (vertices never err, ``J[0] = 1``) is implicit.
+
+    Returns ``(P, std_err)`` per rho, unclamped, with the groups'
+    standard errors combined in quadrature.
+    """
+    n = constellation.dimension
+    weights = facet_weights(n, constellation.K)
+    scales = [float(Fraction(weights[k]) * mult / math.comb(n, k)) for k, mult, _ in groups]
+    out = []
+    for rho in rhos:
+        total = float(weights[0])
+        variance = 0.0
+        for scale, (_, _, cell_mass) in zip(scales, groups):
+            mass, std_err = cell_mass(rho)
+            total += scale * mass
+            variance += (scale * std_err) ** 2
+        out.append((1.0 - total, math.sqrt(variance)))
+    return out

@@ -93,29 +93,33 @@ def _level_candidates(c, rii, budget, lo, hi):
     return sorted(range(first, last + 1), key=lambda v: (abs(v - c), v))
 
 
-def _sphere_search(r_rows, yt, lo, hi):
-    # Depth-first search with radius initialized from the Babai rounding
-    # candidate and shrunk on every improvement.  Returns the tie-resolved
-    # best coefficient vector and its squared distance.
+def _depth_first(r_rows, yt, lo, hi, budget, leaf, max_nodes):
+    # Visits every coefficient vector within squared distance ``budget`` of
+    # yt, last coordinate first, candidates nearest-center first, and calls
+    # leaf(z, dist) at each one; the callback returns the budget for the
+    # rest of the search.  Raises BudgetError once the candidate lists
+    # entered hold more than max_nodes values.
     k = len(yt)
-    best_z, best_dist = _babai_rounding(r_rows, yt, lo, hi)
-    best_z = list(best_z)
-
     z = [0] * k
     acc = [0.0] * k  # acc[i]: cost contributed by levels above i
     centers = [0.0] * k
     cands: list[list[int]] = [[] for _ in range(k)]
     pos = [0] * k
+    nodes = 0
 
     def enter(i):
+        nonlocal nodes
         row = r_rows[i]
         t = yt[i]
         for j in range(i + 1, k):
             t -= row[j] * z[j]
         c = t / row[i]
         centers[i] = c
-        cands[i] = _level_candidates(c, row[i], best_dist + TIE_TOL - acc[i], lo, hi)
+        cands[i] = _level_candidates(c, row[i], budget - acc[i], lo, hi)
         pos[i] = 0
+        nodes += len(cands[i])
+        if nodes > max_nodes:
+            raise BudgetError(f"depth-first lattice search exceeded {max_nodes} nodes")
 
     i = k - 1
     enter(i)
@@ -128,30 +132,43 @@ def _sphere_search(r_rows, yt, lo, hi):
         v = cands[i][pos[i]]
         pos[i] += 1
         cost = (r_rows[i][i] * (v - centers[i])) ** 2
-        if acc[i] + cost > best_dist + TIE_TOL:
+        if acc[i] + cost > budget:
             # Candidates are nearest-first, so the rest of this level is worse.
             i += 1
             if i == k:
                 break
             continue
         if i == 0:
-            total = acc[0] + cost
             z[0] = v
-            if total < best_dist - TIE_TOL:
-                best_dist = total
-                best_z = z.copy()
-            else:
-                # Within the tie window of the current best.
-                if total < best_dist:
-                    best_dist = total
-                if z < best_z:
-                    best_z = z.copy()
+            budget = leaf(z, acc[0] + cost)
             continue
         z[i] = v
         acc[i - 1] = acc[i] + cost
         i -= 1
         enter(i)
-    return best_z, best_dist
+
+
+def _sphere_search(r_rows, yt, lo, hi):
+    # Depth-first search with radius initialized from the Babai rounding
+    # candidate and shrunk on every improvement.  Returns the tie-resolved
+    # best coefficient vector.
+    best_z, best_dist = _babai_rounding(r_rows, yt, lo, hi)
+
+    def leaf(z, dist):
+        nonlocal best_z, best_dist
+        if dist < best_dist - TIE_TOL:
+            best_dist = dist
+            best_z = z.copy()
+        else:
+            # Within the tie window of the current best.
+            if dist < best_dist:
+                best_dist = dist
+            if z < best_z:
+                best_z = z.copy()
+        return best_dist + TIE_TOL
+
+    _depth_first(r_rows, yt, lo, hi, best_dist + TIE_TOL, leaf, math.inf)
+    return best_z
 
 
 def closest_point(
@@ -205,8 +222,7 @@ def closest_point(
     yt = [float(t) for t in q.T @ yv]
     r_rows = [[float(r[i, j]) for j in range(r.shape[0])] for i in range(r.shape[0])]
     lo, hi = (0, box - 1) if box is not None else (None, None)
-    best_z, _ = _sphere_search(r_rows, yt, lo, hi)
-    return np.array(best_z, dtype=np.int64)
+    return np.array(_sphere_search(r_rows, yt, lo, hi), dtype=np.int64)
 
 
 def enumerate_within_radius(
@@ -220,8 +236,8 @@ def enumerate_within_radius(
     The search is complete: the per-level window ``|R[i,i] * (z[i] - c[i])|
     <= remaining budget`` provably contains every solution, so no vector
     inside the radius is missed.  Returns ``(z, squared_distance)`` pairs in
-    depth-first order.  Raises :class:`BudgetError` if the tree exceeds
-    ``max_nodes`` visited candidates.
+    depth-first order.  Raises :class:`BudgetError` if the search tree
+    holds more than ``max_nodes`` candidates.
     """
     g = np.asarray(generator, dtype=float)
     q, r = triangularize(g)
@@ -236,53 +252,14 @@ def enumerate_within_radius(
             raise ValueError(f"center shape {cv.shape} does not match dimension {k}")
         yt = [float(t) for t in q.T @ cv]
     r_rows = [[float(r[i, j]) for j in range(k)] for i in range(k)]
-    budget_total = radius * radius + TIE_TOL
-
+    budget = radius * radius + TIE_TOL
     out: list[tuple[tuple[int, ...], float]] = []
-    z = [0] * k
-    acc = [0.0] * k
-    centers = [0.0] * k
-    cands: list[list[int]] = [[] for _ in range(k)]
-    pos = [0] * k
-    nodes = 0
 
-    def enter(i):
-        row = r_rows[i]
-        t = yt[i]
-        for j in range(i + 1, k):
-            t -= row[j] * z[j]
-        c = t / row[i]
-        centers[i] = c
-        cands[i] = _level_candidates(c, row[i], budget_total - acc[i], None, None)
-        pos[i] = 0
+    def leaf(z, dist):
+        out.append((tuple(z), dist))
+        return budget
 
-    i = k - 1
-    enter(i)
-    while True:
-        if pos[i] >= len(cands[i]):
-            i += 1
-            if i == k:
-                break
-            continue
-        nodes += 1
-        if nodes > max_nodes:
-            raise BudgetError(f"radius enumeration exceeded {max_nodes} nodes")
-        v = cands[i][pos[i]]
-        pos[i] += 1
-        cost = (r_rows[i][i] * (v - centers[i])) ** 2
-        if acc[i] + cost > budget_total:
-            i += 1
-            if i == k:
-                break
-            continue
-        if i == 0:
-            z[0] = v
-            out.append((tuple(z), acc[0] + cost))
-            continue
-        z[i] = v
-        acc[i - 1] = acc[i] + cost
-        i -= 1
-        enter(i)
+    _depth_first(r_rows, yt, None, None, budget, leaf, max_nodes)
     return out
 
 
@@ -316,8 +293,8 @@ class BatchDecoder:
     shift is constant per query), and picks the first point within
     ``TIE_TOL`` of the row minimum -- the lexicographically smallest
     coefficient vector, as in :func:`closest_point`.  The diagonal path
-    breaks exact half-way ties toward the smaller coefficient for the
-    same reason.
+    rounds a coordinate down whenever its two candidates' squared
+    distances differ by at most ``TIE_TOL``, for the same reason.
     """
 
     def __init__(self, generator: np.ndarray, box: int, method: Decoder = Decoder.SPHERE_DECODER):
@@ -329,7 +306,6 @@ class BatchDecoder:
         box = int(box)
         if box < 1:
             raise ValueError(f"box must be a positive integer, got {box}")
-        self._g = g
         self._k = g.shape[0]
         self._box = box
         self.method = method
@@ -347,12 +323,23 @@ class BatchDecoder:
             diagonal = np.diagonal(g)
             if np.array_equal(g, np.diag(diagonal)) and np.all(diagonal != 0.0):
                 self._diag = diagonal.copy()
+                # With f the fractional part of y / d, the lower candidate is
+                # within TIE_TOL, (d f)**2 - (d (1 - f))**2 <= TIE_TOL, iff f <= _half.
+                self._half = 0.5 + TIE_TOL / (2.0 * diagonal**2)
             else:
                 q, r = triangularize(g)
                 self._qt = q.T.copy()
                 self._r_rows = [[float(r[i, j]) for j in range(self._k)] for i in range(self._k)]
         else:
             raise ValueError(f"unknown decoder method: {method!r}")
+
+    def _targets(self, targets) -> np.ndarray:
+        y = np.atleast_2d(np.asarray(targets, dtype=float))
+        if y.ndim != 2 or y.shape[1] != self._k:
+            raise ValueError(f"targets must have shape (m, {self._k}), got {y.shape}")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("targets have non-finite entries")
+        return y
 
     def decode(self, targets: np.ndarray) -> np.ndarray:
         """Closest coefficient vectors for a batch of targets.
@@ -367,24 +354,19 @@ class BatchDecoder:
         ndarray of int64, shape (m, k)
             Coefficient vectors in ``{0, ..., box-1}**k``.
         """
-        y = np.atleast_2d(np.asarray(targets, dtype=float))
-        if y.ndim != 2 or y.shape[1] != self._k:
-            raise ValueError(f"targets must have shape (m, {self._k}), got {y.shape}")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("targets have non-finite entries")
+        y = self._targets(targets)
         if self._coeffs is not None:
-            return self._coeffs[self.decode_indices(y)]
+            return self._coeffs[self._indices(y)]
         if self._diag is not None:
             # Exact for diagonal generators: coordinates decouple, and
-            # ceil(c - 1/2) rounds half-way cases down to the smaller value.
+            # ceil(c - _half) rounds ties within TIE_TOL down to the smaller value.
             c = y / self._diag
-            u = np.ceil(c - 0.5).astype(np.int64)
+            u = np.ceil(c - self._half).astype(np.int64)
             return np.clip(u, 0, self._box - 1)
         out = np.empty((y.shape[0], self._k), dtype=np.int64)
         for i in range(y.shape[0]):
             yt = [float(t) for t in self._qt @ y[i]]
-            z, _ = _sphere_search(self._r_rows, yt, 0, self._box - 1)
-            out[i] = z
+            out[i] = _sphere_search(self._r_rows, yt, 0, self._box - 1)
         return out
 
     def decode_indices(self, targets: np.ndarray) -> np.ndarray:
@@ -395,11 +377,9 @@ class BatchDecoder:
         """
         if self._coeffs is None:
             raise ValueError("decode_indices requires the BRUTE_FORCE point table")
-        y = np.atleast_2d(np.asarray(targets, dtype=float))
-        if y.ndim != 2 or y.shape[1] != self._k:
-            raise ValueError(f"targets must have shape (m, {self._k}), got {y.shape}")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("targets have non-finite entries")
+        return self._indices(self._targets(targets))
+
+    def _indices(self, y: np.ndarray) -> np.ndarray:
         total = self._points.shape[0]
         chunk = max(1, (1 << 22) // total)
         out = np.empty(y.shape[0], dtype=np.int64)

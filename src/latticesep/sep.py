@@ -34,15 +34,14 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .bounds import SnrGrid, format_sig
-from .constellation import FiniteConstellation
+from .constellation import FiniteConstellation, facet_sum
 from .cvp import TIE_TOL, BatchDecoder, Decoder, voronoi_test_vectors
 from .lattices import SublatticeSelector, is_integer_orthonormal, sublattice_generator
-from .special import q_function
+from .special import clamp_probability, q_function
 from .streams import _MAX_SEED, SHARD_SIZE, derive_seed, standard_normals, stream, uniform_symbols
 
 __all__ = [
@@ -157,11 +156,6 @@ def _cell_mass_mc(
     return mean, std_err
 
 
-def _subset_weight(n: int, big_k: int, k: int) -> float:
-    # (K-1)**k / K**N as a correctly rounded float, valid for any K.
-    return float(Fraction((big_k - 1) ** k, big_k**n))
-
-
 def _clip_probability(p: float) -> float:
     return min(1.0, max(0.0, p))
 
@@ -195,87 +189,60 @@ def exact_sep_theorem1(
     The reported ``trials`` is the per-J sample budget.
     """
     n = c.dimension
-    big_k = c.K
     if not isinstance(j_source, JSource):
         raise ValueError(f"j_source must be a JSource, got {j_source!r}")
-    weights = [_subset_weight(n, big_k, k) for k in range(n + 1)]
 
     if j_source is JSource.ANALYTIC_ZN:
         if not is_integer_orthonormal(c.lattice):
             raise ValueError("ANALYTIC_ZN applies only to the identity-generator cubic lattices")
-        estimates = []
-        for db, rho in zip(grid.db, grid.rho):
+
+        def cube_mass(k):
             # Every rank-k cell is the unit k-cube, whose mass factorizes
             # per coordinate.
-            edge = 1.0 - 2.0 * q_function(math.sqrt(float(rho)) / 2.0)
-            total = weights[0]
-            for k in range(1, n + 1):
-                total += weights[k] * math.comb(n, k) * edge**k
-            estimates.append(
-                SepEstimate(
-                    snr_db=float(db),
-                    rho=float(rho),
-                    mean=_clip_probability(1.0 - total),
-                    ci_half_width=0.0,
-                    trials=0,
-                    errors_observed=0,
-                    method=SepMethod.CLOSED_FORM_ZN,
-                    reliable=True,
-                )
-            )
-        return estimates
+            return lambda rho: ((1.0 - 2.0 * q_function(math.sqrt(float(rho)) / 2.0)) ** k, 0.0)
 
-    if n > _MAX_SIM_DIMENSION:
-        raise ValueError(f"MC_VORONOI supports dimensions up to {_MAX_SIM_DIMENSION}")
-    if trials_per_j < _MIN_J_TRIALS:
-        raise ValueError(f"trials_per_j must be at least {_MIN_J_TRIALS}, got {trials_per_j}")
+        groups = [(k, math.comb(n, k), cube_mass(k)) for k in range(1, n + 1)]
+        method, trials = SepMethod.CLOSED_FORM_ZN, 0
+    else:
+        if n > _MAX_SIM_DIMENSION:
+            raise ValueError(f"MC_VORONOI supports dimensions up to {_MAX_SIM_DIMENSION}")
+        if trials_per_j < _MIN_J_TRIALS:
+            raise ValueError(f"trials_per_j must be at least {_MIN_J_TRIALS}, got {trials_per_j}")
 
-    # Group subsets with bit-identical sublattice Gram matrices; each group
-    # is estimated once from the stream of its first (lexicographic) member.
-    groups: dict[tuple[int, bytes], dict] = {}
-    for k in range(1, n + 1):
-        for p, subset in enumerate(itertools.combinations(range(1, n + 1), k), start=1):
-            sel = SublatticeSelector(lattice=c.lattice, subset=subset)
-            generator = sublattice_generator(sel)
-            gram = generator.T @ generator
-            key = (k, gram.tobytes())
-            if key in groups:
-                groups[key]["multiplicity"] += 1
-            else:
-                vt, half_norms = _membership_halfspaces(generator)
-                groups[key] = {
-                    "k": k,
-                    "seed": derive_seed(seed, k, p),
-                    "vt": vt,
-                    "half_norms": half_norms,
-                    "multiplicity": 1,
-                }
+        def mc_mass(k, vt, half_norms, group_seed):
+            return lambda rho: _cell_mass_mc(vt, half_norms, k, float(rho), trials_per_j, group_seed)
 
-    estimates = []
-    for db, rho in zip(grid.db, grid.rho):
-        total = weights[0]
-        variance = 0.0
-        for group in groups.values():
-            k = group["k"]
-            mean, std_err = _cell_mass_mc(
-                group["vt"], group["half_norms"], k, float(rho), trials_per_j, group["seed"]
-            )
-            scale = weights[k] * group["multiplicity"]
-            total += scale * mean
-            variance += (scale * std_err) ** 2
-        estimates.append(
-            SepEstimate(
-                snr_db=float(db),
-                rho=float(rho),
-                mean=_clip_probability(1.0 - total),
-                ci_half_width=_CI_FACTOR * math.sqrt(variance),
-                trials=trials_per_j,
-                errors_observed=0,
-                method=SepMethod.THEOREM1,
-                reliable=True,
-            )
+        # Group subsets with bit-identical sublattice Gram matrices; each
+        # group is estimated once from the stream of its first
+        # (lexicographic) member.
+        found: dict[tuple[int, bytes], list] = {}
+        for k in range(1, n + 1):
+            for p, subset in enumerate(itertools.combinations(range(1, n + 1), k), start=1):
+                sel = SublatticeSelector(lattice=c.lattice, subset=subset)
+                generator = sublattice_generator(sel)
+                gram = generator.T @ generator
+                key = (k, gram.tobytes())
+                if key in found:
+                    found[key][1] += 1
+                else:
+                    vt, half_norms = _membership_halfspaces(generator)
+                    found[key] = [k, 1, mc_mass(k, vt, half_norms, derive_seed(seed, k, p))]
+        groups = [tuple(group) for group in found.values()]
+        method, trials = SepMethod.THEOREM1, trials_per_j
+
+    return [
+        SepEstimate(
+            snr_db=float(db),
+            rho=float(rho),
+            mean=clamp_probability(sep),
+            ci_half_width=_CI_FACTOR * std_err,
+            trials=trials,
+            errors_observed=0,
+            method=method,
+            reliable=True,
         )
-    return estimates
+        for db, rho, (sep, std_err) in zip(grid.db, grid.rho, facet_sum(c, grid.rho, groups))
+    ]
 
 
 def _simulate_point(

@@ -16,7 +16,6 @@ from latticesep.bounds import (
     CurveKind,
     SnrGrid,
     curve_csv_rows,
-    facet_weights,
     format_sig,
     mslb,
     msub,
@@ -24,7 +23,7 @@ from latticesep.bounds import (
     sub,
     write_curve_csv,
 )
-from latticesep.constellation import FiniteConstellation
+from latticesep.constellation import FiniteConstellation, facet_weights
 from latticesep.lattices import catalog_lattice, load_lattice
 from latticesep.sep import SimPlan, simulate_sep
 

@@ -1,9 +1,12 @@
 """Closest-point search: sphere decoder, brute-force reference, enumeration."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latticesep import BudgetError
 from latticesep.cvp import (
@@ -109,6 +112,71 @@ class TestEnumerateWithinRadius:
     def test_node_budget(self):
         with pytest.raises(BudgetError):
             enumerate_within_radius(np.eye(2), 1e4, max_nodes=1000)
+
+
+# Random square bases of side 2 or 3 with entries in [-2, 2].
+_BASES = st.integers(2, 3).flatmap(
+    lambda n: st.lists(
+        st.lists(
+            st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False),
+            min_size=n,
+            max_size=n,
+        ),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+def _unit_volume(matrix):
+    m = np.array(matrix)
+    norms = np.linalg.norm(m, axis=0)
+    assume(np.all(norms > 0.1) and abs(np.linalg.det(m)) >= 0.05 * np.prod(norms))
+    return m / abs(np.linalg.det(m)) ** (1.0 / m.shape[0])
+
+
+class TestSearchOnRandomBases:
+    @given(
+        matrix=_BASES,
+        radius=st.floats(0.0, 2.0),
+        shift=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_enumeration_matches_box_scan(self, matrix, radius, shift):
+        g = _unit_volume(matrix)
+        center = np.array(shift[: g.shape[0]])
+        found = dict(enumerate_within_radius(g, radius, center))
+        # ||G z - c|| <= r implies |z_i - (G^-1 c)_i| <= r ||row i of G^-1||.
+        inv = np.linalg.inv(g)
+        reach = radius * np.linalg.norm(inv, axis=1)
+        box = [range(math.floor(m - h), math.ceil(m + h) + 1) for m, h in zip(inv @ center, reach)]
+        scanned = set(itertools.product(*box))
+        assert set(found) <= scanned
+        for z in scanned:
+            dist_sq = float(np.sum((g @ np.array(z, dtype=float) - center) ** 2))
+            if dist_sq <= radius**2 - 1e-9:
+                assert z in found
+            elif dist_sq > radius**2 + 1e-9:
+                assert z not in found
+            if z in found:
+                assert found[z] == pytest.approx(dist_sq, abs=1e-9)
+
+    @given(
+        matrix=_BASES,
+        coords=st.lists(st.integers(0, 3), min_size=3, max_size=3),
+        step=st.lists(st.integers(-1, 1), min_size=3, max_size=3),
+        noise=st.lists(st.floats(-0.6, 0.6), min_size=3, max_size=3),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_closest_point_matches_brute_force(self, matrix, coords, step, noise):
+        g = _unit_volume(matrix)
+        n = g.shape[0]
+        a = np.array(coords[:n], dtype=float)
+        # The midpoint of a and a neighbour is a distance tie between them.
+        for y in (g @ (a + np.array(step[:n]) / 2.0), g @ (a + np.array(noise[:n]))):
+            sphere = closest_point(g, y, box=4)
+            brute = closest_point(g, y, box=4, method=Decoder.BRUTE_FORCE)
+            assert np.array_equal(sphere, brute)
 
 
 class TestShortestVector:
@@ -218,8 +286,8 @@ class TestBatchDecoder:
 
     def test_diagonal_half_way_ties_round_down(self):
         fast = BatchDecoder(np.eye(2), 4, Decoder.SPHERE_DECODER)
-        out = fast.decode(np.array([[0.5, 1.5], [2.5, -0.5]]))
-        assert np.array_equal(out, [[0, 1], [2, 0]])
+        out = fast.decode(np.array([[0.5, 1.5], [2.5, -0.5], [0.5 + 1e-13, 0.0]]))
+        assert np.array_equal(out, [[0, 1], [2, 0], [0, 0]])
 
     def test_decode_indices_ranks_row_major(self):
         g = catalog_lattice("Z2").generator

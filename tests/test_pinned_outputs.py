@@ -1,0 +1,79 @@
+"""Byte identity of the bound and exact-SEP CSV rows.
+
+The SHA-256 digests pin the exact text that ``curve_csv_rows`` and
+``sep_csv_rows`` produce, so a refactor of the facet sum or of the
+sphere-bound code that moves even the twelfth significant digit fails
+here.  When an output change is intended, regenerate the digests and
+record the reason in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from latticesep.bounds import SnrGrid, curve_csv_rows, mslb, msub, slb, sub
+from latticesep.constellation import FiniteConstellation
+from latticesep.lattices import catalog_lattice
+from latticesep.sep import JSource, exact_sep_theorem1, sep_csv_rows
+
+BOUND_DIGESTS = {
+    ("A2", 4): {
+        "mslb": "b273a0ddba0087a862127e8dbb632b575a5e5ba8a391b11dd0d8a136fb044391",
+        "msub": "d73cc7f94222f673aeba221f986ad693ebb7144ac3ca96627d230170cde76070",
+        "slb": "1cac4fa91ae538c4d2a7ac9a4464b0fd3a0c9d0bc0e38a01980aa49f067ebcb3",
+        "sub": "7f0b2abaa3b084300ea3656a76781e6ad718a709218cfd4b73081862963dc0e2",
+    },
+    ("E4", 2): {
+        "mslb": "1bfc3a57c84736f0ed0d6efdd20bc958705387fa057b4a7fee4e2519c7de3d07",
+        "msub": "c77fd3c6956aab65ba828e88d6bc5940b687c652398ec640d898d3b475e3d795",
+        "slb": "996e3617cddae1b24fe5f66e01ae9f05c6458179dd82a8a78d665f9c3e05eb50",
+        "sub": "0b5a4203aaf3fd0fc6e4225972c896756cbd2cec735020f97d16c831bd68582f",
+    },
+    ("Z2", 5): {
+        "mslb": "9adcf18b36686e5f1ab9c4333f694724f6084b56b83a434b13622140cdcb4d42",
+        "msub": "4d6c188d32c23fc5691f6abe466feb986341ebe758da32bf4b1b73677e534745",
+        "slb": "a16de18df9936253e1aa9c0119efa8735eb7e759164e1abfa321458989bd905b",
+        "sub": "e8660b7242aac98648afdab478564a9d9e7fc4d03860d16d7559d24770b1a50f",
+    },
+    ("A2", 3): {
+        "mslb": "c34858be2942b32b508b849608f15ed0985eeb3566a56e6e698881909ae9384b",
+        "msub": "f4da0f05b756e050c23de7c3d947efd468fea7a9ec877460265821c4a68dcaa7",
+        "slb": "1cac4fa91ae538c4d2a7ac9a4464b0fd3a0c9d0bc0e38a01980aa49f067ebcb3",
+        "sub": "7f0b2abaa3b084300ea3656a76781e6ad718a709218cfd4b73081862963dc0e2",
+    },
+}
+
+
+def _digest(rows):
+    return hashlib.sha256(("\n".join(rows) + "\n").encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, big_k", list(BOUND_DIGESTS))
+def test_bound_csv_bytes(name, big_k):
+    c = FiniteConstellation(catalog_lattice(name), big_k)
+    grid = SnrGrid.default()
+    curves = {
+        "mslb": mslb(c, grid),
+        "msub": msub(c, grid),
+        "slb": slb(c.lattice, grid),
+        "sub": sub(c.lattice, grid),
+    }
+    digests = {kind: _digest(curve_csv_rows(curve)) for kind, curve in curves.items()}
+    assert digests == BOUND_DIGESTS[(name, big_k)]
+
+
+def test_exact_analytic_csv_bytes():
+    c = FiniteConstellation(catalog_lattice("Z3"), 4)
+    estimates = exact_sep_theorem1(c, SnrGrid.default(), JSource.ANALYTIC_ZN)
+    assert _digest(sep_csv_rows(estimates, "Z3", 4, None)) == (
+        "b092d4917fe2ca3837efe7a412e8563a3edf84d617074b7d44cc3f9f0a75682c"
+    )
+
+
+def test_exact_monte_carlo_csv_bytes():
+    c = FiniteConstellation(catalog_lattice("A2"), 4)
+    grid = SnrGrid.from_db_values([0.0, 6.0, 12.0])
+    estimates = exact_sep_theorem1(c, grid, JSource.MC_VORONOI, trials_per_j=10**4, seed=3)
+    assert _digest(sep_csv_rows(estimates, "A2", 4, 3)) == (
+        "d1f82ff0b61c7a86c0fa8bdd6ac791d189ee43fb1a0184f5063a6db6216b4094"
+    )
