@@ -145,17 +145,16 @@ def sub(lattice: Lattice, grid: SnrGrid) -> BoundCurve:
                       snr_db=grid.db.copy(), values=values)
 
 
-def _sphere_mass(k: int, radius_sq: float):
-    return lambda rho: (1.0 - _chi_square_tail(k, radius_sq, rho), 0.0)
-
-
 def _multi_sphere(constellation: FiniteConstellation, grid: SnrGrid, radii: list,
                   curve_kind: CurveKind) -> BoundCurve:
     # radii[k - 1] is the squared sphere radius for facet dimension k; one
     # sphere stands in for all C(N, k) rank-k cells.
     n = constellation.dimension
-    groups = [(k, math.comb(n, k), _sphere_mass(k, radii[k - 1])) for k in range(1, n + 1)]
-    values = np.array([clamp_probability(p) for p, _ in facet_sum(constellation, grid.rho, groups)])
+    groups = []
+    for k in range(1, n + 1):
+        masses = [(1.0 - _chi_square_tail(k, radii[k - 1], rho), 0.0) for rho in grid.rho]
+        groups.append((k, math.comb(n, k), masses))
+    values = np.array([clamp_probability(p) for p, _ in facet_sum(constellation, groups)])
     return BoundCurve(kind=curve_kind, lattice=constellation.lattice.name, K=constellation.K,
                       snr_db=grid.db.copy(), values=values)
 

@@ -71,28 +71,27 @@ def facet_weights(n: int, big_k: int) -> np.ndarray:
     return np.array([math.comb(n, k) * p**k * q ** (n - k) for k in range(n + 1)])
 
 
-def facet_sum(constellation: FiniteConstellation, rhos, groups) -> list[tuple[float, float]]:
-    """Theorem-1 sum ``1 - sum_k (K-1)**k / K**N sum_p J[k, p](rho)`` at each rho.
+def facet_sum(constellation: FiniteConstellation, groups) -> list[tuple[float, float]]:
+    """Theorem-1 sum ``1 - sum_k (K-1)**k / K**N sum_p J[k, p](rho)`` at each grid point.
 
-    Each group ``(k, multiplicity, cell_mass)`` stands for ``multiplicity``
-    of the ``C(N, k)`` rank-k subsets, all with the cell mass
-    ``cell_mass(rho) -> (J, std_err)``.  Its weight
+    Each group ``(k, multiplicity, masses)`` stands for ``multiplicity``
+    of the ``C(N, k)`` rank-k subsets, all with the cell masses
+    ``masses[i] = (J, std_err)`` at grid point ``i``.  Its weight
     ``facet_weights[k] * multiplicity / C(N, k)`` is rounded once, so a
     group that covers every subset weighs exactly ``facet_weights[k]``.
     The k = 0 term (vertices never err, ``J[0] = 1``) is implicit.
 
-    Returns ``(P, std_err)`` per rho, unclamped, with the groups'
+    Returns ``(P, std_err)`` per grid point, unclamped, with the groups'
     standard errors combined in quadrature.
     """
     n = constellation.dimension
     weights = facet_weights(n, constellation.K)
     scales = [float(Fraction(weights[k]) * mult / math.comb(n, k)) for k, mult, _ in groups]
     out = []
-    for rho in rhos:
+    for point in zip(*(masses for _, _, masses in groups)):
         total = float(weights[0])
         variance = 0.0
-        for scale, (_, _, cell_mass) in zip(scales, groups):
-            mass, std_err = cell_mass(rho)
+        for scale, (mass, std_err) in zip(scales, point):
             total += scale * mass
             variance += (scale * std_err) ** 2
         out.append((1.0 - total, math.sqrt(variance)))

@@ -293,8 +293,9 @@ class BatchDecoder:
     shift is constant per query), and picks the first point within
     ``TIE_TOL`` of the row minimum -- the lexicographically smallest
     coefficient vector, as in :func:`closest_point`.  The diagonal path
-    rounds a coordinate down whenever its two candidates' squared
-    distances differ by at most ``TIE_TOL``, for the same reason.
+    makes the same choice by rounding coordinates down, in coordinate
+    order, while the extra squared distance this costs the row stays
+    within ``TIE_TOL`` in all.
     """
 
     def __init__(self, generator: np.ndarray, box: int, method: Decoder = Decoder.SPHERE_DECODER):
@@ -359,15 +360,42 @@ class BatchDecoder:
             return self._coeffs[self._indices(y)]
         if self._diag is not None:
             # Exact for diagonal generators: coordinates decouple, and
-            # ceil(c - _half) rounds ties within TIE_TOL down to the smaller value.
+            # ceil(c - _half) rounds ties within TIE_TOL down to the smaller
+            # value.  In the window a coordinate was rounded down although
+            # its upper candidate is closer.
             c = y / self._diag
-            u = np.ceil(c - self._half).astype(np.int64)
-            return np.clip(u, 0, self._box - 1)
+            u = np.ceil(c - self._half)
+            c -= 0.5
+            window = c > u
+            del c  # before the int64 copy, so decoding needs no more memory than rounding did
+            if window.any():
+                self._share_tie_budget(y, u, window)
+            np.clip(u, 0, self._box - 1, out=u)
+            return u.astype(np.int64)
         out = np.empty((y.shape[0], self._k), dtype=np.int64)
         for i in range(y.shape[0]):
             yt = [float(t) for t in self._qt @ y[i]]
             out[i] = _sphere_search(self._r_rows, yt, 0, self._box - 1)
         return out
+
+    def _share_tie_budget(self, y: np.ndarray, u: np.ndarray, window: np.ndarray) -> None:
+        # A coordinate in the window rounded down at an extra squared
+        # distance d**2 (2 (c - u) - 1) <= TIE_TOL.  The lexicographic rule
+        # lets a row spend TIE_TOL once in all, so rows with several such
+        # coordinates keep rounding down, in coordinate order, only while
+        # the running sum fits.  Candidates outside the box cost nothing.
+        window &= (u >= 0) & (u < self._box - 1)
+        rows = np.flatnonzero(np.count_nonzero(window, axis=1) >= 2)
+        if rows.size == 0:
+            return
+        c = y[rows] / self._diag
+        extra = np.where(window[rows], self._diag**2 * (2.0 * (c - u[rows]) - 1.0), 0.0)
+        spent = np.zeros(rows.size)
+        for i in range(self._k):
+            spent += extra[:, i]
+            over = spent > TIE_TOL
+            u[rows[over], i] += 1
+            spent[over] -= extra[over, i]
 
     def decode_indices(self, targets: np.ndarray) -> np.ndarray:
         """Row indices into the brute-force point table (``BRUTE_FORCE`` only).

@@ -61,6 +61,7 @@ _MIN_TARGET_ERRORS = 50
 _MAX_SIM_DIMENSION = 8
 _RELIABLE_ERRORS = 20
 _CI_FACTOR = 1.96  # two-sided 95% normal quantile
+_GAUGE_BLOCK = 1 << 18  # entries per block of sample-by-test-vector products (2 MB)
 
 
 class JSource(enum.Enum):
@@ -138,22 +139,32 @@ def _membership_halfspaces(generator: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return vectors.T.copy(), half_norms
 
 
-def _cell_mass_mc(
-    vt: np.ndarray, half_norms: np.ndarray, k: int, rho: float, trials: int, seed: int
-) -> tuple[float, float]:
-    # Fraction of N(0, I/rho) samples inside the cell, with standard error.
-    # Shard s draws from stream(seed, s); boundary ties count as inside.
-    sigma = 1.0 / math.sqrt(rho)
-    inside = 0
-    shards = (trials + SHARD_SIZE - 1) // SHARD_SIZE
-    for s in range(shards):
-        m = min(SHARD_SIZE, trials - s * SHARD_SIZE)
-        rng = stream(seed, s)
-        w = standard_normals(rng, m * k).reshape(m, k) * sigma
-        inside += int(np.count_nonzero(np.all(w @ vt <= half_norms + TIE_TOL, axis=1)))
-    mean = inside / trials
-    std_err = math.sqrt(mean * (1.0 - mean) / trials)
-    return mean, std_err
+def _cell_masses_mc(
+    vt: np.ndarray, half_norms: np.ndarray, rhos, trials: int, seed: int
+) -> list[tuple[float, float]]:
+    # Fraction of N(0, I/rho) samples inside the cell at each rho, with
+    # standard error.  Shard s draws unit-variance samples z from
+    # stream(seed, s) whatever rho is, and sigma z lies in the cell (ties
+    # inside) iff its gauge max_j (z . v_j) / (h_j + TIE_TOL) is at most
+    # sqrt(rho); so one sorted set of gauges serves every rho.  The product
+    # with the test vectors is taken a block of rows at a time.
+    k, vectors = vt.shape
+    bounds = half_norms + TIE_TOL
+    rows = max(1, _GAUGE_BLOCK // vectors)
+    gauges = np.empty(trials)
+    for start in range(0, trials, SHARD_SIZE):
+        m = min(SHARD_SIZE, trials - start)
+        z = standard_normals(stream(seed, start // SHARD_SIZE), m * k).reshape(m, k)
+        for i in range(0, m, rows):
+            block = z[i : i + rows] @ vt
+            block /= bounds
+            np.max(block, axis=1, out=gauges[start + i : start + i + block.shape[0]])
+    gauges.sort()
+    masses = []
+    for inside in np.searchsorted(gauges, np.sqrt(rhos), side="right").tolist():
+        mean = inside / trials
+        masses.append((mean, math.sqrt(mean * (1.0 - mean) / trials)))
+    return masses
 
 
 def _clip_probability(p: float) -> float:
@@ -183,10 +194,18 @@ def exact_sep_theorem1(
     :func:`latticesep.cvp.voronoi_test_vectors` places in the cell, with
     boundary ties (within 1e-12) counted as inside.  Subsets are shared
     only when their Gram matrices are bit-identical (the cubic shortcut),
-    otherwise all ``C(N, k)`` estimates are computed.  Each shared estimate contributes its multiplicity to both
-    the mean and the propagated variance; distinct estimates use disjoint
-    streams (child seed from ``(seed, k, p)``) and combine in quadrature.
-    The reported ``trials`` is the per-J sample budget.
+    otherwise all ``C(N, k)`` estimates are computed.  Each shared
+    estimate contributes its multiplicity to both the mean and the
+    propagated variance; distinct estimates use disjoint streams (child
+    seed from ``(seed, k, p)``) and combine in quadrature.  The reported
+    ``trials`` is the per-J sample budget.
+
+    The samples of a group do not depend on ``rho``: they are drawn once
+    at unit variance and reused at every grid point, scaled by
+    ``1/sqrt(rho)``.  So the curve is non-increasing in SNR, and its
+    points are correlated (they always were, since the streams have
+    never depended on ``rho``); the cost is one sort per group, whatever
+    the grid size.
     """
     n = c.dimension
     if not isinstance(j_source, JSource):
@@ -196,12 +215,10 @@ def exact_sep_theorem1(
         if not is_integer_orthonormal(c.lattice):
             raise ValueError("ANALYTIC_ZN applies only to the identity-generator cubic lattices")
 
-        def cube_mass(k):
-            # Every rank-k cell is the unit k-cube, whose mass factorizes
-            # per coordinate.
-            return lambda rho: ((1.0 - 2.0 * q_function(math.sqrt(float(rho)) / 2.0)) ** k, 0.0)
-
-        groups = [(k, math.comb(n, k), cube_mass(k)) for k in range(1, n + 1)]
+        # Every rank-k cell is the unit k-cube, whose mass factorizes per
+        # coordinate.
+        interval = [1.0 - 2.0 * q_function(math.sqrt(float(rho)) / 2.0) for rho in grid.rho]
+        groups = [(k, math.comb(n, k), [(j**k, 0.0) for j in interval]) for k in range(1, n + 1)]
         method, trials = SepMethod.CLOSED_FORM_ZN, 0
     else:
         if n > _MAX_SIM_DIMENSION:
@@ -209,12 +226,9 @@ def exact_sep_theorem1(
         if trials_per_j < _MIN_J_TRIALS:
             raise ValueError(f"trials_per_j must be at least {_MIN_J_TRIALS}, got {trials_per_j}")
 
-        def mc_mass(k, vt, half_norms, group_seed):
-            return lambda rho: _cell_mass_mc(vt, half_norms, k, float(rho), trials_per_j, group_seed)
-
         # Group subsets with bit-identical sublattice Gram matrices; each
-        # group is estimated once from the stream of its first
-        # (lexicographic) member.
+        # group is estimated once, on the whole grid, from the stream of its
+        # first (lexicographic) member.
         found: dict[tuple[int, bytes], list] = {}
         for k in range(1, n + 1):
             for p, subset in enumerate(itertools.combinations(range(1, n + 1), k), start=1):
@@ -226,7 +240,9 @@ def exact_sep_theorem1(
                     found[key][1] += 1
                 else:
                     vt, half_norms = _membership_halfspaces(generator)
-                    found[key] = [k, 1, mc_mass(k, vt, half_norms, derive_seed(seed, k, p))]
+                    group_seed = derive_seed(seed, k, p)
+                    masses = _cell_masses_mc(vt, half_norms, grid.rho, trials_per_j, group_seed)
+                    found[key] = [k, 1, masses]
         groups = [tuple(group) for group in found.values()]
         method, trials = SepMethod.THEOREM1, trials_per_j
 
@@ -241,7 +257,7 @@ def exact_sep_theorem1(
             method=method,
             reliable=True,
         )
-        for db, rho, (sep, std_err) in zip(grid.db, grid.rho, facet_sum(c, grid.rho, groups))
+        for db, rho, (sep, std_err) in zip(grid.db, grid.rho, facet_sum(c, groups))
     ]
 
 

@@ -286,8 +286,28 @@ class TestBatchDecoder:
 
     def test_diagonal_half_way_ties_round_down(self):
         fast = BatchDecoder(np.eye(2), 4, Decoder.SPHERE_DECODER)
-        out = fast.decode(np.array([[0.5, 1.5], [2.5, -0.5], [0.5 + 1e-13, 0.0]]))
-        assert np.array_equal(out, [[0, 1], [2, 0], [0, 0]])
+        out = fast.decode(
+            np.array([[0.5, 1.5], [2.5, -0.5], [0.5 + 1e-13, 0.0], [0.5 + 3e-13, 0.5 + 3e-13]])
+        )
+        # The last row has one TIE_TOL for both coordinates: rounding both
+        # down costs 1.2e-12, so only the first one rounds down.
+        assert np.array_equal(out, [[0, 1], [2, 0], [0, 0], [0, 1]])
+
+    def test_diagonal_near_ties_match_brute_force(self):
+        # Targets a few 1e-13 (in squared distance) from half-way points,
+        # several coordinates at once, against the exhaustive table.
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            n = int(rng.integers(1, 5))
+            box = int(rng.integers(2, 5))
+            d = rng.choice([0.5, 0.75, 1.0, 2.0], size=n)
+            half_way = rng.integers(-1, box, size=(100, n)) + 0.5
+            offset = (rng.integers(-8, 9, size=(100, n)) + 0.37) * 1e-13 / d**2
+            c = np.where(rng.random((100, n)) < 0.3, rng.random((100, n)) * box, half_way + offset)
+            y = c * d
+            fast = BatchDecoder(np.diag(d), box, Decoder.SPHERE_DECODER).decode(y)
+            brute = BatchDecoder(np.diag(d), box, Decoder.BRUTE_FORCE).decode(y)
+            assert np.array_equal(fast, brute)
 
     def test_decode_indices_ranks_row_major(self):
         g = catalog_lattice("Z2").generator

@@ -77,3 +77,24 @@ def test_exact_monte_carlo_csv_bytes():
     assert _digest(sep_csv_rows(estimates, "A2", 4, 3)) == (
         "d1f82ff0b61c7a86c0fa8bdd6ac791d189ee43fb1a0184f5063a6db6216b4094"
     )
+
+
+@pytest.mark.parametrize(
+    "name, big_k, seed, grid, digest",
+    [
+        (
+            "E4", 4, 2, SnrGrid.from_db(0.0, 24.0, 0.5),
+            "289230b43386060aae0bf1f08bcb54e23baa981e1199b8fbb6c1a3a933cfa161",
+        ),
+        (
+            "E8", 2, 1, SnrGrid.from_db_values([0.0, 6.0, 12.0, 18.0]),
+            "c2baf67d0c4d99f6dec06381ac80b9271149e0540f0cc7b058cfeecbb4e63cf8",
+        ),
+    ],
+)
+def test_exact_monte_carlo_csv_bytes_beyond_a2(name, big_k, seed, grid, digest):
+    # Off A2 the cells have many half-spaces (E8: rank-8 cells with
+    # thousands), so these pin the tie rule on cells with many faces.
+    c = FiniteConstellation(catalog_lattice(name), big_k)
+    estimates = exact_sep_theorem1(c, grid, JSource.MC_VORONOI, trials_per_j=10**4, seed=seed)
+    assert _digest(sep_csv_rows(estimates, name, big_k, seed)) == digest

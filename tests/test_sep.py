@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from latticesep import sep as sep_module
 from latticesep.bounds import SnrGrid, mslb, msub
 from latticesep.constellation import FiniteConstellation
 from latticesep.cvp import Decoder
@@ -115,6 +116,38 @@ class TestJIntegralMc:
         db_values = [10.0 * math.log10(rho) for rho in (1.0, 2.0, 5.0, 10.0, 50.0)]
         means = [est.mean for est in monte_carlo("A2", 4, db_values, 10**4, seed=5)]
         assert all(b <= a for a, b in zip(means, means[1:]))
+        db_values = SnrGrid.from_db(0.0, 24.0, 0.5).db
+        means = [est.mean for est in monte_carlo("E4", 4, db_values, 10**4, seed=5)]
+        assert all(b <= a for a, b in zip(means, means[1:]))
+
+    @pytest.mark.parametrize("points", [21, 3])
+    def test_samples_are_drawn_once_per_group(self, monkeypatch, points):
+        # E4 has 10 facet groups and 1e5 samples take 2 shards: 20 streams,
+        # whatever the grid size.
+        opened = []
+        original = sep_module.stream
+
+        def counting_stream(*args):
+            opened.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(sep_module, "stream", counting_stream)
+        db_values = np.linspace(0.0, 20.0, points)
+        monte_carlo("E4", 4, db_values, 10**5, seed=1)
+        assert len(opened) == 20
+        assert len(set(opened)) == 20
+
+    def test_boundary_ties_count_inside(self, monkeypatch):
+        # Z1's cell is [-1/2, 1/2]: test vectors +-1 with h = 1/2.  At
+        # sigma = 1 a sample within TIE_TOL beyond the face is still inside.
+        vt, half_norms = sep_module._membership_halfspaces(np.eye(1))
+        assert np.array_equal(half_norms, [0.5, 0.5])
+        cases = [([0.5], 1.0), ([-0.5], 1.0), ([0.5 + 0.5e-12], 1.0), ([0.5 + 2e-12], 0.0),
+                 ([-0.5 - 2e-12], 0.0)]
+        for samples, expected in cases:
+            monkeypatch.setattr(sep_module, "standard_normals", lambda rng, count, z=samples: np.array(z))
+            mass, _ = sep_module._cell_masses_mc(vt, half_norms, np.array([1.0]), 1, seed=0)[0]
+            assert mass == expected, samples
 
     def test_validation(self):
         with pytest.raises(ValueError):
