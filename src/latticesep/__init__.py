@@ -33,7 +33,6 @@ from .exceptions import BudgetError, ConvergenceError, InternalCheckError, Latti
 from .lattices import (
     DminMethod,
     Lattice,
-    SublatticeSelector,
     catalog_lattice,
     catalog_names,
     is_integer_orthonormal,
@@ -78,7 +77,6 @@ __all__ = [
     "SepMethod",
     "SimPlan",
     "SnrGrid",
-    "SublatticeSelector",
     "catalog_lattice",
     "catalog_names",
     "clamp_probability",

@@ -48,6 +48,7 @@ from .exceptions import LatticeSepError
 from .lattices import Lattice, catalog_lattice, catalog_names, is_integer_orthonormal, read_lattice_file
 from .sep import (
     _CI_FACTOR,
+    _MAX_SIM_DIMENSION,
     _MIN_J_TRIALS,
     _MIN_MAX_TRIALS,
     _MIN_TARGET_ERRORS,
@@ -408,6 +409,16 @@ def cmd_run(args) -> int:
         raise ConfigError(f"--threads must be a positive integer, got {threads}")
 
     lattice = _resolve_lattice(config.lattice)
+    sampled = [
+        name
+        for name in config.curves
+        if name == "SEP_SIM" or (name == "SEP_EXACT" and not is_integer_orthonormal(lattice))
+    ]
+    if sampled and lattice.dimension > _MAX_SIM_DIMENSION:
+        raise ConfigError(
+            f"curves: {', '.join(sampled)} on {lattice.name} needs dimension N <= "
+            f"{_MAX_SIM_DIMENSION}, got N={lattice.dimension}"
+        )
     grid = SnrGrid.from_db(config.snr_start, config.snr_stop, config.snr_step)
 
     label = args.figure or str(args.config)

@@ -181,48 +181,14 @@ def closest_point(
 
     Solves ``argmin_z ||generator @ z - y||`` over all integer vectors, or
     over ``{0, ..., box-1}**k`` when ``box`` is given (the finite
-    constellation case).  Distance ties within ``1e-12`` resolve to the
-    lexicographically smallest coefficient vector.
-
-    Parameters
-    ----------
-    generator : ndarray, shape (k, k)
-        Full-rank generator with basis vectors as columns.
-    y : ndarray, shape (k,)
-        Target point.
-    box : int or None
-        Side of the coefficient box; ``None`` searches the infinite lattice,
-        which is rejected for condition numbers above 1e8.
-    method : Decoder
-        ``SPHERE_DECODER`` (default) or the ``BRUTE_FORCE`` reference, which
-        requires ``box`` and scores the :class:`BatchDecoder` table of all
-        ``box**k`` points.
+    constellation case): one row of :meth:`BatchDecoder.decode`, with the
+    same tie rule and the same checks.
 
     Returns
     -------
     ndarray of int64, shape (k,)
     """
-    g = np.asarray(generator, dtype=float)
-    yv = np.asarray(y, dtype=float).reshape(-1)
-    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] != yv.shape[0]:
-        raise ValueError(f"generator {g.shape} and target {yv.shape} are inconsistent")
-    if not np.all(np.isfinite(yv)):
-        raise ValueError("target has non-finite entries")
-    if box is not None:
-        box = int(box)
-        if box < 1:
-            raise ValueError(f"box must be a positive integer, got {box}")
-    if method is Decoder.BRUTE_FORCE:
-        if box is None:
-            raise ValueError("brute-force search requires a box")
-        return BatchDecoder(g, box, Decoder.BRUTE_FORCE).decode(yv)[0]
-    if box is None and np.linalg.cond(g) > _MAX_CONDITION:
-        raise ValueError("unbounded search rejected: generator condition number exceeds 1e8")
-    q, r = triangularize(g)
-    yt = [float(t) for t in q.T @ yv]
-    r_rows = [[float(r[i, j]) for j in range(r.shape[0])] for i in range(r.shape[0])]
-    lo, hi = (0, box - 1) if box is not None else (None, None)
-    return np.array(_sphere_search(r_rows, yt, lo, hi), dtype=np.int64)
+    return BatchDecoder(generator, box, method).decode(np.reshape(y, (1, -1)))[0]
 
 
 def enumerate_within_radius(
@@ -280,7 +246,13 @@ def shortest_vector_norm(generator: np.ndarray) -> float:
 
 
 class BatchDecoder:
-    """Repeated box-constrained closest-point queries on one generator.
+    """Repeated closest-point queries on one generator.
+
+    With ``box`` the search runs over ``{0, ..., box-1}**k`` (the finite
+    constellation case); ``box=None`` searches the infinite lattice, which
+    the sphere decoder rejects for condition numbers above 1e8 and brute
+    force rejects outright.  The generator must be square, finite and of
+    full rank (:func:`triangularize`).
 
     Precomputes whatever the chosen strategy can reuse across calls: the
     full point table for ``BRUTE_FORCE``, the triangularization for the
@@ -292,27 +264,29 @@ class BatchDecoder:
     orders them identically to the squared distance (the ``||y||**2``
     shift is constant per query), and picks the first point within
     ``TIE_TOL`` of the row minimum -- the lexicographically smallest
-    coefficient vector, as in :func:`closest_point`.  The diagonal path
+    coefficient vector, as does the sphere decoder.  The diagonal path
     makes the same choice by rounding coordinates down, in coordinate
     order, while the extra squared distance this costs the row stays
     within ``TIE_TOL`` in all.
     """
 
-    def __init__(self, generator: np.ndarray, box: int, method: Decoder = Decoder.SPHERE_DECODER):
+    def __init__(
+        self, generator: np.ndarray, box: int | None, method: Decoder = Decoder.SPHERE_DECODER
+    ):
+        q, r = triangularize(generator)
         g = np.asarray(generator, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError(f"generator must be square, got shape {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("generator has non-finite entries")
-        box = int(box)
-        if box < 1:
-            raise ValueError(f"box must be a positive integer, got {box}")
+        if box is not None:
+            box = int(box)
+            if box < 1:
+                raise ValueError(f"box must be a positive integer, got {box}")
         self._k = g.shape[0]
         self._box = box
         self.method = method
         self._diag = None
         self._coeffs = None
         if method is Decoder.BRUTE_FORCE:
+            if box is None:
+                raise ValueError("brute-force search requires a box")
             total = box**self._k
             if total > 1 << 24:
                 raise BudgetError(f"brute-force table of {total} points exceeds the 2**24 budget")
@@ -321,14 +295,15 @@ class BatchDecoder:
             self._points = coeffs @ g.T
             self._norms = np.sum(self._points**2, axis=1)
         elif method is Decoder.SPHERE_DECODER:
+            if box is None and np.linalg.cond(g) > _MAX_CONDITION:
+                raise ValueError("unbounded search rejected: generator condition number exceeds 1e8")
             diagonal = np.diagonal(g)
-            if np.array_equal(g, np.diag(diagonal)) and np.all(diagonal != 0.0):
+            if np.array_equal(g, np.diag(diagonal)):
                 self._diag = diagonal.copy()
                 # With f the fractional part of y / d, the lower candidate is
                 # within TIE_TOL, (d f)**2 - (d (1 - f))**2 <= TIE_TOL, iff f <= _half.
                 self._half = 0.5 + TIE_TOL / (2.0 * diagonal**2)
             else:
-                q, r = triangularize(g)
                 self._qt = q.T.copy()
                 self._r_rows = [[float(r[i, j]) for j in range(self._k)] for i in range(self._k)]
         else:
@@ -353,7 +328,7 @@ class BatchDecoder:
         Returns
         -------
         ndarray of int64, shape (m, k)
-            Coefficient vectors in ``{0, ..., box-1}**k``.
+            Coefficient vectors, in ``{0, ..., box-1}**k`` unless ``box`` is None.
         """
         y = self._targets(targets)
         if self._coeffs is not None:
@@ -370,12 +345,14 @@ class BatchDecoder:
             del c  # before the int64 copy, so decoding needs no more memory than rounding did
             if window.any():
                 self._share_tie_budget(y, u, window)
-            np.clip(u, 0, self._box - 1, out=u)
+            if self._box is not None:
+                np.clip(u, 0, self._box - 1, out=u)
             return u.astype(np.int64)
+        lo, hi = (None, None) if self._box is None else (0, self._box - 1)
         out = np.empty((y.shape[0], self._k), dtype=np.int64)
         for i in range(y.shape[0]):
             yt = [float(t) for t in self._qt @ y[i]]
-            out[i] = _sphere_search(self._r_rows, yt, 0, self._box - 1)
+            out[i] = _sphere_search(self._r_rows, yt, lo, hi)
         return out
 
     def _share_tie_budget(self, y: np.ndarray, u: np.ndarray, window: np.ndarray) -> None:
@@ -384,7 +361,8 @@ class BatchDecoder:
         # lets a row spend TIE_TOL once in all, so rows with several such
         # coordinates keep rounding down, in coordinate order, only while
         # the running sum fits.  Candidates outside the box cost nothing.
-        window &= (u >= 0) & (u < self._box - 1)
+        if self._box is not None:
+            window &= (u >= 0) & (u < self._box - 1)
         rows = np.flatnonzero(np.count_nonzero(window, axis=1) >= 2)
         if rows.size == 0:
             return
@@ -432,14 +410,17 @@ def voronoi_test_vectors(generator: np.ndarray) -> np.ndarray:
     """
     g = np.asarray(generator, dtype=float)
     q, r = triangularize(g)
+    if np.linalg.cond(g) > _MAX_CONDITION:
+        raise ValueError("unbounded search rejected: generator condition number exceeds 1e8")
     k = g.shape[0]
+    r_rows = [[float(r[i, j]) for j in range(k)] for i in range(k)]
     vectors = []
     for c in itertools.product((0, 1), repeat=k):
         if not any(c):
             continue
         half = g @ (np.array(c, dtype=float) / 2.0)
         target = -half
-        z0 = closest_point(g, target, box=None)
+        z0 = np.array(_sphere_search(r_rows, [float(t) for t in q.T @ target], None, None))
         d0 = float(np.linalg.norm(g @ z0 - target))
         hits = enumerate_within_radius(g, d0 * (1.0 + 1e-12) + 1e-12, center=target)
         d_best = min(dist_sq for _, dist_sq in hits)

@@ -66,25 +66,20 @@ class Lattice:
         self.basis_norms.setflags(write=False)
 
 
-def _build_lattice(name: str, matrix: np.ndarray, d_min: float | None = None) -> Lattice:
+def _build_lattice(name: str, matrix: np.ndarray) -> Lattice:
     det = abs(float(np.linalg.det(matrix)))
     if abs(det - 1.0) > _UNIT_DET_TOL:
         raise InternalCheckError(
             f"lattice {name!r}: |det| = {det!r} deviates from 1 beyond 1e-9"
         )
     norms = np.linalg.norm(matrix, axis=0)
-    basis_min = float(norms.min())
-    if d_min is None:
-        d_min = basis_min
-    if d_min > basis_min * (1.0 + 1e-12):
-        raise InternalCheckError(f"lattice {name!r}: d_min {d_min} exceeds shortest basis vector")
     return Lattice(
         name=name,
         dimension=matrix.shape[0],
         generator=matrix,
         basis_norms=norms,
         mean_norm=float(norms.mean()),
-        d_min=float(d_min),
+        d_min=float(norms.min()),
     )
 
 
@@ -155,7 +150,7 @@ def catalog_lattice(name: str) -> Lattice:
     if key == "E4":
         return _build_lattice("E4", _e4_matrix())
     if key == "E8":
-        return _build_lattice("E8", _e8_matrix(), d_min=math.sqrt(2.0))
+        return _build_lattice("E8", _e8_matrix())
     raise ValueError(f"unknown catalog lattice {name!r}; available: Z1..Z16, A2, E4, E8")
 
 
@@ -221,41 +216,24 @@ def minimum_distance(lattice: Lattice, method: DminMethod = DminMethod.BASIS_MIN
     raise ValueError(f"unknown minimum-distance method {method!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class SublatticeSelector:
-    """A ``k``-face sublattice: ``subset`` holds 1-based basis indices.
+def sublattice_generator(lattice: Lattice, subset) -> np.ndarray:
+    """Square generator of the ``k``-face sublattice spanned by ``subset``.
 
-    ``subset`` must be strictly increasing with values in ``[1, N]``.
+    ``subset`` holds 1-based basis indices, strictly increasing, with
+    values in ``[1, N]``.  The selected ``N x k`` columns are rotated into
+    their own span by orthogonal-triangular factorization; the returned
+    ``k x k`` upper triangular matrix (positive diagonal) has exactly the
+    same Gram matrix, checked to 1e-10.
     """
-
-    lattice: Lattice
-    subset: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "subset", tuple(int(i) for i in self.subset))
-        n = self.lattice.dimension
-        if len(self.subset) < 1:
-            raise ValueError("subset must contain at least one basis index")
-        if any(i < 1 or i > n for i in self.subset):
-            raise ValueError(f"subset indices must lie in [1, {n}], got {self.subset}")
-        if any(a >= b for a, b in zip(self.subset, self.subset[1:])):
-            raise ValueError(f"subset must be strictly increasing, got {self.subset}")
-
-    @property
-    def k(self) -> int:
-        return len(self.subset)
-
-
-def sublattice_generator(sel: SublatticeSelector) -> np.ndarray:
-    """Square generator of the sublattice spanned by the selected columns.
-
-    The selected ``N x k`` columns are rotated into their own span by
-    orthogonal-triangular factorization; the returned ``k x k`` upper
-    triangular matrix (positive diagonal) has exactly the same Gram matrix,
-    checked to 1e-10.
-    """
-    lat = sel.lattice
-    cols = lat.generator[:, [i - 1 for i in sel.subset]]
+    subset = tuple(int(i) for i in subset)
+    n = lattice.dimension
+    if len(subset) < 1:
+        raise ValueError("subset must contain at least one basis index")
+    if any(i < 1 or i > n for i in subset):
+        raise ValueError(f"subset indices must lie in [1, {n}], got {subset}")
+    if any(a >= b for a, b in zip(subset, subset[1:])):
+        raise ValueError(f"subset must be strictly increasing, got {subset}")
+    cols = lattice.generator[:, [i - 1 for i in subset]]
     _, r = np.linalg.qr(cols, mode="reduced")
     signs = np.sign(np.diagonal(r))
     if np.any(signs == 0.0):
@@ -316,7 +294,6 @@ def is_integer_orthonormal(lattice: Lattice) -> bool:
 __all__ = [
     "DminMethod",
     "Lattice",
-    "SublatticeSelector",
     "catalog_lattice",
     "catalog_names",
     "is_integer_orthonormal",

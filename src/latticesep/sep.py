@@ -30,6 +30,7 @@ variance per coordinate; decibel values are ``10 * log10(rho)``.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import enum
 import itertools
 import math
@@ -40,7 +41,7 @@ import numpy as np
 from .bounds import SnrGrid, format_sig
 from .constellation import FiniteConstellation, facet_sum
 from .cvp import TIE_TOL, BatchDecoder, Decoder, voronoi_test_vectors
-from .lattices import SublatticeSelector, is_integer_orthonormal, sublattice_generator
+from .lattices import is_integer_orthonormal, sublattice_generator
 from .special import clamp_probability, q_function
 from .streams import _MAX_SEED, SHARD_SIZE, derive_seed, standard_normals, stream, uniform_symbols
 
@@ -232,8 +233,7 @@ def exact_sep_theorem1(
         found: dict[tuple[int, bytes], list] = {}
         for k in range(1, n + 1):
             for p, subset in enumerate(itertools.combinations(range(1, n + 1), k), start=1):
-                sel = SublatticeSelector(lattice=c.lattice, subset=subset)
-                generator = sublattice_generator(sel)
+                generator = sublattice_generator(c.lattice, subset)
                 gram = generator.T @ generator
                 key = (k, gram.tobytes())
                 if key in found:
@@ -270,7 +270,9 @@ def _simulate_point(
 ) -> tuple[int, int]:
     # Returns (trials, errors) accumulated in shard order with early
     # stopping at a shard boundary, so the result is independent of how
-    # many shards ran concurrently.
+    # many shards ran concurrently.  Shards run in waves of ``threads``;
+    # with one thread they run lazily on the calling thread, because a
+    # one-worker pool holds more memory at peak.
     c = plan.constellation
     n = c.dimension
     big_k = c.K
@@ -295,28 +297,19 @@ def _simulate_point(
     total_trials = 0
     total_errors = 0
     shard_count = (plan.max_trials + SHARD_SIZE - 1) // SHARD_SIZE
-
-    def stop() -> bool:
-        return total_errors >= plan.target_errors or total_trials >= plan.max_trials
-
     if threads == 1:
-        for s in range(shard_count):
-            m, e = run_shard(s)
-            total_trials += m
-            total_errors += e
-            if stop():
-                break
+        executor = contextlib.nullcontext()
     else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            for wave_start in range(0, shard_count, threads):
-                wave = range(wave_start, min(wave_start + threads, shard_count))
-                for m, e in pool.map(run_shard, wave):
-                    total_trials += m
-                    total_errors += e
-                    if stop():
-                        break
-                if stop():
-                    break
+        executor = concurrent.futures.ThreadPoolExecutor(max_workers=threads)
+    with executor as pool:
+        run_wave = map if pool is None else pool.map
+        for wave_start in range(0, shard_count, threads):
+            wave = range(wave_start, min(wave_start + threads, shard_count))
+            for m, e in run_wave(run_shard, wave):
+                total_trials += m
+                total_errors += e
+                if total_errors >= plan.target_errors:
+                    return total_trials, total_errors
     return total_trials, total_errors
 
 

@@ -23,6 +23,10 @@ _MARGIN_RIGHT = 18.0
 _MARGIN_TOP = 34.0
 _MARGIN_BOTTOM = 52.0
 
+_X_LABEL = "SNR (dB)"
+_Y_LABEL = "symbol error probability"
+_Y_FLOOR = 1e-12
+
 _PALETTE = ("#0072b2", "#d55e00", "#009e73", "#cc79a7", "#e69f00", "#56b4e9", "#222222")
 
 
@@ -50,16 +54,10 @@ def _format_tick(value: float) -> str:
     return f"{value:g}"
 
 
-def render_svg(
-    series: list[CurveSeries],
-    title: str = "",
-    x_label: str = "SNR (dB)",
-    y_label: str = "symbol error probability",
-    y_floor: float = 1e-12,
-) -> str:
+def render_svg(series: list[CurveSeries], title: str = "") -> str:
     """Render the curves as a complete SVG document string.
 
-    Points with ``y <= y_floor`` are dropped (they have no logarithm);
+    Points with ``y <= 1e-12`` are dropped (they have no logarithm);
     a curve interrupted by dropped points is drawn as separate segments.
     Raises ``ValueError`` when nothing at all is plottable.
     """
@@ -69,7 +67,7 @@ def render_svg(
         y = np.asarray(s.y, dtype=float)
         if x.shape != y.shape or x.ndim != 1:
             raise ValueError(f"series {s.label!r} needs matching 1-d x and y")
-        keep = np.isfinite(y) & (y > y_floor) & np.isfinite(x)
+        keep = np.isfinite(y) & (y > _Y_FLOOR) & np.isfinite(x)
         if np.any(keep):
             prepared.append((s.label, x, y, keep))
     if not prepared:
@@ -137,11 +135,11 @@ def render_svg(
     )
     parts.append(
         f'<text x="{_MARGIN_LEFT + plot_w / 2:g}" y="{_HEIGHT - 14:g}" text-anchor="middle">'
-        f"{escape(x_label)}</text>"
+        f"{escape(_X_LABEL)}</text>"
     )
     parts.append(
         f'<text x="16" y="{_MARGIN_TOP + plot_h / 2:g}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_MARGIN_TOP + plot_h / 2:g})">{escape(y_label)}</text>'
+        f'transform="rotate(-90 16 {_MARGIN_TOP + plot_h / 2:g})">{escape(_Y_LABEL)}</text>'
     )
 
     # Curves, split into segments at dropped points.
@@ -187,7 +185,7 @@ def render_svg(
     return "\n".join(parts) + "\n"
 
 
-def write_svg(path, series: list[CurveSeries], **kwargs) -> None:
+def write_svg(path, series: list[CurveSeries], title: str = "") -> None:
     """Render and write the SVG document to ``path``."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(render_svg(series, **kwargs))
+        handle.write(render_svg(series, title))

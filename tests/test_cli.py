@@ -244,6 +244,32 @@ class TestRunCommand:
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 2
         assert field in capsys.readouterr().err
 
+    def test_simulation_beyond_8_dimensions_exits_2_before_any_curve(self, tmp_path, capsys):
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(make_config_data(lattice="Z9", curves=["MSLB", "SEP_SIM"])))
+        out_dir = tmp_path / "results"
+        assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "curves" in err and "SEP_SIM" in err and "N=9" in err
+        assert not out_dir.exists()
+
+    def test_monte_carlo_exact_beyond_8_dimensions_exits_2(self, tmp_path, capsys):
+        generator = [[1.0 if i == j else 0.0 for j in range(9)] for i in range(9)]
+        generator[0][1] = 0.5  # not the identity, so SEP_EXACT would need Monte Carlo
+        lattice_path = tmp_path / "skewed9.json"
+        lattice_path.write_text(
+            json.dumps({"name": "skewed9", "dimension": 9, "generator": generator})
+        )
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(
+            json.dumps(make_config_data(lattice=str(lattice_path), curves=["MSLB", "SEP_EXACT"]))
+        )
+        out_dir = tmp_path / "results"
+        assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "curves" in err and "SEP_EXACT" in err and "N=9" in err
+        assert not out_dir.exists()
+
     def test_out_of_range_seed_flag_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "experiment.json"
         config_path.write_text(json.dumps(make_config_data(curves=["MSLB"])))

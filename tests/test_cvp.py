@@ -178,6 +178,24 @@ class TestSearchOnRandomBases:
             brute = closest_point(g, y, box=4, method=Decoder.BRUTE_FORCE)
             assert np.array_equal(sphere, brute)
 
+    @given(
+        matrix=_BASES,
+        target=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_unbounded_closest_point_matches_enumeration(self, matrix, target):
+        g = _unit_volume(matrix)
+        y = np.array(target[: g.shape[0]])
+        z = closest_point(g, y)
+        dist_sq = float(np.sum((g @ z - y) ** 2))
+        # Every lattice point within the found distance, the found one included.
+        found = enumerate_within_radius(g, math.sqrt(dist_sq) + 1e-9, y)
+        best = min(d for _, d in found)
+        assert tuple(z) in dict(found)
+        assert dist_sq <= best + 1e-9
+        # Ties within 1e-12 resolve to the lexicographically smallest vector.
+        assert tuple(z) == min(v for v, d in found if d <= best + 1e-12)
+
 
 class TestShortestVector:
     def test_anisotropic_diagonal(self):

@@ -9,7 +9,6 @@ import pytest
 from latticesep import BudgetError
 from latticesep.lattices import (
     DminMethod,
-    SublatticeSelector,
     catalog_lattice,
     catalog_names,
     is_integer_orthonormal,
@@ -169,19 +168,19 @@ class TestLoadLattice:
 
 class TestSublatticeGenerator:
     def test_zn_subset_is_identity(self):
-        sel = SublatticeSelector(catalog_lattice("Z8"), (2, 5))
-        assert np.allclose(sublattice_generator(sel), np.eye(2), atol=1e-14)
+        r = sublattice_generator(catalog_lattice("Z8"), (2, 5))
+        assert np.allclose(r, np.eye(2), atol=1e-14)
 
     def test_single_column_norm(self):
         lat = catalog_lattice("E8")
         for i in range(1, 9):
-            r = sublattice_generator(SublatticeSelector(lat, (i,)))
+            r = sublattice_generator(lat, (i,))
             assert r.shape == (1, 1)
             assert r[0, 0] == pytest.approx(lat.basis_norms[i - 1], rel=1e-12)
 
     def test_full_subset_preserves_determinant(self):
         lat = catalog_lattice("A2")
-        r = sublattice_generator(SublatticeSelector(lat, (1, 2)))
+        r = sublattice_generator(lat, (1, 2))
         assert abs(np.linalg.det(r)) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("name", ["A2", "E4", "E8"])
@@ -192,8 +191,7 @@ class TestSublatticeGenerator:
 
         for k in range(1, n + 1):
             for subset in itertools.combinations(range(1, n + 1), k):
-                sel = SublatticeSelector(lat, subset)
-                r = sublattice_generator(sel)
+                r = sublattice_generator(lat, subset)
                 cols = lat.generator[:, [i - 1 for i in subset]]
                 assert np.max(np.abs(r.T @ r - cols.T @ cols)) <= 1e-10
                 assert np.all(np.diagonal(r) > 0.0)
@@ -201,16 +199,16 @@ class TestSublatticeGenerator:
 
     def test_selector_validation(self):
         lat = catalog_lattice("Z4")
-        with pytest.raises(ValueError):
-            SublatticeSelector(lat, ())
-        with pytest.raises(ValueError):
-            SublatticeSelector(lat, (0, 1))
-        with pytest.raises(ValueError):
-            SublatticeSelector(lat, (1, 5))
-        with pytest.raises(ValueError):
-            SublatticeSelector(lat, (2, 2))
-        with pytest.raises(ValueError):
-            SublatticeSelector(lat, (3, 1))
+        with pytest.raises(ValueError, match="at least one basis index"):
+            sublattice_generator(lat, ())
+        with pytest.raises(ValueError, match=r"must lie in \[1, 4\]"):
+            sublattice_generator(lat, (0, 1))
+        with pytest.raises(ValueError, match=r"must lie in \[1, 4\]"):
+            sublattice_generator(lat, (1, 5))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sublattice_generator(lat, (2, 2))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sublattice_generator(lat, (3, 1))
 
 
 class TestLatticeFiles:

@@ -1,8 +1,9 @@
-"""Byte identity of the bound and exact-SEP CSV rows.
+"""Byte identity of the bound, exact-SEP and simulated-SEP CSV rows.
 
 The SHA-256 digests pin the exact text that ``curve_csv_rows`` and
-``sep_csv_rows`` produce, so a refactor of the facet sum or of the
-sphere-bound code that moves even the twelfth significant digit fails
+``sep_csv_rows`` produce, so a refactor of the facet sum, of the
+sphere-bound code, of the decoders or of the simulator's shard loop that
+moves even the twelfth significant digit (or one trial count) fails
 here.  When an output change is intended, regenerate the digests and
 record the reason in CHANGES.md.
 """
@@ -13,8 +14,9 @@ import pytest
 
 from latticesep.bounds import SnrGrid, curve_csv_rows, mslb, msub, slb, sub
 from latticesep.constellation import FiniteConstellation
+from latticesep.cvp import Decoder
 from latticesep.lattices import catalog_lattice
-from latticesep.sep import JSource, exact_sep_theorem1, sep_csv_rows
+from latticesep.sep import JSource, SimPlan, exact_sep_theorem1, sep_csv_rows, simulate_sep
 
 BOUND_DIGESTS = {
     ("A2", 4): {
@@ -97,4 +99,40 @@ def test_exact_monte_carlo_csv_bytes_beyond_a2(name, big_k, seed, grid, digest):
     # thousands), so these pin the tie rule on cells with many faces.
     c = FiniteConstellation(catalog_lattice(name), big_k)
     estimates = exact_sep_theorem1(c, grid, JSource.MC_VORONOI, trials_per_j=10**4, seed=seed)
+    assert _digest(sep_csv_rows(estimates, name, big_k, seed)) == digest
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize(
+    "name, big_k, decoder, seed, snr_db, max_trials, target_errors, digest",
+    [
+        (
+            "A2", 4, Decoder.BRUTE_FORCE, 11, [10.0, 14.0, 16.0], 300000, 3000,
+            "9c539e65ec19eaceae915497ac8f1b69b0296fede2bdcc0ce5deba3256b0d3ea",
+        ),
+        (
+            "E4", 2, Decoder.SPHERE_DECODER, 12, [6.0, 12.0], 30000, 400,
+            "95b5195e40507759c1e0ee1d527c73be983741df1ba8c38b94cda52dfed0c0fa",
+        ),
+        (
+            "Z3", 4, Decoder.SPHERE_DECODER, 13, [10.0, 14.0, 17.0], 500000, 5000,
+            "95d1af5c49e7e14ba3fb9d2426d6c598e67363e1518a7c1502ce3b303e647af7",
+        ),
+    ],
+)
+def test_simulation_csv_bytes(
+    name, big_k, decoder, seed, snr_db, max_trials, target_errors, digest, threads
+):
+    # Brute force, the sphere search and the diagonal rounding path (Z3),
+    # with budgets that stop some points mid-wave at 3 threads, some after
+    # several shards and some at the trial cap.
+    plan = SimPlan(
+        constellation=FiniteConstellation(catalog_lattice(name), big_k),
+        grid=SnrGrid.from_db_values(snr_db),
+        seed=seed,
+        max_trials=max_trials,
+        target_errors=target_errors,
+        decoder=decoder,
+    )
+    estimates = simulate_sep(plan, threads=threads)
     assert _digest(sep_csv_rows(estimates, name, big_k, seed)) == digest
