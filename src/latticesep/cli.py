@@ -43,7 +43,7 @@ import numpy as np
 
 from .bounds import BoundCurve, SnrGrid, format_sig, mslb, msub, slb, sub, write_curve_csv
 from .constellation import FiniteConstellation, facet_count, points_per_facet
-from .cvp import BatchDecoder, Decoder, shortest_vector_norm
+from .cvp import _MAX_CONDITION, BatchDecoder, Decoder, shortest_vector_norm
 from .exceptions import LatticeSepError
 from .lattices import Lattice, catalog_lattice, catalog_names, is_integer_orthonormal, read_lattice_file
 from .sep import (
@@ -418,6 +418,12 @@ def cmd_run(args) -> int:
         raise ConfigError(
             f"curves: {', '.join(sampled)} on {lattice.name} needs dimension N <= "
             f"{_MAX_SIM_DIMENSION}, got N={lattice.dimension}"
+        )
+    condition = float(np.linalg.cond(lattice.generator))
+    if sampled and condition > _MAX_CONDITION:
+        raise ConfigError(
+            f"curves: {', '.join(sampled)} on {lattice.name} needs a generator condition number "
+            f"<= {_MAX_CONDITION:.0e}, got {condition:.3g}"
         )
     grid = SnrGrid.from_db(config.snr_start, config.snr_stop, config.snr_step)
 

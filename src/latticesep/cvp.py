@@ -77,20 +77,18 @@ def _babai_rounding(r_rows, yt, lo, hi):
     return z, dist
 
 
-def _level_candidates(c, rii, budget, lo, hi):
-    # Integer values v with (rii * (v - c))**2 <= budget, intersected with
-    # [lo, hi], ordered nearest-center first (ties toward the smaller value).
+def _level_window(c, rii, budget, lo, hi):
+    # The integer range [first, last] of values v with (rii * (v - c))**2 <=
+    # budget, intersected with [lo, hi]; empty when first > last.
     if budget < 0.0:
-        return []
+        return 1, 0
     halfwidth = math.sqrt(budget) / rii
     first = math.ceil(c - halfwidth)
     last = math.floor(c + halfwidth)
     if lo is not None:
         first = max(first, lo)
         last = min(last, hi)
-    if first > last:
-        return []
-    return sorted(range(first, last + 1), key=lambda v: (abs(v - c), v))
+    return first, last
 
 
 def _depth_first(r_rows, yt, lo, hi, budget, leaf, max_nodes):
@@ -98,7 +96,8 @@ def _depth_first(r_rows, yt, lo, hi, budget, leaf, max_nodes):
     # yt, last coordinate first, candidates nearest-center first, and calls
     # leaf(z, dist) at each one; the callback returns the budget for the
     # rest of the search.  Raises BudgetError once the candidate lists
-    # entered hold more than max_nodes values.
+    # entered hold more than max_nodes values, before building the list
+    # that would pass it.
     k = len(yt)
     z = [0] * k
     acc = [0.0] * k  # acc[i]: cost contributed by levels above i
@@ -115,11 +114,13 @@ def _depth_first(r_rows, yt, lo, hi, budget, leaf, max_nodes):
             t -= row[j] * z[j]
         c = t / row[i]
         centers[i] = c
-        cands[i] = _level_candidates(c, row[i], budget - acc[i], lo, hi)
-        pos[i] = 0
-        nodes += len(cands[i])
+        first, last = _level_window(c, row[i], budget - acc[i], lo, hi)
+        nodes += max(0, last - first + 1)
         if nodes > max_nodes:
             raise BudgetError(f"depth-first lattice search exceeded {max_nodes} nodes")
+        # Nearest-center first, ties toward the smaller value.
+        cands[i] = sorted(range(first, last + 1), key=lambda v: (abs(v - c), v))
+        pos[i] = 0
 
     i = k - 1
     enter(i)
@@ -308,6 +309,11 @@ class BatchDecoder:
                 self._r_rows = [[float(r[i, j]) for j in range(self._k)] for i in range(self._k)]
         else:
             raise ValueError(f"unknown decoder method: {method!r}")
+
+    @property
+    def rounds(self) -> bool:
+        """Whether :meth:`decode` rounds coordinates (a diagonal generator, ``SPHERE_DECODER``)."""
+        return self._diag is not None
 
     def _targets(self, targets) -> np.ndarray:
         y = np.atleast_2d(np.asarray(targets, dtype=float))

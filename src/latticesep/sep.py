@@ -63,6 +63,7 @@ _MAX_SIM_DIMENSION = 8
 _RELIABLE_ERRORS = 20
 _CI_FACTOR = 1.96  # two-sided 95% normal quantile
 _GAUGE_BLOCK = 1 << 18  # entries per block of sample-by-test-vector products (2 MB)
+_CERT_BLOCK = 1 << 16  # entries per block of trial-by-test-vector products (512 kB)
 
 
 class JSource(enum.Enum):
@@ -261,9 +262,69 @@ def exact_sep_theorem1(
     ]
 
 
+@dataclass(frozen=True)
+class _Certificate:
+    """The Voronoi test vectors ``v_j = G c_j`` of a generator, for deciding trials."""
+
+    vt: np.ndarray  # (n, J): the vectors v_j as columns
+    half_norms: np.ndarray  # (J,): h_j = |v_j|**2 / 2
+    inscribed: float  # d_min**2 / 4 - TIE_TOL, with d_min**2 = 2 min_j h_j
+    in_box: np.ndarray  # (n, R, J) bool: in_box[i, row(a), j] is 0 <= a + c_ji < K
+    reach: int  # max |c_ji|; row(a) = a - max(0, min(a, top) - reach)
+    top: int  # K - 1 - reach
+
+
+def _certificate(generator: np.ndarray, big_k: int) -> _Certificate:
+    vt, half_norms = _membership_halfspaces(generator)
+    coeffs = np.rint(np.linalg.solve(generator, vt)).astype(np.int64)
+    # Every level a with reach <= a <= K - 1 - reach keeps a + c_ji in the
+    # box, so those levels share one table row and the table has at most
+    # 2 reach + 1 rows, whatever K is.
+    reach = int(np.abs(coeffs).max())
+    levels = np.arange(min(big_k, 2 * reach + 1))
+    levels[reach + 1 :] += big_k - levels.size
+    levels = levels[None, :, None]
+    in_box = (levels >= -coeffs[:, None, :]) & (levels < big_k - coeffs[:, None, :])
+    inscribed = 0.5 * float(half_norms.min()) - TIE_TOL
+    return _Certificate(vt, half_norms, inscribed, in_box, reach, big_k - 1 - reach)
+
+
+def _certify(cert: _Certificate, u: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Decides the trials y = G u + e that the test vectors settle; returns
+    # a mask of the rows decided as errors and the ascending indices of the
+    # rows left undecided.  A row is correct if |e|**2 < d_min**2 / 4 -
+    # TIE_TOL (the inscribed sphere), or if e . v_j - h_j < -TIE_TOL / 2
+    # for every j: then every other lattice point is farther than |e|**2 +
+    # TIE_TOL, so G u is decoded whatever the tie rule.  A row is an error
+    # if some u + c_j is in the box and e . v_j - h_j > TIE_TOL / 2: that
+    # constellation point is closer by more than TIE_TOL.  Every other row,
+    # exact ties included, is left to the decoder.  The products e . v_j
+    # are taken a block of rows at a time.
+    rows = np.flatnonzero(np.einsum("ij,ij->i", e, e) >= cert.inscribed)
+    step = max(1, _CERT_BLOCK // cert.half_norms.size)
+    wrong = np.zeros(len(e), dtype=bool)
+    undecided = []
+    for start in range(0, rows.size, step):
+        block = rows[start : start + step]
+        margins = e[block] @ cert.vt
+        margins -= cert.half_norms
+        open_rows = np.max(margins, axis=1) >= -0.5 * TIE_TOL
+        block = block[open_rows]
+        closer = (margins > 0.5 * TIE_TOL)[open_rows]
+        levels = u[block]
+        table_rows = levels - np.maximum(np.minimum(levels, cert.top) - cert.reach, 0)
+        for i, table in enumerate(cert.in_box):
+            closer &= table[table_rows[:, i]]
+        hit = np.any(closer, axis=1)
+        wrong[block[hit]] = True
+        undecided.append(block[~hit])
+    return wrong, np.concatenate(undecided) if undecided else rows
+
+
 def _simulate_point(
     plan: SimPlan,
     decoder: BatchDecoder,
+    cert: _Certificate | None,
     grid_index: int,
     rho: float,
     threads: int,
@@ -278,21 +339,20 @@ def _simulate_point(
     big_k = c.K
     g = c.lattice.generator
     sigma = 1.0 / math.sqrt(rho)
-    use_indices = decoder.method is Decoder.BRUTE_FORCE
-    if use_indices:
-        index_weights = big_k ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
     def run_shard(s: int) -> tuple[int, int]:
         m = min(SHARD_SIZE, plan.max_trials - s * SHARD_SIZE)
         rng = stream(plan.seed, grid_index, s)
         u = uniform_symbols(rng, m * n, big_k).reshape(m, n)
-        w = standard_normals(rng, m * n).reshape(m, n)
-        y = u @ g.T + sigma * w
-        if use_indices:
-            errors = int(np.count_nonzero(decoder.decode_indices(y) != u @ index_weights))
-        else:
-            errors = int(np.count_nonzero(np.any(decoder.decode(y) != u, axis=1)))
-        return m, errors
+        e = standard_normals(rng, m * n).reshape(m, n)
+        e *= sigma
+        y = u @ g.T + e
+        if cert is None:
+            return m, int(np.count_nonzero(np.any(decoder.decode(y) != u, axis=1)))
+        wrong, rows = _certify(cert, u, e)
+        if rows.size:
+            wrong[rows] = np.any(decoder.decode(y[rows]) != u[rows], axis=1)
+        return m, int(np.count_nonzero(wrong))
 
     total_trials = 0
     total_errors = 0
@@ -323,6 +383,21 @@ def simulate_sep(plan: SimPlan, threads: int = 1) -> list[SepEstimate]:
     Stops at the first shard boundary where ``target_errors`` errors have
     accumulated, or at ``max_trials``.
 
+    Most rows are decided without decoding, by a certificate from the
+    Voronoi test vectors ``v_j = M c_j`` of the lattice
+    (:func:`latticesep.cvp.voronoi_test_vectors`).  With ``e = y - x`` and
+    ``h_j = |v_j|**2 / 2``, a row is correct if ``|e|**2 < d_min**2 / 4 -
+    1e-12`` or if ``e . v_j - h_j < -0.5e-12`` for every j, and it is an
+    error if ``e . v_j - h_j > 0.5e-12`` for some j with ``u + c_j`` in the
+    box.  These are the decoders' own tie rule (squared distances within
+    1e-12 tie, and ties go to the lexicographically smallest point), so
+    every verdict is the one a full decode would give; all other rows,
+    exact ties included, are decoded.  The plan's ``decoder`` only chooses
+    how those rows are decoded.  A diagonal generator under
+    ``SPHERE_DECODER`` is decoded by rounding, which is cheaper than the
+    certificate, so every row is decoded there.  Every other generator
+    needs a condition number of at most 1e8 (``ValueError`` above it).
+
     Shard ``s`` of grid point ``i`` draws all its symbols, then all its
     noise, from ``stream(seed, i, s)``; shards are accumulated in shard
     order whatever the thread count, so the output is byte-stable for a
@@ -337,10 +412,12 @@ def simulate_sep(plan: SimPlan, threads: int = 1) -> list[SepEstimate]:
     threads = int(threads)
     if threads < 1:
         raise ValueError(f"threads must be a positive integer, got {threads}")
-    decoder = BatchDecoder(plan.constellation.lattice.generator, plan.constellation.K, plan.decoder)
+    generator = plan.constellation.lattice.generator
+    decoder = BatchDecoder(generator, plan.constellation.K, plan.decoder)
+    cert = None if decoder.rounds else _certificate(generator, plan.constellation.K)
     estimates = []
     for i, (db, rho) in enumerate(zip(plan.grid.db, plan.grid.rho)):
-        trials, errors = _simulate_point(plan, decoder, i, float(rho), threads)
+        trials, errors = _simulate_point(plan, decoder, cert, i, float(rho), threads)
         mean = errors / trials
         estimates.append(
             SepEstimate(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -268,6 +269,24 @@ class TestRunCommand:
         assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 2
         err = capsys.readouterr().err
         assert "curves" in err and "SEP_EXACT" in err and "N=9" in err
+        assert not out_dir.exists()
+
+    def test_ill_conditioned_simulation_exits_2_before_any_curve(self, tmp_path, capsys):
+        # Condition number 4e8: brute force and the sphere decoder disagree
+        # on such a basis, so sampled curves are refused.
+        turn = math.pi / 6.0
+        rotation = [[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]]
+        generator = [[row[0] * 2e4, row[1] * 5e-5] for row in rotation]
+        lattice_path = tmp_path / "needle.json"
+        lattice_path.write_text(json.dumps({"name": "needle", "dimension": 2, "generator": generator}))
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(
+            json.dumps(make_config_data(lattice=str(lattice_path), curves=["MSLB", "SEP_SIM"]))
+        )
+        out_dir = tmp_path / "results"
+        assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "curves" in err and "SEP_SIM" in err and "4e+08" in err
         assert not out_dir.exists()
 
     def test_out_of_range_seed_flag_exits_2(self, tmp_path, capsys):

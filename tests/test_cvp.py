@@ -17,7 +17,7 @@ from latticesep.cvp import (
     shortest_vector_norm,
     voronoi_test_vectors,
 )
-from latticesep.lattices import catalog_lattice
+from latticesep.lattices import catalog_lattice, load_lattice
 
 
 class TestClosestPoint:
@@ -112,6 +112,14 @@ class TestEnumerateWithinRadius:
     def test_node_budget(self):
         with pytest.raises(BudgetError):
             enumerate_within_radius(np.eye(2), 1e4, max_nodes=1000)
+
+    def test_node_budget_is_checked_before_a_level_is_listed(self):
+        # The last coordinate's window holds about 1.3e12 values: the
+        # budget must refuse it before its candidate list is built.
+        with pytest.raises(BudgetError):
+            enumerate_within_radius(np.array([[1.0, 1.0], [0.0, 1.5e-12]]), 1.0)
+        with pytest.raises(BudgetError):
+            load_lattice([[1.0, 1.0], [0.0, 1.5e-12]])
 
 
 # Random square bases of side 2 or 3 with entries in [-2, 2].

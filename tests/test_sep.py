@@ -10,11 +10,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latticesep import sep as sep_module
 from latticesep.bounds import SnrGrid, mslb, msub
 from latticesep.constellation import FiniteConstellation
-from latticesep.cvp import Decoder
+from latticesep.cvp import BatchDecoder, Decoder
 from latticesep.lattices import catalog_lattice
 from latticesep.sep import (
     JSource,
@@ -26,6 +28,7 @@ from latticesep.sep import (
     write_sep_csv,
 )
 from latticesep.special import q_function, regularized_gamma_upper
+from latticesep.streams import SHARD_SIZE
 
 # Closed-form anchors at rho = 10 (from the Q-function oracle).
 J1_AT_10 = 0.886153701993342
@@ -407,3 +410,139 @@ class TestSepCsv:
         text = path.read_text(encoding="utf-8")
         assert text.endswith("\n")
         assert len(text.splitlines()) == 6
+
+
+# Offsets of the near-tie rows x_u + v_j / 2 + delta v_j, against the 1e-12 tie window.
+_DELTAS = (0.0, 1e-14, -1e-14, 1e-13, -1e-13, 1e-12, -1e-12, 1e-10, -1e-10)
+
+
+def _certified_rows(generator, big_k, rng, vectors=None, random_rows=400):
+    # Rows (u, e) of a simulation: random ones at 0-20 dB, and near-tie
+    # rows at the midpoint of x_u and x_u + v_j for the test vectors
+    # v_j (every one, or the given indices), with u at a random box point
+    # and at a box corner.  Returns the certificate, u, e and the mask of
+    # the delta = 0 rows.
+    n = generator.shape[0]
+    cert = sep_module._certificate(generator, big_k)
+    sigmas = 10.0 ** (-rng.uniform(0.0, 20.0, random_rows) / 20.0)
+    us = [rng.integers(0, big_k, (random_rows, n))]
+    es = [rng.standard_normal((random_rows, n)) * sigmas[:, None]]
+    ties = [np.zeros(random_rows, dtype=bool)]
+    chosen = cert.vt.T if vectors is None else cert.vt.T[vectors]
+    for corner in (rng.integers(0, big_k, n), rng.integers(0, 2, n) * (big_k - 1)):
+        for delta in _DELTAS:
+            us.append(np.tile(corner, (len(chosen), 1)))
+            es.append((0.5 + delta) * chosen)
+            ties.append(np.full(len(chosen), delta == 0.0))
+    return cert, np.concatenate(us), np.concatenate(es), np.concatenate(ties)
+
+
+def _assert_certificate_matches_decoding(generator, big_k, seed, vectors=None):
+    cert, u, e, ties = _certified_rows(generator, big_k, np.random.default_rng(seed), vectors)
+    wrong, rows = sep_module._certify(cert, u, e)
+    y = u @ generator.T + e
+    undecided = np.zeros(len(u), dtype=bool)
+    undecided[rows] = True
+    assert not np.any(wrong & undecided)
+    assert np.all(undecided[ties])  # exact ties always go to the decoder
+    assert wrong.any() and np.any(~wrong & ~undecided)
+    for method in Decoder:
+        full = np.any(BatchDecoder(generator, big_k, method).decode(y) != u, axis=1)
+        assert np.array_equal(wrong[~undecided], full[~undecided]), method
+
+
+class TestCertificate:
+    @pytest.mark.parametrize(
+        "name,big_k,vectors",
+        [("A2", 4, None), ("A2", 2, None), ("E4", 3, None), ("E8", 2, slice(None, None, 10))],
+    )
+    def test_verdicts_match_decoding_on_catalog_lattices(self, name, big_k, vectors):
+        _assert_certificate_matches_decoding(catalog_lattice(name).generator, big_k, 3, vectors)
+
+    @given(
+        matrix=st.integers(2, 3).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False),
+                    min_size=n,
+                    max_size=n,
+                ),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_verdicts_match_decoding_on_random_bases(self, matrix):
+        m = np.array(matrix)
+        norms = np.linalg.norm(m, axis=0)
+        assume(np.all(norms > 0.1) and abs(np.linalg.det(m)) >= 0.05 * np.prod(norms))
+        g = m / abs(np.linalg.det(m)) ** (1.0 / m.shape[0])
+        _assert_certificate_matches_decoding(g, 4, 5)
+
+    def test_box_limits_which_neighbours_count(self):
+        # Z1 with K = 2: at u = 0 the neighbour -1 is outside the box, so
+        # noise past -1/2 is no error; past +1/2 it is.
+        cert = sep_module._certificate(np.eye(1), 2)
+        e = np.array([[-0.7], [0.7], [0.2]])
+        wrong, rows = sep_module._certify(cert, np.zeros((3, 1), dtype=np.int64), e)
+        assert wrong.tolist() == [False, True, False]
+        assert rows.tolist() == [0]
+
+    def test_in_box_table_is_bounded_for_large_k(self):
+        # Rows x_u + 0.6 v_j at the box corners and inside: v_j's point is
+        # closer than x_u, and in the box or not depending on the corner.
+        big_k = 10**6
+        g = catalog_lattice("A2").generator
+        cert = sep_module._certificate(g, big_k)
+        assert cert.in_box.shape[1] == 2 * cert.reach + 1
+        corners = np.array([[0, 0], [0, big_k - 1], [big_k - 1, 0], [big_k - 1, big_k - 1], [500, 7]])
+        u = np.repeat(corners, cert.half_norms.size, axis=0)
+        e = np.tile(0.6 * cert.vt.T, (len(corners), 1))
+        wrong, rows = sep_module._certify(cert, u, e)
+        decided = np.ones(len(u), dtype=bool)
+        decided[rows] = False
+        full = np.any(BatchDecoder(g, big_k, Decoder.SPHERE_DECODER).decode(u @ g.T + e) != u, axis=1)
+        assert np.array_equal(wrong[decided], full[decided])
+        assert wrong.any() and rows.size > 0
+        assert np.all(wrong[-cert.half_norms.size :])  # every neighbour of an inner point is in the box
+
+
+def _count_decoded_rows(monkeypatch):
+    # Rows passed to BatchDecoder.decode or .decode_indices, in all.
+    decoded = [0]
+    for name in ("decode", "decode_indices"):
+        original = getattr(BatchDecoder, name)
+
+        def counting(self, targets, original=original):
+            decoded[0] += len(targets)
+            return original(self, targets)
+
+        monkeypatch.setattr(BatchDecoder, name, counting)
+    return decoded
+
+
+class TestDecodedRows:
+    def test_certificate_decides_most_trials(self, monkeypatch):
+        decoded = _count_decoded_rows(monkeypatch)
+        c = FiniteConstellation(lattice=catalog_lattice("E4"), K=4)
+        grid = SnrGrid.from_db_values([20.0])
+        plan = SimPlan(constellation=c, grid=grid, seed=1, max_trials=SHARD_SIZE, target_errors=10**9)
+        est = simulate_sep(plan)[0]
+        assert est.trials == SHARD_SIZE
+        assert decoded[0] <= 0.1 * est.trials
+
+    def test_diagonal_rounding_decodes_every_trial(self, monkeypatch):
+        decoded = _count_decoded_rows(monkeypatch)
+        c = FiniteConstellation(lattice=catalog_lattice("Z3"), K=4)
+        grid = SnrGrid.from_db_values([20.0])
+        plan = SimPlan(
+            constellation=c,
+            grid=grid,
+            seed=1,
+            max_trials=SHARD_SIZE,
+            target_errors=10**9,
+            decoder=Decoder.SPHERE_DECODER,
+        )
+        est = simulate_sep(plan)[0]
+        assert decoded[0] == est.trials == SHARD_SIZE
