@@ -43,7 +43,17 @@ from .constellation import FiniteConstellation, facet_sum
 from .cvp import TIE_TOL, BatchDecoder, Decoder, voronoi_test_vectors
 from .lattices import is_integer_orthonormal, sublattice_generator
 from .special import clamp_probability, q_function
-from .streams import _MAX_SEED, SHARD_SIZE, derive_seed, standard_normals, stream, uniform_symbols
+from .streams import (
+    _MAX_SEED,
+    SHARD_SIZE,
+    derive_seed,
+    normal_radii,
+    normals_from_radii,
+    standard_normals,
+    stream,
+    uniform_symbols,  # not called here; bench/spans.py traces sep's stream functions by name
+    uniforms_to_symbols,
+)
 
 __all__ = [
     "JSource",
@@ -64,6 +74,7 @@ _RELIABLE_ERRORS = 20
 _CI_FACTOR = 1.96  # two-sided 95% normal quantile
 _GAUGE_BLOCK = 1 << 18  # entries per block of sample-by-test-vector products (2 MB)
 _CERT_BLOCK = 1 << 16  # entries per block of trial-by-test-vector products (512 kB)
+_SCREEN_MARGIN = 1e-9  # relative slack of the radial screen, far above the rounding it absorbs
 
 
 class JSource(enum.Enum):
@@ -149,16 +160,18 @@ def _cell_masses_mc(
     # stream(seed, s) whatever rho is, and sigma z lies in the cell (ties
     # inside) iff its gauge max_j (z . v_j) / (h_j + TIE_TOL) is at most
     # sqrt(rho); so one sorted set of gauges serves every rho.  The product
-    # with the test vectors is taken a block of rows at a time.
+    # with the test vectors is taken a block of rows at a time, into one
+    # reused buffer (a fresh 2 MB block per product costs its page faults).
     k, vectors = vt.shape
     bounds = half_norms + TIE_TOL
     rows = max(1, _GAUGE_BLOCK // vectors)
     gauges = np.empty(trials)
+    buffer = np.empty((min(rows, trials), vectors))
     for start in range(0, trials, SHARD_SIZE):
         m = min(SHARD_SIZE, trials - start)
         z = standard_normals(stream(seed, start // SHARD_SIZE), m * k).reshape(m, k)
         for i in range(0, m, rows):
-            block = z[i : i + rows] @ vt
+            block = np.matmul(z[i : i + rows], vt, out=buffer[: min(rows, m - i)])
             block /= bounds
             np.max(block, axis=1, out=gauges[start + i : start + i + block.shape[0]])
     gauges.sort()
@@ -321,6 +334,84 @@ def _certify(cert: _Certificate, u: np.ndarray, e: np.ndarray) -> tuple[np.ndarr
     return wrong, np.concatenate(undecided) if undecided else rows
 
 
+def _radial_limit(generator: np.ndarray, big_k: int, cert: _Certificate | None, rho: float):
+    # Bound on the Box-Muller radii under which a trial at SNR rho is
+    # correct (see _open_rows).  Rounding (cert None, a diagonal generator)
+    # decodes coordinate i correctly when |e_i| < d_i / 2 - TIE_TOL / (2 d_i),
+    # inside the decoder's tie window; the slack also covers the rounding of
+    # y_i / d_i, which grows with the level.  Every other decoder counts a
+    # trial correct when |e|**2 is below the certificate's inscribed bound.
+    if cert is None:
+        d = np.abs(np.diagonal(generator))
+        slack = _SCREEN_MARGIN + 64 * big_k * np.finfo(float).eps
+        return (0.5 * d - 0.5 * TIE_TOL / d) * ((1.0 - slack) * math.sqrt(rho))
+    return cert.inscribed * (1.0 - _SCREEN_MARGIN) * rho
+
+
+def _open_rows(radius: np.ndarray, m: int, n: int, limit) -> np.ndarray:
+    # Ascending indices of the rows of an (m, n) noise block that its radii
+    # do not settle.  Entry t of the block comes from pair t (cosine) or
+    # t - pairs (sine), so |e_t| <= sigma r_p(t).  A per-coordinate limit
+    # (rounding) settles a row when every r_p(t) is below it; a scalar limit
+    # when the sum of the r_p(t)**2 is.
+    pairs = radius.size
+    bound = np.empty((m, n))
+    flat = bound.reshape(-1)
+    flat[:pairs] = radius
+    flat[pairs:] = radius[: m * n - pairs]
+    if np.ndim(limit):
+        return np.flatnonzero(np.any(bound >= limit, axis=1))
+    return np.flatnonzero(np.einsum("ij,ij->i", bound, bound) >= limit)
+
+
+def _received(generator: np.ndarray, u: np.ndarray, e: np.ndarray, shard_rows: int) -> np.ndarray:
+    # y = u G^T + e for some rows of a shard of shard_rows rows, bit for bit
+    # as the product over the whole shard gives them: numpy hands a one-row
+    # product to gemv, whose rounding can differ from gemm's, so a lone row
+    # of a larger shard is multiplied as a pair.
+    if len(u) == 1 < shard_rows:
+        return (np.repeat(u, 2, axis=0) @ generator.T)[:1] + e
+    return u @ generator.T + e
+
+
+def _shard_errors(
+    generator: np.ndarray,
+    big_k: int,
+    decoder: BatchDecoder,
+    cert: _Certificate | None,
+    limit,
+    sigma: float,
+    rng: np.random.Generator,
+    m: int,
+) -> int:
+    # Symbol errors among the m trials drawn from rng: symbol uniforms, then
+    # the noise radii, which settle most rows as correct (_open_rows); only
+    # the open rows get their angles, symbols, received points and verdicts.
+    # When most rows are open the whole shard is transformed through slices.
+    n = generator.shape[0]
+    uniforms = rng.random(m * n).reshape(m, n)
+    radius = normal_radii(rng, m * n)
+    rows = _open_rows(radius, m, n, limit)
+    if 2 * rows.size > m:
+        u = uniforms_to_symbols(uniforms, big_k)
+        e = normals_from_radii(rng, radius, m * n).reshape(m, n)
+    else:
+        u = uniforms_to_symbols(uniforms[rows], big_k)
+        entries = (rows[:, None] * n + np.arange(n)).reshape(-1)
+        e = normals_from_radii(rng, radius, m * n, entries).reshape(rows.size, n)
+    del uniforms, radius
+    e *= sigma
+    if cert is None:
+        y = _received(generator, u, e, m)
+        del e
+        return int(np.count_nonzero(np.any(decoder.decode(y) != u, axis=1)))
+    wrong, rows = _certify(cert, u, e)
+    if rows.size:
+        y = _received(generator, u[rows], e[rows], m)
+        wrong[rows] = np.any(decoder.decode(y) != u[rows], axis=1)
+    return int(np.count_nonzero(wrong))
+
+
 def _simulate_point(
     plan: SimPlan,
     decoder: BatchDecoder,
@@ -328,31 +419,25 @@ def _simulate_point(
     grid_index: int,
     rho: float,
     threads: int,
+    prior_rate: float | None,
 ) -> tuple[int, int]:
     # Returns (trials, errors) accumulated in shard order with early
     # stopping at a shard boundary, so the result is independent of how
-    # many shards ran concurrently.  Shards run in waves of ``threads``;
-    # with one thread they run lazily on the calling thread, because a
-    # one-worker pool holds more memory at peak.
-    c = plan.constellation
-    n = c.dimension
-    big_k = c.K
-    g = c.lattice.generator
+    # many shards ran concurrently.  Shards run in waves of at most
+    # ``threads``, each sized by the shards the error target still needs
+    # at the error rate seen so far (at the first wave, the previous grid
+    # point's rate; a point with neither runs one shard alone).  With one
+    # thread they run lazily on the calling thread, because a one-worker
+    # pool holds more memory at peak.
+    g = plan.constellation.lattice.generator
+    big_k = plan.constellation.K
+    limit = _radial_limit(g, big_k, cert, rho)
     sigma = 1.0 / math.sqrt(rho)
 
     def run_shard(s: int) -> tuple[int, int]:
         m = min(SHARD_SIZE, plan.max_trials - s * SHARD_SIZE)
         rng = stream(plan.seed, grid_index, s)
-        u = uniform_symbols(rng, m * n, big_k).reshape(m, n)
-        e = standard_normals(rng, m * n).reshape(m, n)
-        e *= sigma
-        y = u @ g.T + e
-        if cert is None:
-            return m, int(np.count_nonzero(np.any(decoder.decode(y) != u, axis=1)))
-        wrong, rows = _certify(cert, u, e)
-        if rows.size:
-            wrong[rows] = np.any(decoder.decode(y[rows]) != u[rows], axis=1)
-        return m, int(np.count_nonzero(wrong))
+        return m, _shard_errors(g, big_k, decoder, cert, limit, sigma, rng, m)
 
     total_trials = 0
     total_errors = 0
@@ -363,8 +448,18 @@ def _simulate_point(
         executor = concurrent.futures.ThreadPoolExecutor(max_workers=threads)
     with executor as pool:
         run_wave = map if pool is None else pool.map
-        for wave_start in range(0, shard_count, threads):
-            wave = range(wave_start, min(wave_start + threads, shard_count))
+        start = 0
+        while start < shard_count:
+            rate = total_errors / total_trials if total_trials else prior_rate
+            if rate is None:
+                size = 1
+            elif rate == 0.0:
+                size = threads
+            else:
+                missing = plan.target_errors - total_errors
+                size = max(1, min(threads, math.ceil(missing / (rate * SHARD_SIZE))))
+            wave = range(start, min(start + size, shard_count))
+            start = wave.stop
             for m, e in run_wave(run_shard, wave):
                 total_trials += m
                 total_errors += e
@@ -395,13 +490,30 @@ def simulate_sep(plan: SimPlan, threads: int = 1) -> list[SepEstimate]:
     exact ties included, are decoded.  The plan's ``decoder`` only chooses
     how those rows are decoded.  A diagonal generator under
     ``SPHERE_DECODER`` is decoded by rounding, which is cheaper than the
-    certificate, so every row is decoded there.  Every other generator
-    needs a condition number of at most 1e8 (``ValueError`` above it).
+    certificate, so the rows that reach it are decoded.  Every other
+    generator needs a condition number of at most 1e8 (``ValueError``
+    above it).
 
-    Shard ``s`` of grid point ``i`` draws all its symbols, then all its
-    noise, from ``stream(seed, i, s)``; shards are accumulated in shard
-    order whatever the thread count, so the output is byte-stable for a
-    fixed plan.
+    Before any of that, a radial screen settles most rows at high SNR
+    from the Box-Muller radii alone.  Each noise entry is ``sigma r cos``
+    or ``sigma r sin`` of its pair's radius ``r``, so ``|e_t| <= sigma
+    r``.  A row is correct, and its angles are never computed, when
+    ``sigma r < d_i / 2`` for every coordinate (rounding, with the tie
+    window taken off) or when ``sigma**2`` times the sum of its ``r**2``
+    is below ``d_min**2 / 4 - 1e-12`` (every other decoder), each with a
+    relative margin of at least 1e-9 against rounding.  Only the open
+    rows get their angles, symbols, received points and verdicts; the
+    angular uniforms are drawn only up to the highest pair an open row
+    uses.
+    Open rows carry the very values the whole shard would, so every
+    ``(trials, errors)`` is the one that deciding every row gives.
+
+    Shard ``s`` of grid point ``i`` draws all its symbol uniforms, then
+    all its noise radii, then its noise angles, from ``stream(seed, i,
+    s)``; shards are accumulated in shard order whatever the thread count,
+    so the output is byte-stable for a fixed plan.  With several threads,
+    each wave of shards is sized from the error rate seen so far, so a
+    point that one shard settles opens one stream.
 
     A point with zero observed errors reports mean 0 with
     ``reliable=False`` (so does any point with fewer than 20 errors);
@@ -416,9 +528,10 @@ def simulate_sep(plan: SimPlan, threads: int = 1) -> list[SepEstimate]:
     decoder = BatchDecoder(generator, plan.constellation.K, plan.decoder)
     cert = None if decoder.rounds else _certificate(generator, plan.constellation.K)
     estimates = []
+    rate = None
     for i, (db, rho) in enumerate(zip(plan.grid.db, plan.grid.rho)):
-        trials, errors = _simulate_point(plan, decoder, cert, i, float(rho), threads)
-        mean = errors / trials
+        trials, errors = _simulate_point(plan, decoder, cert, i, float(rho), threads, rate)
+        mean = rate = errors / trials
         estimates.append(
             SepEstimate(
                 snr_db=float(db),

@@ -18,6 +18,17 @@ Two conventions make runs reproducible down to the byte:
   implementation detail of numpy.  Uniform symbol draws use plain
   ``Generator.random`` scaled and floored (:func:`uniform_symbols`).
 
+The transform comes in two steps that a caller may also take apart:
+:func:`normal_radii` draws the radial uniforms and returns the radii
+``r``, and :func:`normals_from_radii` draws the angular uniforms and
+returns ``r cos`` / ``r sin`` -- of the whole block, or of chosen entries
+only.  Every entry of the block is at most its pair's radius in
+magnitude, so a caller can settle a trial from the radii alone and
+transform only the trials that remain.  The angular uniforms are the
+last draw of a block, so drawing only the prefix the chosen entries need
+yields the same values.  :func:`uniforms_to_symbols` is the symbol map of
+:func:`uniform_symbols` on uniforms already drawn.
+
 Work is split into shards of :data:`SHARD_SIZE` trials.  Each shard owns a
 private stream, so shards can be evaluated in any order -- or in parallel
 -- and accumulated in shard order to produce an identical result.
@@ -30,9 +41,12 @@ import numpy as np
 __all__ = [
     "SHARD_SIZE",
     "derive_seed",
+    "normal_radii",
+    "normals_from_radii",
     "standard_normals",
     "stream",
     "uniform_symbols",
+    "uniforms_to_symbols",
 ]
 
 SHARD_SIZE = 1 << 16
@@ -88,6 +102,51 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(np.random.SeedSequence(parts).generate_state(1, np.uint64)[0])
 
 
+def normal_radii(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Step 1 of :func:`standard_normals`: the radii of a block of ``count`` normals.
+
+    Draws the ``ceil(count / 2)`` radial uniforms ``u1`` and returns
+    ``r = sqrt(-2 log1p(-u1))``, one radius per Box-Muller pair.
+    """
+    radius = rng.random((count + 1) // 2)
+    np.negative(radius, out=radius)
+    np.log1p(radius, out=radius)
+    radius *= -2.0
+    return np.sqrt(radius, out=radius)
+
+
+def normals_from_radii(
+    rng: np.random.Generator, radius: np.ndarray, count: int, entries: np.ndarray | None = None
+) -> np.ndarray:
+    """Step 2 of :func:`standard_normals`: the normals of a block from its radii.
+
+    With ``pairs = radius.size`` and ``angle = 2 pi u2``, entry ``t`` of the
+    block is ``radius[t] cos(angle[t])`` for ``t < pairs`` and
+    ``radius[t - pairs] sin(angle[t - pairs])`` otherwise, so its magnitude
+    is at most its pair's radius.  Without ``entries`` the call draws all
+    ``pairs`` angular uniforms ``u2`` and returns the whole block of
+    ``count`` normals.  With ``entries`` (ascending indices into the block)
+    it draws ``u2`` only up to the highest pair they use and returns those
+    entries alone, bit for bit as the whole block holds them.
+    """
+    pairs = radius.size
+    if entries is None:
+        split, size, drawn = pairs, count, pairs
+        cosines, sines = slice(0, pairs), slice(0, count - pairs)
+    else:
+        split, size = int(np.searchsorted(entries, pairs)), entries.size
+        cosines, sines = entries[:split], entries[split:] - pairs
+        drawn = 1 + max(int(cosines[-1]) if split else -1, int(sines[-1]) if sines.size else -1)
+    angle = rng.random(drawn)
+    angle *= 2.0 * np.pi
+    out = np.empty(size)
+    np.cos(angle[cosines], out=out[:split])
+    out[:split] *= radius[cosines]
+    np.sin(angle[sines], out=out[split:])
+    out[split:] *= radius[sines]
+    return out
+
+
 def standard_normals(rng: np.random.Generator, count: int) -> np.ndarray:
     """Draw ``count`` standard normal variates by Box-Muller.
 
@@ -96,7 +155,8 @@ def standard_normals(rng: np.random.Generator, count: int) -> np.ndarray:
     ``u2``.  With ``r = sqrt(-2 log(1 - u1))`` the output block is
     ``concat(r cos(2 pi u2), r sin(2 pi u2))`` truncated to ``count``.
     ``log(1 - u1)`` is evaluated as ``log1p(-u1)``, which is finite for
-    every value ``Generator.random`` can return.
+    every value ``Generator.random`` can return.  The two steps are
+    :func:`normal_radii` and :func:`normals_from_radii`.
 
     Parameters
     ----------
@@ -112,15 +172,18 @@ def standard_normals(rng: np.random.Generator, count: int) -> np.ndarray:
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    if count == 0:
-        return np.empty(0)
-    pairs = (count + 1) // 2
-    u1 = rng.random(pairs)
-    u2 = rng.random(pairs)
-    radius = np.sqrt(-2.0 * np.log1p(-u1))
-    angle = (2.0 * np.pi) * u2
-    block = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
-    return block[:count]
+    return normals_from_radii(rng, normal_radii(rng, count), count)
+
+
+def uniforms_to_symbols(u: np.ndarray, levels: int) -> np.ndarray:
+    """Symbols ``floor(levels * u)`` of uniforms ``u``, clipped to ``levels - 1``.
+
+    Overwrites ``u`` with ``levels * u``.  Returns an ``int64`` array of
+    the shape of ``u``.
+    """
+    u *= levels
+    symbols = u.astype(np.int64)
+    return np.minimum(symbols, levels - 1, out=symbols)
 
 
 def uniform_symbols(rng: np.random.Generator, count: int, levels: int) -> np.ndarray:
@@ -128,7 +191,7 @@ def uniform_symbols(rng: np.random.Generator, count: int, levels: int) -> np.nda
 
     Each symbol is ``floor(levels * u)`` for one uniform ``u``, clipped to
     ``levels - 1`` to guard against the (unreachable in practice) case
-    ``u == 1.0`` after rounding.
+    ``u == 1.0`` after rounding (:func:`uniforms_to_symbols`).
 
     Returns
     -------
@@ -139,5 +202,4 @@ def uniform_symbols(rng: np.random.Generator, count: int, levels: int) -> np.nda
         raise ValueError(f"count must be non-negative, got {count}")
     if levels < 1:
         raise ValueError(f"levels must be positive, got {levels}")
-    u = rng.random(count)
-    return np.minimum((u * levels).astype(np.int64), levels - 1)
+    return uniforms_to_symbols(rng.random(count), levels)

@@ -28,7 +28,7 @@ from latticesep.sep import (
     write_sep_csv,
 )
 from latticesep.special import q_function, regularized_gamma_upper
-from latticesep.streams import SHARD_SIZE
+from latticesep.streams import SHARD_SIZE, normal_radii, standard_normals, stream, uniform_symbols
 
 # Closed-form anchors at rho = 10 (from the Q-function oracle).
 J1_AT_10 = 0.886153701993342
@@ -366,6 +366,24 @@ class TestSimulateSep:
         assert not est.reliable
         assert est.ci_half_width > 0.0
 
+    def test_first_shard_reaching_the_target_opens_one_stream(self, monkeypatch):
+        # Z2 K = 4 at 0 dB: the first shard has thousands of errors, so a
+        # second shard's stream is never opened, whatever the thread count.
+        opened = []
+        original = sep_module.stream
+
+        def counting(*args):
+            opened.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(sep_module, "stream", counting)
+        c = FiniteConstellation(lattice=catalog_lattice("Z2"), K=4)
+        grid = SnrGrid.from_db_values([0.0])
+        plan = SimPlan(constellation=c, grid=grid, seed=1, max_trials=4 * SHARD_SIZE, target_errors=50)
+        est = simulate_sep(plan, threads=2)[0]
+        assert est.trials == SHARD_SIZE and est.errors_observed >= 50
+        assert opened == [(1, 0, 0)]
+
     def test_threads_validation(self):
         z2 = catalog_lattice("Z2")
         c = FiniteConstellation(lattice=z2, K=4)
@@ -410,6 +428,28 @@ class TestSepCsv:
         text = path.read_text(encoding="utf-8")
         assert text.endswith("\n")
         assert len(text.splitlines()) == 6
+
+
+# Random 2-3-D bases, entries in [-2, 2].
+_SQUARE_MATRICES = st.integers(2, 3).flatmap(
+    lambda n: st.lists(
+        st.lists(
+            st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False),
+            min_size=n,
+            max_size=n,
+        ),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+def _unit_volume_basis(matrix):
+    # The matrix scaled to unit volume; near-singular draws are skipped.
+    m = np.array(matrix)
+    norms = np.linalg.norm(m, axis=0)
+    assume(np.all(norms > 0.1) and abs(np.linalg.det(m)) >= 0.05 * np.prod(norms))
+    return m / abs(np.linalg.det(m)) ** (1.0 / m.shape[0])
 
 
 # Offsets of the near-tie rows x_u + v_j / 2 + delta v_j, against the 1e-12 tie window.
@@ -459,25 +499,10 @@ class TestCertificate:
     def test_verdicts_match_decoding_on_catalog_lattices(self, name, big_k, vectors):
         _assert_certificate_matches_decoding(catalog_lattice(name).generator, big_k, 3, vectors)
 
-    @given(
-        matrix=st.integers(2, 3).flatmap(
-            lambda n: st.lists(
-                st.lists(
-                    st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False),
-                    min_size=n,
-                    max_size=n,
-                ),
-                min_size=n,
-                max_size=n,
-            )
-        )
-    )
+    @given(matrix=_SQUARE_MATRICES)
     @settings(max_examples=30, deadline=None, derandomize=True)
     def test_verdicts_match_decoding_on_random_bases(self, matrix):
-        m = np.array(matrix)
-        norms = np.linalg.norm(m, axis=0)
-        assume(np.all(norms > 0.1) and abs(np.linalg.det(m)) >= 0.05 * np.prod(norms))
-        g = m / abs(np.linalg.det(m)) ** (1.0 / m.shape[0])
+        g = _unit_volume_basis(matrix)
         _assert_certificate_matches_decoding(g, 4, 5)
 
     def test_box_limits_which_neighbours_count(self):
@@ -532,7 +557,7 @@ class TestDecodedRows:
         assert est.trials == SHARD_SIZE
         assert decoded[0] <= 0.1 * est.trials
 
-    def test_diagonal_rounding_decodes_every_trial(self, monkeypatch):
+    def test_radial_screen_leaves_few_rounding_trials_to_decode(self, monkeypatch):
         decoded = _count_decoded_rows(monkeypatch)
         c = FiniteConstellation(lattice=catalog_lattice("Z3"), K=4)
         grid = SnrGrid.from_db_values([20.0])
@@ -545,4 +570,88 @@ class TestDecodedRows:
             decoder=Decoder.SPHERE_DECODER,
         )
         est = simulate_sep(plan)[0]
-        assert decoded[0] == est.trials == SHARD_SIZE
+        assert est.trials == SHARD_SIZE
+        assert decoded[0] <= 0.01 * est.trials
+
+
+def _full_path_errors(generator, big_k, decoder, cert, sigma, rng, m):
+    # Per-row errors of a shard drawn and decided whole: every symbol, every
+    # normal and every received point, then the certificate and the decoder.
+    n = generator.shape[0]
+    u = uniform_symbols(rng, m * n, big_k).reshape(m, n)
+    e = standard_normals(rng, m * n).reshape(m, n) * sigma
+    y = u @ generator.T + e
+    if cert is None:
+        return np.any(decoder.decode(y) != u, axis=1)
+    wrong, rows = sep_module._certify(cert, u, e)
+    wrong[rows] = np.any(decoder.decode(y[rows]) != u[rows], axis=1)
+    return wrong
+
+
+def _assert_screen_is_sound(generator, big_k, method, seeds):
+    # For each seed: an SNR that puts the screen's threshold at typical
+    # radii (a fraction f in [0.5, 1.5] of the threshold that settles about
+    # half the rows), and a shard of m rows, m odd for odd seeds.  Every
+    # row the radii settle must be correct on the full path, and the
+    # screened shard must count the full path's errors.
+    n = generator.shape[0]
+    decoder = BatchDecoder(generator, big_k, method)
+    cert = None if decoder.rounds else sep_module._certificate(generator, big_k)
+    for seed in seeds:
+        f = 0.5 + (seed % 11) / 10.0
+        if cert is None:
+            # Every one of n radii below L: (1 - exp(-L**2 / 2))**n = 1/2.
+            typical = -2.0 * math.log1p(-(0.5 ** (1.0 / n)))
+            rho = f * typical / (0.5 * float(np.abs(np.diagonal(generator)).min())) ** 2
+        else:
+            rho = f * (2 * n - 2.0 / 3.0) / cert.inscribed  # median of a chi-square with 2n d.o.f.
+        sigma = 1.0 / math.sqrt(rho)
+        limit = sep_module._radial_limit(generator, big_k, cert, rho)
+        m = 600 + seed % 2
+        rng = stream(seed, 4)
+        rng.random(m * n)
+        radius = normal_radii(rng, m * n)
+        settled = np.ones(m, dtype=bool)
+        settled[sep_module._open_rows(radius, m, n, limit)] = False
+        full = _full_path_errors(generator, big_k, decoder, cert, sigma, stream(seed, 4), m)
+        assert not np.any(full & settled), seed
+        assert settled.any() and not settled.all(), seed
+        screened = sep_module._shard_errors(generator, big_k, decoder, cert, limit, sigma, stream(seed, 4), m)
+        assert screened == np.count_nonzero(full), seed
+
+
+class TestRadialScreen:
+    @pytest.mark.parametrize(
+        "name,big_k,method",
+        [
+            ("Z2", 4, Decoder.SPHERE_DECODER),
+            ("Z3", 3, Decoder.SPHERE_DECODER),
+            ("Z8", 4, Decoder.SPHERE_DECODER),
+            ("Z3", 4, Decoder.BRUTE_FORCE),
+            ("A2", 4, Decoder.BRUTE_FORCE),
+            ("E4", 4, Decoder.BRUTE_FORCE),
+            ("E8", 2, Decoder.BRUTE_FORCE),
+        ],
+    )
+    def test_settled_rows_are_correct_on_catalog_lattices(self, name, big_k, method):
+        _assert_screen_is_sound(catalog_lattice(name).generator, big_k, method, range(20))
+
+    @given(matrix=_SQUARE_MATRICES)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_settled_rows_are_correct_on_random_bases(self, matrix):
+        g = _unit_volume_basis(matrix)
+        _assert_screen_is_sound(g, 4, Decoder.BRUTE_FORCE, range(6))
+
+    def test_lone_rows_are_received_as_in_the_whole_shard(self):
+        # numpy computes a one-row product by gemv; a lone open row of a
+        # larger shard must still get the whole shard's bits.
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            n = int(rng.integers(2, 4))
+            g = rng.uniform(-2.0, 2.0, (n, n))
+            u = rng.integers(0, 4, (300, n))
+            e = rng.standard_normal((300, n))
+            whole = u @ g.T + e
+            for i in (0, 17, 299):
+                row = sep_module._received(g, u[i : i + 1], e[i : i + 1], 300)
+                assert np.array_equal(row, whole[i : i + 1])

@@ -8,9 +8,12 @@ import pytest
 from latticesep.streams import (
     SHARD_SIZE,
     derive_seed,
+    normal_radii,
+    normals_from_radii,
     standard_normals,
     stream,
     uniform_symbols,
+    uniforms_to_symbols,
 )
 
 
@@ -103,6 +106,44 @@ class TestStandardNormals:
         assert np.all(np.isfinite(z))
 
 
+class TestNormalsFromRadii:
+    # Blocks of m rows of n entries: count = 1, odd m and odd counts, and
+    # the final short shard of a 200000-trial point (200000 - 3 * 2**16).
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (7, 3), (9, 8), (4, 5), (3392, 8), (3391, 3)])
+    def test_open_rows_match_the_whole_block(self, m, n):
+        count = m * n
+        whole = standard_normals(stream(6, m, n), count)
+        pick = np.random.default_rng(m * n)
+        subsets = [
+            np.arange(m),
+            np.arange(0),
+            np.array([0]),
+            np.array([m - 1]),
+            np.sort(pick.choice(m, (m + 1) // 2, replace=False)),
+            np.arange(m // 2, m),
+        ]
+        for rows in subsets:
+            entries = (rows[:, None] * n + np.arange(n)).reshape(-1)
+            rng = stream(6, m, n)
+            radius = normal_radii(rng, count)
+            assert np.array_equal(normals_from_radii(rng, radius, count, entries), whole[entries])
+
+    def test_open_rows_draw_the_angles_they_need_and_no_more(self):
+        # 10 pairs; entries 3 and 12 use pairs 3 (cosine) and 2 (sine), so
+        # four angular uniforms are drawn and the stream goes on from there.
+        rng = stream(3)
+        normals_from_radii(rng, normal_radii(rng, 20), 20, np.array([3, 12]))
+        replay = stream(3)
+        replay.random(10 + 4)
+        assert rng.random() == replay.random()
+
+    def test_whole_block_equals_standard_normals(self):
+        for count in (1, 2, 5, 8, 101):
+            rng = stream(4, count)
+            block = normals_from_radii(rng, normal_radii(rng, count), count)
+            assert np.array_equal(block, standard_normals(stream(4, count), count))
+
+
 class TestUniformSymbols:
     def test_range_and_dtype(self):
         u = uniform_symbols(stream(5), 10_000, 4)
@@ -114,6 +155,10 @@ class TestUniformSymbols:
         rng = stream(5, 9)
         expected = np.minimum((rng.random(100) * 8).astype(np.int64), 7)
         assert np.array_equal(uniform_symbols(stream(5, 9), 100, 8), expected)
+
+    def test_symbols_of_drawn_uniforms(self):
+        u = stream(5, 9).random(100)
+        assert np.array_equal(uniforms_to_symbols(u, 8), uniform_symbols(stream(5, 9), 100, 8))
 
     def test_every_level_is_reachable(self):
         u = uniform_symbols(stream(2), 10_000, 4)
