@@ -397,7 +397,11 @@ class BatchDecoder:
         out = np.empty(y.shape[0], dtype=np.int64)
         for start in range(0, y.shape[0], chunk):
             block = y[start : start + chunk]
-            scores = self._norms - 2.0 * (block @ self._points.T)
+            # |p|**2 - 2 y . p, formed in place: -2 x is exact, so the
+            # bits are those of norms - 2.0 * product.
+            scores = block @ self._points.T
+            scores *= -2.0
+            scores += self._norms
             best = scores.min(axis=1, keepdims=True)
             out[start : start + block.shape[0]] = np.argmax(scores <= best + TIE_TOL, axis=1)
         return out

@@ -46,9 +46,11 @@ from .special import clamp_probability, q_function
 from .streams import (
     _MAX_SEED,
     SHARD_SIZE,
+    angles_needed,
     derive_seed,
+    normal_angles,
     normal_radii,
-    normals_from_radii,
+    normals_from_angles,
     standard_normals,
     stream,
     uniform_symbols,  # not called here; bench/spans.py traces sep's stream functions by name
@@ -75,6 +77,7 @@ _CI_FACTOR = 1.96  # two-sided 95% normal quantile
 _GAUGE_BLOCK = 1 << 18  # entries per block of sample-by-test-vector products (2 MB)
 _CERT_BLOCK = 1 << 16  # entries per block of trial-by-test-vector products (512 kB)
 _SCREEN_MARGIN = 1e-9  # relative slack of the radial screen, far above the rounding it absorbs
+_ROW_BLOCK = 1 << 12  # rows of a shard screened, or transformed and decided, at a time
 
 
 class JSource(enum.Enum):
@@ -353,15 +356,24 @@ def _open_rows(radius: np.ndarray, m: int, n: int, limit) -> np.ndarray:
     # do not settle.  Entry t of the block comes from pair t (cosine) or
     # t - pairs (sine), so |e_t| <= sigma r_p(t).  A per-coordinate limit
     # (rounding) settles a row when every r_p(t) is below it; a scalar limit
-    # when the sum of the r_p(t)**2 is.
+    # when the sum of the r_p(t)**2 is.  The r_p(t) are laid out a block of
+    # rows at a time.
     pairs = radius.size
-    bound = np.empty((m, n))
-    flat = bound.reshape(-1)
-    flat[:pairs] = radius
-    flat[pairs:] = radius[: m * n - pairs]
-    if np.ndim(limit):
-        return np.flatnonzero(np.any(bound >= limit, axis=1))
-    return np.flatnonzero(np.einsum("ij,ij->i", bound, bound) >= limit)
+    bound = np.empty(min(m, _ROW_BLOCK) * n)
+    found = []
+    for first in range(0, m, _ROW_BLOCK):
+        lo, hi = first * n, min(m, first + _ROW_BLOCK) * n
+        cut = min(max(pairs, lo), hi)  # entries lo..cut are cosines, cut..hi sines
+        flat = bound[: hi - lo]
+        flat[: cut - lo] = radius[lo:cut]
+        flat[cut - lo :] = radius[cut - pairs : hi - pairs]
+        block = flat.reshape(-1, n)
+        if np.ndim(limit):
+            hit = np.any(block >= limit, axis=1)
+        else:
+            hit = np.einsum("ij,ij->i", block, block) >= limit
+        found.append(first + np.flatnonzero(hit))
+    return np.concatenate(found)
 
 
 def _received(generator: np.ndarray, u: np.ndarray, e: np.ndarray, shard_rows: int) -> np.ndarray:
@@ -374,6 +386,15 @@ def _received(generator: np.ndarray, u: np.ndarray, e: np.ndarray, shard_rows: i
     return u @ generator.T + e
 
 
+def _shard_buffers(entries: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The draws of one shard of up to `entries` noise entries: its symbol
+    # uniforms, noise radii and noise angles.  A simulation owns one set per
+    # shard it runs at once and reuses it from shard to shard, so its
+    # footprint is fixed whatever the thread timing.
+    pairs = (entries + 1) // 2
+    return np.empty(entries), np.empty(pairs), np.empty(pairs)
+
+
 def _shard_errors(
     generator: np.ndarray,
     big_k: int,
@@ -383,33 +404,43 @@ def _shard_errors(
     sigma: float,
     rng: np.random.Generator,
     m: int,
+    buffers: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> int:
     # Symbol errors among the m trials drawn from rng: symbol uniforms, then
-    # the noise radii, which settle most rows as correct (_open_rows); only
-    # the open rows get their angles, symbols, received points and verdicts.
-    # When most rows are open the whole shard is transformed through slices.
+    # the noise radii, into `buffers` (_shard_buffers); the radii settle
+    # most rows as correct (_open_rows).  The open rows are then taken
+    # _ROW_BLOCK at a time: the angles are drawn on up to the highest pair
+    # the block uses, and the block gets its noise, symbols, received
+    # points and verdicts.  So no per-row array outlives its block.
     n = generator.shape[0]
-    uniforms = rng.random(m * n).reshape(m, n)
-    radius = normal_radii(rng, m * n)
+    count = m * n
+    uniforms = rng.random(out=buffers[0][:count]).reshape(m, n)
+    radius = normal_radii(rng, count, out=buffers[1])
+    angle = buffers[2]
     rows = _open_rows(radius, m, n, limit)
-    if 2 * rows.size > m:
-        u = uniforms_to_symbols(uniforms, big_k)
-        e = normals_from_radii(rng, radius, m * n).reshape(m, n)
-    else:
-        u = uniforms_to_symbols(uniforms[rows], big_k)
-        entries = (rows[:, None] * n + np.arange(n)).reshape(-1)
-        e = normals_from_radii(rng, radius, m * n, entries).reshape(rows.size, n)
-    del uniforms, radius
-    e *= sigma
-    if cert is None:
-        y = _received(generator, u, e, m)
-        del e
-        return int(np.count_nonzero(np.any(decoder.decode(y) != u, axis=1)))
-    wrong, rows = _certify(cert, u, e)
-    if rows.size:
-        y = _received(generator, u[rows], e[rows], m)
-        wrong[rows] = np.any(decoder.decode(y) != u[rows], axis=1)
-    return int(np.count_nonzero(wrong))
+    columns = np.arange(n)
+    drawn = 0
+    errors = 0
+    for start in range(0, rows.size, _ROW_BLOCK):
+        block = rows[start : start + _ROW_BLOCK]
+        entries = (block[:, None] * n + columns).reshape(-1)
+        needed = angles_needed(entries, radius.size)
+        if needed > drawn:
+            normal_angles(rng, needed - drawn, out=angle[drawn:])
+            drawn = needed
+        e = normals_from_angles(radius, angle, count, entries).reshape(block.size, n)
+        e *= sigma
+        u = uniforms_to_symbols(uniforms[block], big_k)
+        if cert is None:
+            y = _received(generator, u, e, m)
+            errors += int(np.count_nonzero(np.any(decoder.decode(y) != u, axis=1)))
+            continue
+        wrong, undecided = _certify(cert, u, e)
+        if undecided.size:
+            y = _received(generator, u[undecided], e[undecided], m)
+            wrong[undecided] = np.any(decoder.decode(y) != u[undecided], axis=1)
+        errors += int(np.count_nonzero(wrong))
+    return errors
 
 
 def _simulate_point(
@@ -420,24 +451,26 @@ def _simulate_point(
     rho: float,
     threads: int,
     prior_rate: float | None,
+    buffers: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
 ) -> tuple[int, int]:
     # Returns (trials, errors) accumulated in shard order with early
     # stopping at a shard boundary, so the result is independent of how
     # many shards ran concurrently.  Shards run in waves of at most
     # ``threads``, each sized by the shards the error target still needs
     # at the error rate seen so far (at the first wave, the previous grid
-    # point's rate; a point with neither runs one shard alone).  With one
-    # thread they run lazily on the calling thread, because a one-worker
-    # pool holds more memory at peak.
+    # point's rate; a point with neither runs one shard alone).  The j-th
+    # shard of a wave draws into buffers[j].  With one thread they run
+    # lazily on the calling thread, because a one-worker pool holds more
+    # memory at peak.
     g = plan.constellation.lattice.generator
     big_k = plan.constellation.K
     limit = _radial_limit(g, big_k, cert, rho)
     sigma = 1.0 / math.sqrt(rho)
 
-    def run_shard(s: int) -> tuple[int, int]:
+    def run_shard(s: int, slot: int) -> tuple[int, int]:
         m = min(SHARD_SIZE, plan.max_trials - s * SHARD_SIZE)
         rng = stream(plan.seed, grid_index, s)
-        return m, _shard_errors(g, big_k, decoder, cert, limit, sigma, rng, m)
+        return m, _shard_errors(g, big_k, decoder, cert, limit, sigma, rng, m, buffers[slot])
 
     total_trials = 0
     total_errors = 0
@@ -460,7 +493,7 @@ def _simulate_point(
                 size = max(1, min(threads, math.ceil(missing / (rate * SHARD_SIZE))))
             wave = range(start, min(start + size, shard_count))
             start = wave.stop
-            for m, e in run_wave(run_shard, wave):
+            for m, e in run_wave(run_shard, wave, range(len(wave))):
                 total_trials += m
                 total_errors += e
                 if total_errors >= plan.target_errors:
@@ -502,9 +535,11 @@ def simulate_sep(plan: SimPlan, threads: int = 1) -> list[SepEstimate]:
     window taken off) or when ``sigma**2`` times the sum of its ``r**2``
     is below ``d_min**2 / 4 - 1e-12`` (every other decoder), each with a
     relative margin of at least 1e-9 against rounding.  Only the open
-    rows get their angles, symbols, received points and verdicts; the
-    angular uniforms are drawn only up to the highest pair an open row
-    uses.
+    rows get their angles, symbols, received points and verdicts, 4096
+    rows at a time; the angular uniforms are drawn only up to the highest
+    pair an open row uses.  A shard's uniforms, radii and angles are drawn
+    into buffers that the call allocates once per shard it runs at a time,
+    so its memory does not depend on how the threads interleave.
     Open rows carry the very values the whole shard would, so every
     ``(trials, errors)`` is the one that deciding every row gives.
 
@@ -528,9 +563,11 @@ def simulate_sep(plan: SimPlan, threads: int = 1) -> list[SepEstimate]:
     decoder = BatchDecoder(generator, plan.constellation.K, plan.decoder)
     cert = None if decoder.rounds else _certificate(generator, plan.constellation.K)
     estimates = []
+    entries = min(SHARD_SIZE, plan.max_trials) * plan.constellation.dimension
+    buffers = [_shard_buffers(entries) for _ in range(threads)]
     rate = None
     for i, (db, rho) in enumerate(zip(plan.grid.db, plan.grid.rho)):
-        trials, errors = _simulate_point(plan, decoder, cert, i, float(rho), threads, rate)
+        trials, errors = _simulate_point(plan, decoder, cert, i, float(rho), threads, rate, buffers)
         mean = rate = errors / trials
         estimates.append(
             SepEstimate(

@@ -18,15 +18,17 @@ Two conventions make runs reproducible down to the byte:
   implementation detail of numpy.  Uniform symbol draws use plain
   ``Generator.random`` scaled and floored (:func:`uniform_symbols`).
 
-The transform comes in two steps that a caller may also take apart:
+The transform comes in steps that a caller may also take apart:
 :func:`normal_radii` draws the radial uniforms and returns the radii
-``r``, and :func:`normals_from_radii` draws the angular uniforms and
-returns ``r cos`` / ``r sin`` -- of the whole block, or of chosen entries
-only.  Every entry of the block is at most its pair's radius in
-magnitude, so a caller can settle a trial from the radii alone and
-transform only the trials that remain.  The angular uniforms are the
-last draw of a block, so drawing only the prefix the chosen entries need
-yields the same values.  :func:`uniforms_to_symbols` is the symbol map of
+``r``, :func:`normal_angles` draws angular uniforms and returns the
+angles, and :func:`normals_from_angles` returns ``r cos`` / ``r sin`` --
+of the whole block, or of chosen entries only.  Every entry of the block
+is at most its pair's radius in magnitude, so a caller can settle a trial
+from the radii alone and transform only the trials that remain.  The
+angular uniforms are the last draw of a block, so drawing only the prefix
+the chosen entries need (:func:`angles_needed`), in one piece or several,
+yields the same values.  The radii and angles can be written into
+caller-owned buffers.  :func:`uniforms_to_symbols` is the symbol map of
 :func:`uniform_symbols` on uniforms already drawn.
 
 Work is split into shards of :data:`SHARD_SIZE` trials.  Each shard owns a
@@ -40,9 +42,11 @@ import numpy as np
 
 __all__ = [
     "SHARD_SIZE",
+    "angles_needed",
     "derive_seed",
+    "normal_angles",
     "normal_radii",
-    "normals_from_radii",
+    "normals_from_angles",
     "standard_normals",
     "stream",
     "uniform_symbols",
@@ -102,43 +106,65 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(np.random.SeedSequence(parts).generate_state(1, np.uint64)[0])
 
 
-def normal_radii(rng: np.random.Generator, count: int) -> np.ndarray:
+def normal_radii(rng: np.random.Generator, count: int, out: np.ndarray | None = None) -> np.ndarray:
     """Step 1 of :func:`standard_normals`: the radii of a block of ``count`` normals.
 
     Draws the ``ceil(count / 2)`` radial uniforms ``u1`` and returns
-    ``r = sqrt(-2 log1p(-u1))``, one radius per Box-Muller pair.
+    ``r = sqrt(-2 log1p(-u1))``, one radius per Box-Muller pair, in the
+    leading entries of ``out`` if it is given.
     """
-    radius = rng.random((count + 1) // 2)
+    pairs = (count + 1) // 2
+    radius = rng.random(pairs) if out is None else rng.random(out=out[:pairs])
     np.negative(radius, out=radius)
     np.log1p(radius, out=radius)
     radius *= -2.0
     return np.sqrt(radius, out=radius)
 
 
-def normals_from_radii(
-    rng: np.random.Generator, radius: np.ndarray, count: int, entries: np.ndarray | None = None
-) -> np.ndarray:
-    """Step 2 of :func:`standard_normals`: the normals of a block from its radii.
+def normal_angles(rng: np.random.Generator, pairs: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Step 2 of :func:`standard_normals`: the next ``pairs`` angles ``2 pi u2``.
 
-    With ``pairs = radius.size`` and ``angle = 2 pi u2``, entry ``t`` of the
-    block is ``radius[t] cos(angle[t])`` for ``t < pairs`` and
+    Written to the leading entries of ``out`` if it is given.  Drawing the
+    angles of a block in consecutive pieces gives the values one draw does.
+    """
+    angle = rng.random(pairs) if out is None else rng.random(out=out[:pairs])
+    angle *= 2.0 * np.pi
+    return angle
+
+
+def angles_needed(entries: np.ndarray, pairs: int) -> int:
+    """Number of leading angles that the ascending block ``entries`` use.
+
+    Entry ``t`` of a block of ``pairs`` pairs uses pair ``t`` (cosine) for
+    ``t < pairs`` and pair ``t - pairs`` (sine) otherwise.
+    """
+    split = int(np.searchsorted(entries, pairs))
+    cosine = int(entries[split - 1]) if split else -1
+    sine = int(entries[-1]) - pairs if split < entries.size else -1
+    return 1 + max(cosine, sine)
+
+
+def normals_from_angles(
+    radius: np.ndarray, angle: np.ndarray, count: int, entries: np.ndarray | None = None
+) -> np.ndarray:
+    """Step 3 of :func:`standard_normals`: normals of a block from its radii and angles.
+
+    With ``pairs = radius.size``, entry ``t`` of the block is
+    ``radius[t] cos(angle[t])`` for ``t < pairs`` and
     ``radius[t - pairs] sin(angle[t - pairs])`` otherwise, so its magnitude
-    is at most its pair's radius.  Without ``entries`` the call draws all
-    ``pairs`` angular uniforms ``u2`` and returns the whole block of
-    ``count`` normals.  With ``entries`` (ascending indices into the block)
-    it draws ``u2`` only up to the highest pair they use and returns those
-    entries alone, bit for bit as the whole block holds them.
+    is at most its pair's radius.  Without ``entries`` the call returns the
+    whole block of ``count`` normals and needs every angle; with
+    ``entries`` (ascending indices into the block) it returns those
+    entries alone, bit for bit as the whole block holds them, and reads
+    only the first ``angles_needed(entries, pairs)`` angles.
     """
     pairs = radius.size
     if entries is None:
-        split, size, drawn = pairs, count, pairs
+        split, size = pairs, count
         cosines, sines = slice(0, pairs), slice(0, count - pairs)
     else:
         split, size = int(np.searchsorted(entries, pairs)), entries.size
         cosines, sines = entries[:split], entries[split:] - pairs
-        drawn = 1 + max(int(cosines[-1]) if split else -1, int(sines[-1]) if sines.size else -1)
-    angle = rng.random(drawn)
-    angle *= 2.0 * np.pi
     out = np.empty(size)
     np.cos(angle[cosines], out=out[:split])
     out[:split] *= radius[cosines]
@@ -155,8 +181,9 @@ def standard_normals(rng: np.random.Generator, count: int) -> np.ndarray:
     ``u2``.  With ``r = sqrt(-2 log(1 - u1))`` the output block is
     ``concat(r cos(2 pi u2), r sin(2 pi u2))`` truncated to ``count``.
     ``log(1 - u1)`` is evaluated as ``log1p(-u1)``, which is finite for
-    every value ``Generator.random`` can return.  The two steps are
-    :func:`normal_radii` and :func:`normals_from_radii`.
+    every value ``Generator.random`` can return.  The steps are
+    :func:`normal_radii`, :func:`normal_angles` and
+    :func:`normals_from_angles`.
 
     Parameters
     ----------
@@ -172,7 +199,8 @@ def standard_normals(rng: np.random.Generator, count: int) -> np.ndarray:
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    return normals_from_radii(rng, normal_radii(rng, count), count)
+    radius = normal_radii(rng, count)
+    return normals_from_angles(radius, normal_angles(rng, radius.size), count)
 
 
 def uniforms_to_symbols(u: np.ndarray, levels: int) -> np.ndarray:

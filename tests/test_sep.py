@@ -616,7 +616,8 @@ def _assert_screen_is_sound(generator, big_k, method, seeds):
         full = _full_path_errors(generator, big_k, decoder, cert, sigma, stream(seed, 4), m)
         assert not np.any(full & settled), seed
         assert settled.any() and not settled.all(), seed
-        screened = sep_module._shard_errors(generator, big_k, decoder, cert, limit, sigma, stream(seed, 4), m)
+        buffers = sep_module._shard_buffers(m * n)
+        screened = sep_module._shard_errors(generator, big_k, decoder, cert, limit, sigma, stream(seed, 4), m, buffers)
         assert screened == np.count_nonzero(full), seed
 
 
@@ -641,6 +642,42 @@ class TestRadialScreen:
     def test_settled_rows_are_correct_on_random_bases(self, matrix):
         g = _unit_volume_basis(matrix)
         _assert_screen_is_sound(g, 4, Decoder.BRUTE_FORCE, range(6))
+
+    @pytest.mark.parametrize(
+        "name,big_k,method",
+        [("Z3", 4, Decoder.SPHERE_DECODER), ("A2", 4, Decoder.BRUTE_FORCE), ("E4", 4, Decoder.BRUTE_FORCE)],
+    )
+    def test_small_row_blocks_count_the_full_path_errors(self, monkeypatch, name, big_k, method):
+        # Blocks of 7 rows: shards of 600 and 601 rows end in short and
+        # lone-row blocks, and the angles are drawn on block by block.
+        monkeypatch.setattr(sep_module, "_ROW_BLOCK", 7)
+        _assert_screen_is_sound(catalog_lattice(name).generator, big_k, method, range(6))
+
+    def test_two_threads_draw_into_their_own_buffers(self, monkeypatch):
+        # Shards of a wave run at once, each on its own buffers: two
+        # threads count what one thread does, and the call allocates one
+        # buffer set per thread.
+        made = []
+        original = sep_module._shard_buffers
+
+        def counting(entries):
+            made.append(entries)
+            return original(entries)
+
+        monkeypatch.setattr(sep_module, "_shard_buffers", counting)
+        c = FiniteConstellation(lattice=catalog_lattice("E4"), K=4)
+        plan = SimPlan(
+            constellation=c,
+            grid=SnrGrid.from_db_values([9.0, 11.0]),
+            seed=5,
+            max_trials=4 * SHARD_SIZE,
+            target_errors=10**9,
+            decoder=Decoder.BRUTE_FORCE,
+        )
+        one = [(e.trials, e.errors_observed) for e in simulate_sep(plan, threads=1)]
+        two = [(e.trials, e.errors_observed) for e in simulate_sep(plan, threads=2)]
+        assert one == two
+        assert made == [SHARD_SIZE * 4] * 3
 
     def test_lone_rows_are_received_as_in_the_whole_shard(self):
         # numpy computes a one-row product by gemv; a lone open row of a
