@@ -205,4 +205,4 @@ def curve_csv_rows(curve: BoundCurve) -> list[str]:
 
 
 def write_curve_csv(curve: BoundCurve, path) -> None:
-    Path(path).write_text("\n".join(curve_csv_rows(curve)) + "\n")
+    Path(path).write_text("\n".join(curve_csv_rows(curve)) + "\n", encoding="utf-8", newline="\n")

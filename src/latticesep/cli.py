@@ -87,7 +87,6 @@ class ExperimentConfig:
     seed: int = 0
     max_trials: int = 10**6
     target_errors: int = 100
-    decoder: Decoder = Decoder.BRUTE_FORCE
     trials_per_j: int = 10**5
     out: str = ""
     description: str = ""
@@ -178,12 +177,12 @@ def parse_config_data(data, source: str = "config") -> ExperimentConfig:
     if not isinstance(curves, list) or not all(isinstance(c, str) for c in curves):
         raise ConfigError(f"{source}: field 'curves' must be a list of curve names")
 
-    decoder_name = data.get("decoder", Decoder.BRUTE_FORCE.value)
-    try:
-        decoder = Decoder(decoder_name)
-    except ValueError:
-        choices = ", ".join(d.value for d in Decoder)
-        raise ConfigError(f"{source}: unknown decoder {decoder_name!r}; choose from {choices}") from None
+    # `decoder` is still accepted and validated, so that older configs run,
+    # but it has no effect: simulate_sep picks its own search.
+    decoders = [d.value for d in Decoder]
+    if data.get("decoder", decoders[0]) not in decoders:
+        choices = ", ".join(decoders)
+        raise ConfigError(f"{source}: unknown decoder {data['decoder']!r}; choose from {choices}")
 
     description = data.get("description", "")
     if not isinstance(description, str):
@@ -203,7 +202,6 @@ def parse_config_data(data, source: str = "config") -> ExperimentConfig:
             seed=_as_int(data.get("seed", 0), "seed", source),
             max_trials=_as_int(data.get("max_trials", 10**6), "max_trials", source),
             target_errors=_as_int(data.get("target_errors", 100), "target_errors", source),
-            decoder=decoder,
             trials_per_j=_as_int(data.get("trials_per_j", 10**5), "trials_per_j", source),
             out=out,
             description=description,
@@ -312,7 +310,6 @@ def _run_curves(config: ExperimentConfig, lattice: Lattice, grid: SnrGrid, threa
                 seed=config.seed,
                 max_trials=config.max_trials,
                 target_errors=config.target_errors,
-                decoder=config.decoder,
             )
             results[name] = simulate_sep(plan, threads=threads)
         elif name == "SEP_EXACT":
@@ -355,7 +352,7 @@ def _write_outputs(config, lattice, grid, results, out_dir: Path, plot: bool) ->
     columns = [_curve_values(results[name]) for name in results]
     for i, db in enumerate(grid.db):
         lines.append(",".join([format_sig(db)] + [format_sig(col[i]) for col in columns]))
-    merged.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    merged.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     written.append(merged)
 
     if plot:

@@ -62,13 +62,15 @@ def points_per_facet(big_k: int, k: int) -> int:
 def facet_weights(n: int, big_k: int) -> np.ndarray:
     """Fraction of constellation points on k-facets, k = 0..N.
 
-    ``C(N,k) (K-1)^k / K^N`` computed as an exact binomial probability,
-    ``C(N,k) p^k (1-p)^(N-k)`` with ``p = (K-1)/K``: no overflow for any K
-    and relative error well below 1e-12.  The weights sum to 1.
+    Each weight ``C(N,k) (K-1)^k / K^N`` is the exact rational rounded
+    once to the nearest float.  The weights sum to 1 up to that rounding.
     """
-    p = (big_k - 1.0) / big_k
-    q = 1.0 / big_k
-    return np.array([math.comb(n, k) * p**k * q ** (n - k) for k in range(n + 1)])
+    return np.array([_share(math.comb(n, k), n, big_k, k) for k in range(n + 1)])
+
+
+def _share(points: int, n: int, big_k: int, k: int) -> float:
+    # points * (K-1)**k / K**N, correctly rounded.
+    return float(Fraction(points * (big_k - 1) ** k, big_k**n))
 
 
 def facet_sum(constellation: FiniteConstellation, groups) -> list[tuple[float, float]]:
@@ -77,19 +79,18 @@ def facet_sum(constellation: FiniteConstellation, groups) -> list[tuple[float, f
     Each group ``(k, multiplicity, masses)`` stands for ``multiplicity``
     of the ``C(N, k)`` rank-k subsets, all with the cell masses
     ``masses[i] = (J, std_err)`` at grid point ``i``.  Its weight
-    ``facet_weights[k] * multiplicity / C(N, k)`` is rounded once, so a
-    group that covers every subset weighs exactly ``facet_weights[k]``.
-    The k = 0 term (vertices never err, ``J[0] = 1``) is implicit.
+    ``multiplicity (K-1)**k / K**N`` is rounded once, so a group that
+    covers every subset weighs exactly ``facet_weights[k]``.  The k = 0
+    term (vertices never err, ``J[0] = 1``) is implicit.
 
     Returns ``(P, std_err)`` per grid point, unclamped, with the groups'
     standard errors combined in quadrature.
     """
-    n = constellation.dimension
-    weights = facet_weights(n, constellation.K)
-    scales = [float(Fraction(weights[k]) * mult / math.comb(n, k)) for k, mult, _ in groups]
+    n, big_k = constellation.dimension, constellation.K
+    scales = [_share(mult, n, big_k, k) for k, mult, _ in groups]
     out = []
     for point in zip(*(masses for _, _, masses in groups)):
-        total = float(weights[0])
+        total = _share(1, n, big_k, 0)
         variance = 0.0
         for scale, (mass, std_err) in zip(scales, point):
             total += scale * mass

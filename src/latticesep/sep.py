@@ -46,7 +46,6 @@ from .special import clamp_probability, q_function
 from .streams import (
     _MAX_SEED,
     SHARD_SIZE,
-    angles_needed,
     derive_seed,
     normal_angles,
     normal_radii,
@@ -78,6 +77,7 @@ _GAUGE_BLOCK = 1 << 18  # entries per block of sample-by-test-vector products (2
 _CERT_BLOCK = 1 << 16  # entries per block of trial-by-test-vector products (512 kB)
 _SCREEN_MARGIN = 1e-9  # relative slack of the radial screen, far above the rounding it absorbs
 _ROW_BLOCK = 1 << 12  # rows of a shard screened, or transformed and decided, at a time
+_TABLE_POINTS = 1 << 12  # largest constellation decoded from a point table
 
 
 class JSource(enum.Enum):
@@ -127,7 +127,6 @@ class SimPlan:
     seed: int
     max_trials: int = 10**7
     target_errors: int = 100
-    decoder: Decoder = Decoder.BRUTE_FORCE
 
     def __post_init__(self):
         if self.constellation.dimension > _MAX_SIM_DIMENSION:
@@ -137,14 +136,15 @@ class SimPlan:
             )
         if not isinstance(self.seed, int) or not 0 <= self.seed < _MAX_SEED:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if self.max_trials < _MIN_MAX_TRIALS:
-            raise ValueError(f"max_trials must be at least {_MIN_MAX_TRIALS}, got {self.max_trials}")
-        if self.target_errors < _MIN_TARGET_ERRORS:
-            raise ValueError(
-                f"target_errors must be at least {_MIN_TARGET_ERRORS}, got {self.target_errors}"
-            )
-        if not isinstance(self.decoder, Decoder):
-            raise ValueError(f"decoder must be a Decoder, got {self.decoder!r}")
+        _check_budget("max_trials", self.max_trials, _MIN_MAX_TRIALS)
+        _check_budget("target_errors", self.target_errors, _MIN_TARGET_ERRORS)
+
+
+def _check_budget(name: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
 
 
 def _membership_halfspaces(generator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -241,8 +241,7 @@ def exact_sep_theorem1(
     else:
         if n > _MAX_SIM_DIMENSION:
             raise ValueError(f"MC_VORONOI supports dimensions up to {_MAX_SIM_DIMENSION}")
-        if trials_per_j < _MIN_J_TRIALS:
-            raise ValueError(f"trials_per_j must be at least {_MIN_J_TRIALS}, got {trials_per_j}")
+        _check_budget("trials_per_j", trials_per_j, _MIN_J_TRIALS)
 
         # Group subsets with bit-identical sublattice Gram matrices; each
         # group is estimated once, on the whole grid, from the stream of its
@@ -305,17 +304,22 @@ def _certificate(generator: np.ndarray, big_k: int) -> _Certificate:
     return _Certificate(vt, half_norms, inscribed, in_box, reach, big_k - 1 - reach)
 
 
-def _certify(cert: _Certificate, u: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _certify(
+    cert: _Certificate | None, u: np.ndarray, e: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     # Decides the trials y = G u + e that the test vectors settle; returns
     # a mask of the rows decided as errors and the ascending indices of the
-    # rows left undecided.  A row is correct if |e|**2 < d_min**2 / 4 -
-    # TIE_TOL (the inscribed sphere), or if e . v_j - h_j < -TIE_TOL / 2
+    # rows left undecided; without a certificate (a rounding decoder) that
+    # is every row.  A row is correct if |e|**2 < d_min**2 / 4 - TIE_TOL
+    # (the inscribed sphere), or if e . v_j - h_j < -TIE_TOL / 2
     # for every j: then every other lattice point is farther than |e|**2 +
     # TIE_TOL, so G u is decoded whatever the tie rule.  A row is an error
     # if some u + c_j is in the box and e . v_j - h_j > TIE_TOL / 2: that
     # constellation point is closer by more than TIE_TOL.  Every other row,
     # exact ties included, is left to the decoder.  The products e . v_j
     # are taken a block of rows at a time.
+    if cert is None:
+        return np.zeros(len(e), dtype=bool), np.arange(len(e))
     rows = np.flatnonzero(np.einsum("ij,ij->i", e, e) >= cert.inscribed)
     step = max(1, _CERT_BLOCK // cert.half_norms.size)
     wrong = np.zeros(len(e), dtype=bool)
@@ -386,6 +390,17 @@ def _received(generator: np.ndarray, u: np.ndarray, e: np.ndarray, shard_rows: i
     return u @ generator.T + e
 
 
+def _decoder(generator: np.ndarray, big_k: int) -> BatchDecoder:
+    # The cheapest exact search for the rows the certificate leaves open:
+    # rounding for a diagonal generator, else the point table up to
+    # _TABLE_POINTS points, else the sphere search.  Every exact search
+    # gives the same verdicts, so the choice changes only the speed.
+    decoder = BatchDecoder(generator, big_k, Decoder.SPHERE_DECODER)
+    if decoder.rounds or big_k ** generator.shape[0] > _TABLE_POINTS:
+        return decoder
+    return BatchDecoder(generator, big_k, Decoder.BRUTE_FORCE)
+
+
 def _shard_buffers(entries: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # The draws of one shard of up to `entries` noise entries: its symbol
     # uniforms, noise radii and noise angles.  A simulation owns one set per
@@ -408,33 +423,26 @@ def _shard_errors(
 ) -> int:
     # Symbol errors among the m trials drawn from rng: symbol uniforms, then
     # the noise radii, into `buffers` (_shard_buffers); the radii settle
-    # most rows as correct (_open_rows).  The open rows are then taken
-    # _ROW_BLOCK at a time: the angles are drawn on up to the highest pair
-    # the block uses, and the block gets its noise, symbols, received
-    # points and verdicts.  So no per-row array outlives its block.
+    # most rows as correct (_open_rows).  If any row is open, all the angles
+    # are drawn, and the open rows are taken _ROW_BLOCK at a time: each
+    # block gets its noise, symbols, received points and verdicts, so no
+    # per-row array outlives its block.
     n = generator.shape[0]
     count = m * n
     uniforms = rng.random(out=buffers[0][:count]).reshape(m, n)
     radius = normal_radii(rng, count, out=buffers[1])
-    angle = buffers[2]
     rows = _open_rows(radius, m, n, limit)
+    if rows.size == 0:
+        return 0
+    angle = normal_angles(rng, radius.size, out=buffers[2])
     columns = np.arange(n)
-    drawn = 0
     errors = 0
     for start in range(0, rows.size, _ROW_BLOCK):
         block = rows[start : start + _ROW_BLOCK]
         entries = (block[:, None] * n + columns).reshape(-1)
-        needed = angles_needed(entries, radius.size)
-        if needed > drawn:
-            normal_angles(rng, needed - drawn, out=angle[drawn:])
-            drawn = needed
         e = normals_from_angles(radius, angle, count, entries).reshape(block.size, n)
         e *= sigma
         u = uniforms_to_symbols(uniforms[block], big_k)
-        if cert is None:
-            y = _received(generator, u, e, m)
-            errors += int(np.count_nonzero(np.any(decoder.decode(y) != u, axis=1)))
-            continue
         wrong, undecided = _certify(cert, u, e)
         if undecided.size:
             y = _received(generator, u[undecided], e[undecided], m)
@@ -506,8 +514,8 @@ def simulate_sep(plan: SimPlan, threads: int = 1) -> list[SepEstimate]:
 
     Per grid point: draw symbols uniformly over ``{0..K-1}**N``, transmit
     ``x = M u``, receive ``y = x + w`` with ``w ~ N(0, I/rho)``, decode
-    with the plan's box-constrained closest-point search, and count rows
-    where the decoded coordinates differ from the transmitted ones.
+    with a box-constrained closest-point search, and count rows where the
+    decoded coordinates differ from the transmitted ones.
     Stops at the first shard boundary where ``target_errors`` errors have
     accumulated, or at ``max_trials``.
 
@@ -520,28 +528,31 @@ def simulate_sep(plan: SimPlan, threads: int = 1) -> list[SepEstimate]:
     box.  These are the decoders' own tie rule (squared distances within
     1e-12 tie, and ties go to the lexicographically smallest point), so
     every verdict is the one a full decode would give; all other rows,
-    exact ties included, are decoded.  The plan's ``decoder`` only chooses
-    how those rows are decoded.  A diagonal generator under
-    ``SPHERE_DECODER`` is decoded by rounding, which is cheaper than the
-    certificate, so the rows that reach it are decoded.  Every other
-    generator needs a condition number of at most 1e8 (``ValueError``
-    above it).
+    exact ties included, are decoded.  Every exact search gives the same
+    counts, so the search is chosen from the constellation for speed
+    alone: a diagonal generator is rounded per coordinate, which is
+    cheaper than the certificate, so every row that reaches it is
+    decoded; otherwise the rows are decoded from the table of all
+    ``K**N`` points when ``K**N <= 4096``, and by the sphere search
+    above that.  Every non-diagonal generator needs a condition number
+    of at most 1e8 (``ValueError`` above it).
 
     Before any of that, a radial screen settles most rows at high SNR
     from the Box-Muller radii alone.  Each noise entry is ``sigma r cos``
     or ``sigma r sin`` of its pair's radius ``r``, so ``|e_t| <= sigma
-    r``.  A row is correct, and its angles are never computed, when
-    ``sigma r < d_i / 2`` for every coordinate (rounding, with the tie
-    window taken off) or when ``sigma**2`` times the sum of its ``r**2``
-    is below ``d_min**2 / 4 - 1e-12`` (every other decoder), each with a
-    relative margin of at least 1e-9 against rounding.  Only the open
-    rows get their angles, symbols, received points and verdicts, 4096
-    rows at a time; the angular uniforms are drawn only up to the highest
-    pair an open row uses.  A shard's uniforms, radii and angles are drawn
-    into buffers that the call allocates once per shard it runs at a time,
-    so its memory does not depend on how the threads interleave.
-    Open rows carry the very values the whole shard would, so every
-    ``(trials, errors)`` is the one that deciding every row gives.
+    r``.  A row is correct, and its noise is never formed, when ``sigma r
+    < d_i / 2`` for every coordinate (rounding, with the tie window taken
+    off) or when ``sigma**2`` times the sum of its ``r**2`` is below
+    ``d_min**2 / 4 - 1e-12`` (every other decoder), each with a relative
+    margin of at least 1e-9 against rounding.  A shard with an open row
+    draws all its angles in one piece, one with none draws no angles;
+    only the open rows get their noise, symbols, received points and
+    verdicts, 4096 rows at a time.  A shard's uniforms, radii and angles
+    are drawn into buffers that the call allocates once per shard it
+    runs at a time, so its memory does not depend on how the threads
+    interleave.  Open rows carry the very values the whole shard would,
+    so every ``(trials, errors)`` is the one that deciding every row
+    gives.
 
     Shard ``s`` of grid point ``i`` draws all its symbol uniforms, then
     all its noise radii, then its noise angles, from ``stream(seed, i,
@@ -560,7 +571,7 @@ def simulate_sep(plan: SimPlan, threads: int = 1) -> list[SepEstimate]:
     if threads < 1:
         raise ValueError(f"threads must be a positive integer, got {threads}")
     generator = plan.constellation.lattice.generator
-    decoder = BatchDecoder(generator, plan.constellation.K, plan.decoder)
+    decoder = _decoder(generator, plan.constellation.K)
     cert = None if decoder.rounds else _certificate(generator, plan.constellation.K)
     estimates = []
     entries = min(SHARD_SIZE, plan.max_trials) * plan.constellation.dimension

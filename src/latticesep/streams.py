@@ -25,11 +25,9 @@ angles, and :func:`normals_from_angles` returns ``r cos`` / ``r sin`` --
 of the whole block, or of chosen entries only.  Every entry of the block
 is at most its pair's radius in magnitude, so a caller can settle a trial
 from the radii alone and transform only the trials that remain.  The
-angular uniforms are the last draw of a block, so drawing only the prefix
-the chosen entries need (:func:`angles_needed`), in one piece or several,
-yields the same values.  The radii and angles can be written into
-caller-owned buffers.  :func:`uniforms_to_symbols` is the symbol map of
-:func:`uniform_symbols` on uniforms already drawn.
+radii and angles can be written into caller-owned buffers.
+:func:`uniforms_to_symbols` is the symbol map of :func:`uniform_symbols`
+on uniforms already drawn.
 
 Work is split into shards of :data:`SHARD_SIZE` trials.  Each shard owns a
 private stream, so shards can be evaluated in any order -- or in parallel
@@ -42,7 +40,6 @@ import numpy as np
 
 __all__ = [
     "SHARD_SIZE",
-    "angles_needed",
     "derive_seed",
     "normal_angles",
     "normal_radii",
@@ -124,24 +121,11 @@ def normal_radii(rng: np.random.Generator, count: int, out: np.ndarray | None = 
 def normal_angles(rng: np.random.Generator, pairs: int, out: np.ndarray | None = None) -> np.ndarray:
     """Step 2 of :func:`standard_normals`: the next ``pairs`` angles ``2 pi u2``.
 
-    Written to the leading entries of ``out`` if it is given.  Drawing the
-    angles of a block in consecutive pieces gives the values one draw does.
+    Written to the leading entries of ``out`` if it is given.
     """
     angle = rng.random(pairs) if out is None else rng.random(out=out[:pairs])
     angle *= 2.0 * np.pi
     return angle
-
-
-def angles_needed(entries: np.ndarray, pairs: int) -> int:
-    """Number of leading angles that the ascending block ``entries`` use.
-
-    Entry ``t`` of a block of ``pairs`` pairs uses pair ``t`` (cosine) for
-    ``t < pairs`` and pair ``t - pairs`` (sine) otherwise.
-    """
-    split = int(np.searchsorted(entries, pairs))
-    cosine = int(entries[split - 1]) if split else -1
-    sine = int(entries[-1]) - pairs if split < entries.size else -1
-    return 1 + max(cosine, sine)
 
 
 def normals_from_angles(
@@ -153,10 +137,9 @@ def normals_from_angles(
     ``radius[t] cos(angle[t])`` for ``t < pairs`` and
     ``radius[t - pairs] sin(angle[t - pairs])`` otherwise, so its magnitude
     is at most its pair's radius.  Without ``entries`` the call returns the
-    whole block of ``count`` normals and needs every angle; with
-    ``entries`` (ascending indices into the block) it returns those
-    entries alone, bit for bit as the whole block holds them, and reads
-    only the first ``angles_needed(entries, pairs)`` angles.
+    whole block of ``count`` normals; with ``entries`` (ascending indices
+    into the block) it returns those entries alone, bit for bit as the
+    whole block holds them.
     """
     pairs = radius.size
     if entries is None:

@@ -114,6 +114,17 @@ class TestFacetWeights:
                     exact = Fraction(math.comb(n, k) * (big_k - 1) ** k, big_k**n)
                     assert w[k] == pytest.approx(float(exact), rel=1e-13)
 
+    def test_correctly_rounded(self):
+        # Each weight is its exact fraction rounded once, also for K that
+        # is not a power of two.
+        for n in range(1, 17):
+            for big_k in (3, 5, 6):
+                expected = [
+                    float(Fraction(math.comb(n, k) * (big_k - 1) ** k, big_k**n))
+                    for k in range(n + 1)
+                ]
+                assert facet_weights(n, big_k).tolist() == expected, (n, big_k)
+
     @given(n=st.integers(1, 16), big_k=st.integers(2, 10**6))
     @settings(max_examples=200, deadline=None)
     def test_weights_property(self, n, big_k):

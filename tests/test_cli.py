@@ -3,6 +3,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +82,14 @@ class TestConfigParsing:
     def test_bad_decoder(self):
         with pytest.raises(ConfigError, match="unknown decoder"):
             parse_config_data(make_config_data(decoder="viterbi"))
+        with pytest.raises(ConfigError, match="unknown decoder"):
+            parse_config_data(make_config_data(decoder=["brute_force"]))
+
+    def test_decoder_is_accepted_and_ignored(self):
+        # The simulator picks its own search; a valid key changes nothing.
+        plain = parse_config_data(make_config_data())
+        for name in ("brute_force", "sphere_decoder"):
+            assert parse_config_data(make_config_data(decoder=name)) == plain
 
     def test_boolean_is_not_an_integer(self):
         with pytest.raises(ConfigError, match="must be an integer"):
@@ -221,6 +233,46 @@ class TestRunCommand:
         out_dir = tmp_path / "results"
         assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 0
         assert (out_dir / "stretched-4pam-mslb.csv").exists()
+
+    def test_csvs_are_utf8_with_lf_under_the_c_locale(self, tmp_path):
+        # A lattice named with a non-ASCII letter, in an interpreter whose
+        # locale encoding is ASCII: every CSV is still written as UTF-8
+        # with \n newlines.  (stdout is UTF-8 here, since the run prints
+        # the name too.)
+        lattice_path = tmp_path / "lambda.json"
+        lattice_path.write_text(
+            json.dumps({"name": "Λ2", "dimension": 2, "generator": [[2.0, 0.0], [0.0, 0.5]]})
+        )
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(
+            json.dumps(
+                make_config_data(
+                    lattice=str(lattice_path), curves=["SEP_SIM", "MSLB", "SLB"], max_trials=10000
+                )
+            )
+        )
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        env["PYTHONIOENCODING"] = "utf-8"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        out_dir = tmp_path / "results"
+        command = ["run", "--config", str(config_path), "--out", str(out_dir)]
+        result = subprocess.run(
+            [sys.executable, "-m", "latticesep.cli", *command],
+            env=env,
+            capture_output=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr.decode("utf-8", "replace")
+        written = {p.name: p.read_bytes() for p in out_dir.glob("*.csv")}
+        assert sorted(written) == [
+            f"_2-4pam-{kind}.csv" for kind in ("curves", "mslb", "sep_sim", "slb")
+        ]
+        for name, data in written.items():
+            assert b"\r" not in data, name
+            data.decode("utf-8")
+        for kind in ("mslb", "sep_sim"):
+            assert ",Λ2,4" in written[f"_2-4pam-{kind}.csv"].decode("utf-8")
 
     def test_unresolvable_lattice_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "experiment.json"

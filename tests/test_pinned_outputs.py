@@ -14,6 +14,7 @@ import pytest
 
 from latticesep.bounds import SnrGrid, curve_csv_rows, mslb, msub, slb, sub
 from latticesep.constellation import FiniteConstellation
+from latticesep import sep as sep_module
 from latticesep.cvp import Decoder
 from latticesep.lattices import catalog_lattice
 from latticesep.sep import JSource, SimPlan, exact_sep_theorem1, sep_csv_rows, simulate_sep
@@ -32,8 +33,8 @@ BOUND_DIGESTS = {
         "sub": "0b5a4203aaf3fd0fc6e4225972c896756cbd2cec735020f97d16c831bd68582f",
     },
     ("Z2", 5): {
-        "mslb": "9adcf18b36686e5f1ab9c4333f694724f6084b56b83a434b13622140cdcb4d42",
-        "msub": "4d6c188d32c23fc5691f6abe466feb986341ebe758da32bf4b1b73677e534745",
+        "mslb": "19e6987f38cb10a4da1845862800b8646b5aed0a9133d797b86464b8994b923e",
+        "msub": "1daed4fd8f9f6591f4023d0218f394c69dd0b9906ae0422483cc91f740fd2100",
         "slb": "a16de18df9936253e1aa9c0119efa8735eb7e759164e1abfa321458989bd905b",
         "sub": "e8660b7242aac98648afdab478564a9d9e7fc4d03860d16d7559d24770b1a50f",
     },
@@ -111,28 +112,38 @@ def test_exact_monte_carlo_csv_bytes_beyond_a2(name, big_k, seed, grid, digest):
             "9c539e65ec19eaceae915497ac8f1b69b0296fede2bdcc0ce5deba3256b0d3ea",
         ),
         (
-            "E4", 2, Decoder.SPHERE_DECODER, 12, [6.0, 12.0], 30000, 400,
+            "E4", 2, Decoder.BRUTE_FORCE, 12, [6.0, 12.0], 30000, 400,
             "95b5195e40507759c1e0ee1d527c73be983741df1ba8c38b94cda52dfed0c0fa",
         ),
         (
             "Z3", 4, Decoder.SPHERE_DECODER, 13, [10.0, 14.0, 17.0], 500000, 5000,
             "95d1af5c49e7e14ba3fb9d2426d6c598e67363e1518a7c1502ce3b303e647af7",
         ),
+        (
+            "A2", 128, Decoder.SPHERE_DECODER, 14, [8.0, 14.0, 18.0], 200000, 2000,
+            "cf2418bd4c25e0bb6bd8a44d4e55cb9cc20abd187b43fcf6b50a9fe6e01b87b9",
+        ),
     ],
 )
 def test_simulation_csv_bytes(
     name, big_k, decoder, seed, snr_db, max_trials, target_errors, digest, threads
 ):
-    # Brute force, the sphere search and the diagonal rounding path (Z3),
-    # with budgets that stop some points mid-wave at 3 threads, some after
-    # several shards and some at the trial cap.
+    # Every search the simulator picks: the point table (A2 K = 4, E4
+    # K = 2), diagonal rounding (Z3) and the sphere search (A2 K = 128,
+    # 16384 points), with budgets that stop some points mid-wave at 3
+    # threads, some after several shards and some at the trial cap.  The
+    # E4 and A2 K = 128 digests were recorded with the sphere search, so
+    # they also pin that the choice of search changes no byte.
+    generator = catalog_lattice(name).generator
+    chosen = sep_module._decoder(generator, big_k)
+    assert chosen.method is decoder
+    assert chosen.rounds is (name == "Z3")
     plan = SimPlan(
         constellation=FiniteConstellation(catalog_lattice(name), big_k),
         grid=SnrGrid.from_db_values(snr_db),
         seed=seed,
         max_trials=max_trials,
         target_errors=target_errors,
-        decoder=decoder,
     )
     estimates = simulate_sep(plan, threads=threads)
     assert _digest(sep_csv_rows(estimates, name, big_k, seed)) == digest

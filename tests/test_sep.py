@@ -264,7 +264,6 @@ class TestSimPlan:
         )
         assert plan.max_trials == 10**7
         assert plan.target_errors == 100
-        assert plan.decoder is Decoder.BRUTE_FORCE
 
     def test_validation(self):
         z2 = catalog_lattice("Z2")
@@ -278,11 +277,42 @@ class TestSimPlan:
             SimPlan(constellation=c, grid=grid, seed=-1)
         with pytest.raises(ValueError):
             SimPlan(constellation=c, grid=grid, seed=1 << 64)
-        with pytest.raises(ValueError):
-            SimPlan(constellation=c, grid=grid, seed=0, decoder="sphere")
         z9 = catalog_lattice("Z9")
         with pytest.raises(ValueError):
             SimPlan(constellation=FiniteConstellation(lattice=z9, K=2), grid=grid, seed=0)
+
+    @pytest.mark.parametrize("value", [20000.0, True, "20000"])
+    def test_budgets_must_be_integers(self, value):
+        c = FiniteConstellation(lattice=catalog_lattice("A2"), K=4)
+        grid = SnrGrid.from_db_values([10.0])
+        for field in ("max_trials", "target_errors"):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                SimPlan(constellation=c, grid=grid, seed=0, **{field: value})
+        with pytest.raises(ValueError, match="trials_per_j must be an integer"):
+            exact_sep_theorem1(c, grid, JSource.MC_VORONOI, trials_per_j=value)
+
+
+class TestDecoderChoice:
+    @pytest.mark.parametrize(
+        "name,big_k,method,rounds",
+        [
+            ("Z2", 2, Decoder.SPHERE_DECODER, True),
+            ("Z8", 4, Decoder.SPHERE_DECODER, True),
+            ("A2", 4, Decoder.BRUTE_FORCE, False),
+            ("A2", 64, Decoder.BRUTE_FORCE, False),  # 4096 points
+            ("A2", 65, Decoder.SPHERE_DECODER, False),  # 4225 points
+            ("E4", 8, Decoder.BRUTE_FORCE, False),  # 4096 points
+            ("E4", 9, Decoder.SPHERE_DECODER, False),  # 6561 points
+            ("E8", 2, Decoder.BRUTE_FORCE, False),
+            ("E8", 4, Decoder.SPHERE_DECODER, False),
+        ],
+    )
+    def test_search_follows_the_constellation(self, name, big_k, method, rounds):
+        # Rounding for a diagonal generator, else the point table up to
+        # 2**12 points, else the sphere search.
+        decoder = sep_module._decoder(catalog_lattice(name).generator, big_k)
+        assert decoder.method is method
+        assert decoder.rounds is rounds
 
 
 class TestSimulateSep:
@@ -336,24 +366,32 @@ class TestSimulateSep:
         assert est.ci_half_width == 0.0
         assert not est.reliable
 
-    def test_sphere_and_brute_force_agree_trial_by_trial(self):
+    def test_sphere_and_brute_force_agree_trial_by_trial(self, monkeypatch):
+        # A2 K = 4 decodes from its 16-point table; with no table allowed
+        # the same run takes the sphere search and counts the same errors.
         a2 = catalog_lattice("A2")
         c = FiniteConstellation(lattice=a2, K=4)
         grid = SnrGrid.from_db_values([8.0])
-        kwargs = dict(constellation=c, grid=grid, seed=5, max_trials=10**4, target_errors=10**9)
-        sphere = simulate_sep(SimPlan(decoder=Decoder.SPHERE_DECODER, **kwargs))[0]
-        brute = simulate_sep(SimPlan(decoder=Decoder.BRUTE_FORCE, **kwargs))[0]
+        plan = SimPlan(constellation=c, grid=grid, seed=5, max_trials=10**4, target_errors=10**9)
+        brute = simulate_sep(plan)[0]
+        monkeypatch.setattr(sep_module, "_TABLE_POINTS", 0)
+        assert sep_module._decoder(a2.generator, 4).method is Decoder.SPHERE_DECODER
+        sphere = simulate_sep(plan)[0]
         assert sphere.errors_observed == brute.errors_observed
         assert sphere.trials == brute.trials
 
     def test_diagonal_fast_path_agrees_with_brute_force(self):
+        # Z2 is rounded; a brute-force decode of every trial of the same
+        # shard counts the same errors.
         z2 = catalog_lattice("Z2")
         c = FiniteConstellation(lattice=z2, K=4)
         grid = SnrGrid.from_db_values([8.0])
-        kwargs = dict(constellation=c, grid=grid, seed=5, max_trials=10**4, target_errors=10**9)
-        sphere = simulate_sep(SimPlan(decoder=Decoder.SPHERE_DECODER, **kwargs))[0]
-        brute = simulate_sep(SimPlan(decoder=Decoder.BRUTE_FORCE, **kwargs))[0]
-        assert sphere.errors_observed == brute.errors_observed
+        plan = SimPlan(constellation=c, grid=grid, seed=5, max_trials=10**4, target_errors=10**9)
+        rounded = simulate_sep(plan)[0]
+        brute = BatchDecoder(z2.generator, 4, Decoder.BRUTE_FORCE)
+        sigma = 1.0 / math.sqrt(rounded.rho)
+        full = _full_path_errors(z2.generator, 4, brute, None, sigma, stream(5, 0, 0), 10**4)
+        assert rounded.errors_observed == np.count_nonzero(full)
 
     def test_reliability_threshold_is_twenty_errors(self):
         z2 = catalog_lattice("Z2")
@@ -514,6 +552,12 @@ class TestCertificate:
         assert wrong.tolist() == [False, True, False]
         assert rows.tolist() == [0]
 
+    def test_no_certificate_leaves_every_row_undecided(self):
+        e = np.array([[-0.7], [0.7], [0.2]])
+        wrong, rows = sep_module._certify(None, np.zeros((3, 1), dtype=np.int64), e)
+        assert wrong.tolist() == [False, False, False]
+        assert rows.tolist() == [0, 1, 2]
+
     def test_in_box_table_is_bounded_for_large_k(self):
         # Rows x_u + 0.6 v_j at the box corners and inside: v_j's point is
         # closer than x_u, and in the box or not depending on the corner.
@@ -567,7 +611,6 @@ class TestDecodedRows:
             seed=1,
             max_trials=SHARD_SIZE,
             target_errors=10**9,
-            decoder=Decoder.SPHERE_DECODER,
         )
         est = simulate_sep(plan)[0]
         assert est.trials == SHARD_SIZE
@@ -581,8 +624,6 @@ def _full_path_errors(generator, big_k, decoder, cert, sigma, rng, m):
     u = uniform_symbols(rng, m * n, big_k).reshape(m, n)
     e = standard_normals(rng, m * n).reshape(m, n) * sigma
     y = u @ generator.T + e
-    if cert is None:
-        return np.any(decoder.decode(y) != u, axis=1)
     wrong, rows = sep_module._certify(cert, u, e)
     wrong[rows] = np.any(decoder.decode(y[rows]) != u[rows], axis=1)
     return wrong
@@ -649,7 +690,7 @@ class TestRadialScreen:
     )
     def test_small_row_blocks_count_the_full_path_errors(self, monkeypatch, name, big_k, method):
         # Blocks of 7 rows: shards of 600 and 601 rows end in short and
-        # lone-row blocks, and the angles are drawn on block by block.
+        # lone-row blocks.
         monkeypatch.setattr(sep_module, "_ROW_BLOCK", 7)
         _assert_screen_is_sound(catalog_lattice(name).generator, big_k, method, range(6))
 
@@ -672,7 +713,6 @@ class TestRadialScreen:
             seed=5,
             max_trials=4 * SHARD_SIZE,
             target_errors=10**9,
-            decoder=Decoder.BRUTE_FORCE,
         )
         one = [(e.trials, e.errors_observed) for e in simulate_sep(plan, threads=1)]
         two = [(e.trials, e.errors_observed) for e in simulate_sep(plan, threads=2)]

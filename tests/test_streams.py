@@ -7,7 +7,6 @@ import pytest
 
 from latticesep.streams import (
     SHARD_SIZE,
-    angles_needed,
     derive_seed,
     normal_angles,
     normal_radii,
@@ -109,10 +108,9 @@ class TestStandardNormals:
 
 
 def _open_normals(rng, count, entries):
-    # The chosen entries of a block of count normals, drawing its angles
-    # only as far as they need.
+    # The chosen entries of a block of count normals.
     radius = normal_radii(rng, count)
-    angle = normal_angles(rng, angles_needed(entries, radius.size))
+    angle = normal_angles(rng, radius.size)
     return normals_from_angles(radius, angle, count, entries)
 
 
@@ -137,15 +135,6 @@ class TestNormalsFromRadii:
             rng = stream(6, m, n)
             assert np.array_equal(_open_normals(rng, count, entries), whole[entries])
 
-    def test_open_rows_draw_the_angles_they_need_and_no_more(self):
-        # 10 pairs; entries 3 and 12 use pairs 3 (cosine) and 2 (sine), so
-        # four angular uniforms are drawn and the stream goes on from there.
-        rng = stream(3)
-        _open_normals(rng, 20, np.array([3, 12]))
-        replay = stream(3)
-        replay.random(10 + 4)
-        assert rng.random() == replay.random()
-
     def test_whole_block_equals_standard_normals(self):
         for count in (1, 2, 5, 8, 101):
             rng = stream(4, count)
@@ -153,36 +142,23 @@ class TestNormalsFromRadii:
             block = normals_from_angles(radius, normal_angles(rng, radius.size), count)
             assert np.array_equal(block, standard_normals(stream(4, count), count))
 
-    def test_angles_needed(self):
-        # 10 pairs: entry t < 10 uses pair t, entry t >= 10 pair t - 10.
-        assert angles_needed(np.array([], dtype=np.int64), 10) == 0
-        assert angles_needed(np.array([3, 12]), 10) == 4
-        assert angles_needed(np.array([13]), 10) == 4
-        assert angles_needed(np.array([9, 10]), 10) == 10
-        assert angles_needed(np.array([0, 19]), 10) == 10
-
     @pytest.mark.parametrize("m,n", [(1, 1), (7, 3), (9, 8), (3391, 3)])
     def test_row_blocks_into_buffers_match_the_whole_block(self, m, n):
-        # Radii and angles written into larger buffers, the angles drawn in
-        # pieces as row blocks in ascending order need them: every block's
-        # entries are the whole block's.
+        # Radii and angles written into larger buffers, then row blocks in
+        # ascending order: every block's entries are the whole block's, and
+        # the draws take exactly the block's uniforms from the stream.
         count = m * n
         whole = standard_normals(stream(8, m, n), count)
         rng = stream(8, m, n)
         radius = normal_radii(rng, count, out=np.full(count + 7, np.nan))
         assert radius.size == (count + 1) // 2
-        angle = np.full(radius.size + 3, np.nan)
-        drawn = 0
+        angle = normal_angles(rng, radius.size, out=np.full(radius.size + 3, np.nan))
         rows = np.sort(np.random.default_rng(count).choice(m, (m + 1) // 2, replace=False))
         for block in np.array_split(rows, 5):
             entries = (block[:, None] * n + np.arange(n)).reshape(-1)
-            needed = angles_needed(entries, radius.size)
-            if needed > drawn:
-                normal_angles(rng, needed - drawn, out=angle[drawn:])
-                drawn = needed
             assert np.array_equal(normals_from_angles(radius, angle, count, entries), whole[entries])
         replay = stream(8, m, n)
-        replay.random(radius.size + drawn)
+        replay.random(2 * radius.size)
         assert rng.random() == replay.random()
 
 
