@@ -8,8 +8,9 @@ lattices.
 """
 
 from .bounds import (
-    BoundCurve,
-    CurveKind,
+    Curve,
+    SepEstimate,
+    SepMethod,
     SnrGrid,
     curve_csv_rows,
     format_sig,
@@ -44,8 +45,6 @@ from .lattices import (
 )
 from .sep import (
     JSource,
-    SepEstimate,
-    SepMethod,
     SimPlan,
     exact_sep_theorem1,
     sep_csv_rows,
@@ -60,10 +59,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BatchDecoder",
-    "BoundCurve",
     "BudgetError",
     "ConvergenceError",
-    "CurveKind",
+    "Curve",
     "CurveSeries",
     "Decoder",
     "DminMethod",

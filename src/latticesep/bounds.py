@@ -1,4 +1,5 @@
-"""Sphere bounds on the symbol-error probability over an SNR grid.
+"""Sphere bounds on the symbol-error probability over an SNR grid, and
+the curve type every SEP function returns.
 
 All bounds are chi-square tail expressions: a k-dimensional Gaussian with
 per-coordinate variance ``1/rho`` leaves a sphere of squared radius ``R2``
@@ -6,6 +7,10 @@ with probability ``Q(k/2, R2 * rho / 2)``.  The single-sphere bounds apply
 one full-dimensional sphere to every point; the multiple-sphere bounds
 weight one sphere per facet dimension k by the exact fraction of
 constellation points on k-facets, ``C(N,k) (K-1)^k / K^N``.
+
+A :class:`Curve` holds one :class:`SepEstimate` per grid point, whatever
+produced it: the four bounds here, and the facet decomposition and the
+simulator of :mod:`latticesep.sep`.  A point's ``method`` says which.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ import numpy as np
 from .constellation import FiniteConstellation, facet_sum
 from .lattices import Lattice
 from .special import clamp_probability, regularized_gamma_upper
+
+_CI_FACTOR = 1.96  # two-sided 95% normal quantile
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,26 +75,72 @@ class SnrGrid:
         return cls.from_db(0.0, 30.0, 0.25)
 
 
-class CurveKind(enum.Enum):
+class SepMethod(enum.Enum):
+    """How the points of a curve were obtained.
+
+    ``THEOREM1``: the facet decomposition with Monte Carlo cell masses.
+    ``CLOSED_FORM_ZN``: the same decomposition in closed form (cubic
+    lattices).  ``DIRECT_MC``: maximum-likelihood simulation.  ``SLB``,
+    ``SUB``, ``MSLB`` and ``MSUB``: the single- and multiple-sphere lower
+    and upper bounds.  The value is the ``method`` or ``kind`` column of
+    the CSV formats.
+    """
+
+    THEOREM1 = "theorem1"
+    DIRECT_MC = "direct_mc"
+    CLOSED_FORM_ZN = "closed_form_zn"
     SLB = "slb"
     SUB = "sub"
     MSLB = "mslb"
     MSUB = "msub"
 
 
-@dataclass(frozen=True, eq=False)
-class BoundCurve:
-    """A bound evaluated on a grid, with the labels the CSV format carries."""
+@dataclass(frozen=True)
+class SepEstimate:
+    """Symbol-error probability at one SNR point.
 
-    kind: CurveKind
-    lattice: str
-    K: int | None
-    snr_db: np.ndarray
-    values: np.ndarray
+    ``ci_half_width`` is the 95% normal-approximation half width (0 for
+    the bounds and the closed form); for ``DIRECT_MC`` it is meaningful
+    only when ``reliable`` is true, i.e. at least 20 errors were observed.
+    """
 
-    def __post_init__(self):
-        self.snr_db.setflags(write=False)
-        self.values.setflags(write=False)
+    snr_db: float
+    rho: float
+    mean: float
+    ci_half_width: float
+    trials: int
+    errors_observed: int
+    method: SepMethod
+    reliable: bool
+
+
+class Curve(tuple):
+    """The :class:`SepEstimate` of each grid point, in grid order."""
+
+    __slots__ = ()
+
+    @property
+    def values(self) -> np.ndarray:
+        """The points' means, as an array."""
+        return np.array([est.mean for est in self])
+
+
+def _curve(grid: SnrGrid, pairs, method: SepMethod, trials: int = 0) -> Curve:
+    # A computed curve from one (probability, standard error) pair per grid
+    # point: each probability is clamped, and no errors are counted.
+    return Curve(
+        SepEstimate(
+            snr_db=float(db),
+            rho=float(rho),
+            mean=clamp_probability(p),
+            ci_half_width=_CI_FACTOR * std_err,
+            trials=trials,
+            errors_observed=0,
+            method=method,
+            reliable=True,
+        )
+        for db, rho, (p, std_err) in zip(grid.db, grid.rho, pairs)
+    )
 
 
 def _chi_square_tail(k: int, radius_sq: float, rho: float) -> float:
@@ -120,7 +173,7 @@ def inscribed_radius_sq(min_dist: float) -> float:
     return min_dist * min_dist / 4.0
 
 
-def slb(lattice: Lattice, grid: SnrGrid) -> BoundCurve:
+def slb(lattice: Lattice, grid: SnrGrid) -> Curve:
     """Single-sphere lower bound: every point's cell replaced by the
     volume-matched N-sphere, ``Q(N/2, R_N**2 rho / 2)``.
 
@@ -130,23 +183,19 @@ def slb(lattice: Lattice, grid: SnrGrid) -> BoundCurve:
     """
     n = lattice.dimension
     r_sq = volume_matched_radius_sq(n, n, lattice.mean_norm)
-    values = np.array([clamp_probability(_chi_square_tail(n, r_sq, r)) for r in grid.rho])
-    return BoundCurve(kind=CurveKind.SLB, lattice=lattice.name, K=None,
-                      snr_db=grid.db.copy(), values=values)
+    return _curve(grid, [(_chi_square_tail(n, r_sq, r), 0.0) for r in grid.rho], SepMethod.SLB)
 
 
-def sub(lattice: Lattice, grid: SnrGrid) -> BoundCurve:
+def sub(lattice: Lattice, grid: SnrGrid) -> Curve:
     """Single-sphere upper bound from the inscribed (packing) sphere:
     ``Q(N/2, d_min**2 rho / 8)``."""
     n = lattice.dimension
     r_sq = inscribed_radius_sq(lattice.d_min)
-    values = np.array([clamp_probability(_chi_square_tail(n, r_sq, r)) for r in grid.rho])
-    return BoundCurve(kind=CurveKind.SUB, lattice=lattice.name, K=None,
-                      snr_db=grid.db.copy(), values=values)
+    return _curve(grid, [(_chi_square_tail(n, r_sq, r), 0.0) for r in grid.rho], SepMethod.SUB)
 
 
 def _multi_sphere(constellation: FiniteConstellation, grid: SnrGrid, radii: list,
-                  curve_kind: CurveKind) -> BoundCurve:
+                  method: SepMethod) -> Curve:
     # radii[k - 1] is the squared sphere radius for facet dimension k; one
     # sphere stands in for all C(N, k) rank-k cells.
     n = constellation.dimension
@@ -154,12 +203,10 @@ def _multi_sphere(constellation: FiniteConstellation, grid: SnrGrid, radii: list
     for k in range(1, n + 1):
         masses = [(1.0 - _chi_square_tail(k, radii[k - 1], rho), 0.0) for rho in grid.rho]
         groups.append((k, math.comb(n, k), masses))
-    values = np.array([clamp_probability(p) for p, _ in facet_sum(constellation, groups)])
-    return BoundCurve(kind=curve_kind, lattice=constellation.lattice.name, K=constellation.K,
-                      snr_db=grid.db.copy(), values=values)
+    return _curve(grid, facet_sum(constellation, groups), method)
 
 
-def mslb(constellation: FiniteConstellation, grid: SnrGrid) -> BoundCurve:
+def mslb(constellation: FiniteConstellation, grid: SnrGrid) -> Curve:
     """Multiple-sphere lower bound.
 
     Each k-facet point keeps a k-dimensional decision cell, replaced by the
@@ -173,16 +220,16 @@ def mslb(constellation: FiniteConstellation, grid: SnrGrid) -> BoundCurve:
     lat = constellation.lattice
     n = lat.dimension
     radii = [volume_matched_radius_sq(k, n, lat.mean_norm) for k in range(1, n + 1)]
-    return _multi_sphere(constellation, grid, radii, CurveKind.MSLB)
+    return _multi_sphere(constellation, grid, radii, SepMethod.MSLB)
 
 
-def msub(constellation: FiniteConstellation, grid: SnrGrid) -> BoundCurve:
+def msub(constellation: FiniteConstellation, grid: SnrGrid) -> Curve:
     """Multiple-sphere upper bound: same decomposition with every sphere
     shrunk to the inscribed one, ``Q(k/2, d_min**2 rho / 8)`` per facet
     dimension."""
     lat = constellation.lattice
     radii = [inscribed_radius_sq(lat.d_min)] * lat.dimension
-    return _multi_sphere(constellation, grid, radii, CurveKind.MSUB)
+    return _multi_sphere(constellation, grid, radii, SepMethod.MSUB)
 
 
 def format_sig(x: float) -> str:
@@ -190,19 +237,23 @@ def format_sig(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def curve_csv_rows(curve: BoundCurve) -> list[str]:
+def curve_csv_rows(curve: Curve, lattice_name: str, big_k: int) -> list[str]:
     """CSV lines for a bound curve: header ``snr_db,value,kind,lattice,K``.
 
-    ``K`` stays empty for the single-sphere bounds, which do not depend on it.
+    ``kind`` is the points' method.  ``K`` stays empty for the
+    single-sphere bounds, which do not depend on it.
     """
+    kind = curve[0].method
+    k_field = "" if kind in (SepMethod.SLB, SepMethod.SUB) else str(big_k)
     rows = ["snr_db,value,kind,lattice,K"]
-    k_field = "" if curve.K is None else str(curve.K)
-    for db, value in zip(curve.snr_db, curve.values):
+    for est in curve:
         rows.append(
-            f"{format_sig(db)},{format_sig(value)},{curve.kind.value},{curve.lattice},{k_field}"
+            f"{format_sig(est.snr_db)},{format_sig(est.mean)},{kind.value},{lattice_name},{k_field}"
         )
     return rows
 
 
-def write_curve_csv(curve: BoundCurve, path) -> None:
-    Path(path).write_text("\n".join(curve_csv_rows(curve)) + "\n", encoding="utf-8", newline="\n")
+def write_curve_csv(curve: Curve, path, lattice_name: str, big_k: int) -> None:
+    """Write :func:`curve_csv_rows` to ``path`` with a trailing newline."""
+    rows = curve_csv_rows(curve, lattice_name, big_k)
+    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")

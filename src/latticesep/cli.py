@@ -41,20 +41,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import BoundCurve, SnrGrid, format_sig, mslb, msub, slb, sub, write_curve_csv
+from .bounds import (
+    _CI_FACTOR, SepEstimate, SepMethod, SnrGrid, format_sig, mslb, msub, slb, sub, write_curve_csv
+)
 from .constellation import FiniteConstellation, facet_count, points_per_facet
 from .cvp import _MAX_CONDITION, BatchDecoder, Decoder, shortest_vector_norm
 from .exceptions import LatticeSepError
 from .lattices import Lattice, catalog_lattice, catalog_names, is_integer_orthonormal, read_lattice_file
 from .sep import (
-    _CI_FACTOR,
     _MAX_SIM_DIMENSION,
     _MIN_J_TRIALS,
     _MIN_MAX_TRIALS,
     _MIN_TARGET_ERRORS,
     JSource,
-    SepEstimate,
-    SepMethod,
     SimPlan,
     exact_sep_theorem1,
     simulate_sep,
@@ -291,7 +290,7 @@ def _beyond_3_sigma(est: SepEstimate, bound: float, is_lower: bool) -> bool:
 
 
 def _run_curves(config: ExperimentConfig, lattice: Lattice, grid: SnrGrid, threads: int):
-    """Compute every requested curve; returns name -> BoundCurve or estimates."""
+    """Compute every requested curve; returns name -> Curve."""
     constellation = FiniteConstellation(lattice=lattice, K=config.K)
     results: dict[str, object] = {}
     for name in config.curves:
@@ -326,30 +325,24 @@ def _run_curves(config: ExperimentConfig, lattice: Lattice, grid: SnrGrid, threa
     return results
 
 
-def _curve_values(result) -> np.ndarray:
-    if isinstance(result, BoundCurve):
-        return result.values
-    return np.array([est.mean for est in result])
-
-
 def _write_outputs(config, lattice, grid, results, out_dir: Path, plot: bool) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = _stem(lattice.name, config.K)
     written = []
 
-    for name, result in results.items():
+    for name, curve in results.items():
         path = out_dir / f"{stem}-{name.lower()}.csv"
-        if isinstance(result, BoundCurve):
-            write_curve_csv(result, path)
+        if name.startswith("SEP_"):
+            seed = None if curve[0].method is SepMethod.CLOSED_FORM_ZN else config.seed
+            write_sep_csv(path, curve, lattice.name, config.K, seed)
         else:
-            seed = None if result[0].method is SepMethod.CLOSED_FORM_ZN else config.seed
-            write_sep_csv(path, result, lattice.name, config.K, seed)
+            write_curve_csv(curve, path, lattice.name, config.K)
         written.append(path)
 
     merged = out_dir / f"{stem}-curves.csv"
     header = ["snr_db"] + [name.lower() for name in results]
     lines = [",".join(header)]
-    columns = [_curve_values(results[name]) for name in results]
+    columns = [curve.values for curve in results.values()]
     for i, db in enumerate(grid.db):
         lines.append(",".join([format_sig(db)] + [format_sig(col[i]) for col in columns]))
     merged.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
@@ -357,8 +350,8 @@ def _write_outputs(config, lattice, grid, results, out_dir: Path, plot: bool) ->
 
     if plot:
         series = [
-            CurveSeries(label=name, x=grid.db, y=_curve_values(result))
-            for name, result in results.items()
+            CurveSeries(label=name, x=grid.db, y=curve.values)
+            for name, curve in results.items()
         ]
         svg_path = out_dir / f"{stem}.svg"
         write_svg(svg_path, series, title=f"{lattice.name} {config.K}-PAM")
@@ -367,8 +360,8 @@ def _write_outputs(config, lattice, grid, results, out_dir: Path, plot: bool) ->
 
 
 def _print_summary(config, results) -> None:
-    for name, result in results.items():
-        values = _curve_values(result)
+    for name, curve in results.items():
+        values = curve.values
         print(f"  {name}: min={values.min():.6g} max={values.max():.6g}")
     if "SEP_SIM" in results:
         estimates = results["SEP_SIM"]
@@ -378,10 +371,9 @@ def _print_summary(config, results) -> None:
         for bound_name, is_lower in (("MSLB", True), ("MSUB", False)):
             if bound_name not in results:
                 continue
-            bound = results[bound_name].values
             violations = sum(
-                est.reliable and _beyond_3_sigma(est, bound[i], is_lower)
-                for i, est in enumerate(estimates)
+                est.reliable and _beyond_3_sigma(est, bound.mean, is_lower)
+                for est, bound in zip(estimates, results[bound_name])
             )
             print(f"  sandwich {bound_name} vs SEP_SIM: {violations} violation(s) beyond 3 sigma")
 
@@ -577,6 +569,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # A name that stdout cannot encode (a lattice file's, under an ASCII
+    # locale) is printed escaped rather than failing the run.
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

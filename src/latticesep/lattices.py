@@ -247,7 +247,7 @@ def sublattice_generator(lattice: Lattice, subset) -> np.ndarray:
 
 
 def write_lattice_file(lattice: Lattice, path) -> None:
-    """Serialize a lattice to JSON: name, dimension, row-major generator.
+    """Serialize a lattice to UTF-8 JSON: name, dimension, row-major generator.
 
     Floats are written with ``repr`` round-trip precision, so reading the
     file back reproduces the generator bit for bit.
@@ -258,16 +258,16 @@ def write_lattice_file(lattice: Lattice, path) -> None:
         "generator": [[float(v) for v in row] for row in lattice.generator],
         "normalize": False,
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def read_lattice_file(path) -> Lattice:
-    """Read a lattice JSON file written by :func:`write_lattice_file`.
+    """Read a UTF-8 lattice JSON file written by :func:`write_lattice_file`.
 
     The ``normalize`` field applies :func:`load_lattice` semantics: files
     carrying ``normalize: true`` are rescaled to unit volume on load.
     """
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -38,11 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import SnrGrid, format_sig
+from .bounds import _CI_FACTOR, Curve, SepEstimate, SepMethod, SnrGrid, _curve, format_sig
 from .constellation import FiniteConstellation, facet_sum
 from .cvp import TIE_TOL, BatchDecoder, Decoder, voronoi_test_vectors
 from .lattices import is_integer_orthonormal, sublattice_generator
-from .special import clamp_probability, q_function
+from .special import q_function
 from .streams import (
     _MAX_SEED,
     SHARD_SIZE,
@@ -58,8 +58,6 @@ from .streams import (
 
 __all__ = [
     "JSource",
-    "SepEstimate",
-    "SepMethod",
     "SimPlan",
     "exact_sep_theorem1",
     "sep_csv_rows",
@@ -72,7 +70,6 @@ _MIN_MAX_TRIALS = 10**4
 _MIN_TARGET_ERRORS = 50
 _MAX_SIM_DIMENSION = 8
 _RELIABLE_ERRORS = 20
-_CI_FACTOR = 1.96  # two-sided 95% normal quantile
 _GAUGE_BLOCK = 1 << 18  # entries per block of sample-by-test-vector products (2 MB)
 _CERT_BLOCK = 1 << 16  # entries per block of trial-by-test-vector products (512 kB)
 _SCREEN_MARGIN = 1e-9  # relative slack of the radial screen, far above the rounding it absorbs
@@ -85,33 +82,6 @@ class JSource(enum.Enum):
 
     ANALYTIC_ZN = "analytic_zn"
     MC_VORONOI = "mc_voronoi"
-
-
-class SepMethod(enum.Enum):
-    """Provenance of a symbol-error-probability estimate."""
-
-    THEOREM1 = "theorem1"
-    DIRECT_MC = "direct_mc"
-    CLOSED_FORM_ZN = "closed_form_zn"
-
-
-@dataclass(frozen=True)
-class SepEstimate:
-    """Symbol-error probability at one SNR point.
-
-    ``ci_half_width`` is the 95% normal-approximation half width; for
-    ``DIRECT_MC`` it is meaningful only when ``reliable`` is true, i.e.
-    at least 20 errors were observed.
-    """
-
-    snr_db: float
-    rho: float
-    mean: float
-    ci_half_width: float
-    trials: int
-    errors_observed: int
-    method: SepMethod
-    reliable: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +165,7 @@ def exact_sep_theorem1(
     j_source: JSource,
     trials_per_j: int = 10**5,
     seed: int = 0,
-) -> list[SepEstimate]:
+) -> Curve:
     """Symbol-error probability from the facet decomposition.
 
     Evaluates ``P = 1 - (1/K**N) sum_k (K-1)**k sum_p J[k, p]`` at every
@@ -262,19 +232,7 @@ def exact_sep_theorem1(
         groups = [tuple(group) for group in found.values()]
         method, trials = SepMethod.THEOREM1, trials_per_j
 
-    return [
-        SepEstimate(
-            snr_db=float(db),
-            rho=float(rho),
-            mean=clamp_probability(sep),
-            ci_half_width=_CI_FACTOR * std_err,
-            trials=trials,
-            errors_observed=0,
-            method=method,
-            reliable=True,
-        )
-        for db, rho, (sep, std_err) in zip(grid.db, grid.rho, facet_sum(c, groups))
-    ]
+    return _curve(grid, facet_sum(c, groups), method, trials)
 
 
 @dataclass(frozen=True)
@@ -509,7 +467,7 @@ def _simulate_point(
     return total_trials, total_errors
 
 
-def simulate_sep(plan: SimPlan, threads: int = 1) -> list[SepEstimate]:
+def simulate_sep(plan: SimPlan, threads: int = 1) -> Curve:
     """Direct maximum-likelihood Monte Carlo estimate of the SEP.
 
     Per grid point: draw symbols uniformly over ``{0..K-1}**N``, transmit
@@ -592,12 +550,10 @@ def simulate_sep(plan: SimPlan, threads: int = 1) -> list[SepEstimate]:
                 reliable=errors >= _RELIABLE_ERRORS,
             )
         )
-    return estimates
+    return Curve(estimates)
 
 
-def sep_csv_rows(
-    estimates: list[SepEstimate], lattice_name: str, big_k: int, seed: int | None
-) -> list[str]:
+def sep_csv_rows(estimates: Curve, lattice_name: str, big_k: int, seed: int | None) -> list[str]:
     """CSV lines for SEP estimates, one row per grid point.
 
     Header ``snr_db,sep,ci_low,ci_high,trials,errors,method,lattice,K,seed``;
@@ -629,9 +585,7 @@ def sep_csv_rows(
     return rows
 
 
-def write_sep_csv(
-    path, estimates: list[SepEstimate], lattice_name: str, big_k: int, seed: int | None
-) -> None:
+def write_sep_csv(path, estimates: Curve, lattice_name: str, big_k: int, seed: int | None) -> None:
     """Write :func:`sep_csv_rows` to ``path`` with a trailing newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(sep_csv_rows(estimates, lattice_name, big_k, seed)) + "\n")

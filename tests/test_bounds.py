@@ -12,8 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latticesep.bounds import (
-    BoundCurve,
-    CurveKind,
+    Curve,
+    SepMethod,
     SnrGrid,
     curve_csv_rows,
     format_sig,
@@ -25,7 +25,7 @@ from latticesep.bounds import (
 )
 from latticesep.constellation import FiniteConstellation, facet_weights
 from latticesep.lattices import catalog_lattice, load_lattice
-from latticesep.sep import SimPlan, simulate_sep
+from latticesep.sep import JSource, SimPlan, exact_sep_theorem1, simulate_sep
 
 
 def _grid(*db):
@@ -94,10 +94,10 @@ class TestSingleSphereBounds:
             assert np.all(slb(lat, grid).values <= sub(lat, grid).values + 1e-15)
 
     def test_labels(self):
-        curve = slb(catalog_lattice("A2"), _grid(10.0))
-        assert curve.kind is CurveKind.SLB
-        assert curve.lattice == "A2"
-        assert curve.K is None
+        curve = slb(catalog_lattice("A2"), _grid(10.0, 20.0))
+        assert all(est.method is SepMethod.SLB for est in curve)
+        rows = curve_csv_rows(curve, "A2", 4)
+        assert all(row.endswith(",slb,A2,") for row in rows[1:])
 
 
 class TestFacetWeights:
@@ -253,10 +253,36 @@ class TestUserLatticeBounds:
             assert est.mean - 3.0 * est.ci_half_width / 1.96 <= upper
 
 
+_CURVE_FUNCTIONS = {
+    SepMethod.SLB: lambda c, grid: slb(c.lattice, grid),
+    SepMethod.SUB: lambda c, grid: sub(c.lattice, grid),
+    SepMethod.MSLB: mslb,
+    SepMethod.MSUB: msub,
+    SepMethod.CLOSED_FORM_ZN: lambda c, grid: exact_sep_theorem1(c, grid, JSource.ANALYTIC_ZN),
+    SepMethod.THEOREM1: lambda c, grid: exact_sep_theorem1(
+        c, grid, JSource.MC_VORONOI, trials_per_j=10**4
+    ),
+    SepMethod.DIRECT_MC: lambda c, grid: simulate_sep(
+        SimPlan(constellation=c, grid=grid, seed=1, max_trials=10**4, target_errors=50)
+    ),
+}
+
+
+@pytest.mark.parametrize("method", list(_CURVE_FUNCTIONS), ids=lambda m: m.value)
+def test_every_curve_function_returns_a_curve(method):
+    grid = _grid(0.0, 6.0, 12.0)
+    curve = _CURVE_FUNCTIONS[method](_const("Z2", 4), grid)
+    assert type(curve) is Curve
+    assert len(curve) == len(grid)
+    assert [est.method for est in curve] == [method] * len(grid)
+    assert [est.snr_db for est in curve] == grid.db.tolist()
+    assert curve.values.tolist() == [est.mean for est in curve]
+
+
 class TestCurveCsv:
     def test_format(self):
         curve = mslb(_const("Z2", 4), _grid(0.0, 10.0))
-        rows = curve_csv_rows(curve)
+        rows = curve_csv_rows(curve, "Z2", 4)
         assert rows[0] == "snr_db,value,kind,lattice,K"
         parsed = list(csv.reader(io.StringIO("\n".join(rows))))
         assert parsed[1][2:] == ["mslb", "Z2", "4"]
@@ -266,8 +292,10 @@ class TestCurveCsv:
         )
 
     def test_k_empty_for_single_sphere(self):
-        rows = curve_csv_rows(slb(catalog_lattice("Z2"), _grid(10.0)))
+        rows = curve_csv_rows(slb(catalog_lattice("Z2"), _grid(10.0)), "Z2", 4)
         assert rows[1].endswith(",slb,Z2,")
+        rows = curve_csv_rows(sub(catalog_lattice("Z2"), _grid(10.0)), "Z2", 4)
+        assert rows[1].endswith(",sub,Z2,")
 
     def test_twelve_significant_digits(self):
         assert format_sig(0.1572229236094219) == "0.157222923609"
@@ -277,7 +305,7 @@ class TestCurveCsv:
     def test_write_round_trip(self, tmp_path):
         curve = msub(_const("A2", 4), SnrGrid.from_db(0.0, 4.0, 1.0))
         path = tmp_path / "curve.csv"
-        write_curve_csv(curve, path)
+        write_curve_csv(curve, path, "A2", 4)
         text = path.read_text()
         assert text.startswith("snr_db,value,kind,lattice,K\n")
         assert text.count("\n") == 6

@@ -236,43 +236,57 @@ class TestRunCommand:
 
     def test_csvs_are_utf8_with_lf_under_the_c_locale(self, tmp_path):
         # A lattice named with a non-ASCII letter, in an interpreter whose
-        # locale encoding is ASCII: every CSV is still written as UTF-8
-        # with \n newlines.  (stdout is UTF-8 here, since the run prints
-        # the name too.)
-        lattice_path = tmp_path / "lambda.json"
-        lattice_path.write_text(
-            json.dumps({"name": "Λ2", "dimension": 2, "generator": [[2.0, 0.0], [0.0, 0.5]]})
-        )
-        config_path = tmp_path / "experiment.json"
-        config_path.write_text(
-            json.dumps(
-                make_config_data(
-                    lattice=str(lattice_path), curves=["SEP_SIM", "MSLB", "SLB"], max_trials=10000
+        # locale encoding is ASCII: the lattice file is read as UTF-8,
+        # whether the name is \u-escaped or written raw; every CSV is
+        # still written as UTF-8 with \n newlines; and an ASCII stdout
+        # prints the name escaped.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        for escaped_name, utf8_stdout in ((True, True), (False, True), (True, False)):
+            case = tmp_path / f"escaped{escaped_name:d}-utf8{utf8_stdout:d}"
+            case.mkdir()
+            lattice_path = case / "lambda.json"
+            lattice_path.write_text(
+                json.dumps(
+                    {"name": "Λ2", "dimension": 2, "generator": [[2.0, 0.0], [0.0, 0.5]]},
+                    ensure_ascii=escaped_name,
+                ),
+                encoding="utf-8",
+            )
+            config_path = case / "experiment.json"
+            config_path.write_text(
+                json.dumps(
+                    make_config_data(
+                        lattice=str(lattice_path),
+                        curves=["SEP_SIM", "MSLB", "SLB"],
+                        max_trials=10000,
+                    )
                 )
             )
-        )
-        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
-        env["PYTHONIOENCODING"] = "utf-8"
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-        out_dir = tmp_path / "results"
-        command = ["run", "--config", str(config_path), "--out", str(out_dir)]
-        result = subprocess.run(
-            [sys.executable, "-m", "latticesep.cli", *command],
-            env=env,
-            capture_output=True,
-            timeout=300,
-        )
-        assert result.returncode == 0, result.stderr.decode("utf-8", "replace")
-        written = {p.name: p.read_bytes() for p in out_dir.glob("*.csv")}
-        assert sorted(written) == [
-            f"_2-4pam-{kind}.csv" for kind in ("curves", "mslb", "sep_sim", "slb")
-        ]
-        for name, data in written.items():
-            assert b"\r" not in data, name
-            data.decode("utf-8")
-        for kind in ("mslb", "sep_sim"):
-            assert ",Λ2,4" in written[f"_2-4pam-{kind}.csv"].decode("utf-8")
+            env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+            env.pop("PYTHONIOENCODING", None)
+            if utf8_stdout:
+                env["PYTHONIOENCODING"] = "utf-8"
+            env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+            out_dir = case / "results"
+            command = ["run", "--config", str(config_path), "--out", str(out_dir)]
+            result = subprocess.run(
+                [sys.executable, "-m", "latticesep.cli", *command],
+                env=env,
+                capture_output=True,
+                timeout=300,
+            )
+            assert result.returncode == 0, (case.name, result.stderr.decode("utf-8", "replace"))
+            shown = "Λ2" if utf8_stdout else "\\u039b2"
+            assert f": {shown} 4-PAM,".encode("utf-8") in result.stdout, case.name
+            written = {p.name: p.read_bytes() for p in out_dir.glob("*.csv")}
+            assert sorted(written) == [
+                f"_2-4pam-{kind}.csv" for kind in ("curves", "mslb", "sep_sim", "slb")
+            ]
+            for name, data in written.items():
+                assert b"\r" not in data, name
+                data.decode("utf-8")
+            for kind in ("mslb", "sep_sim"):
+                assert ",Λ2,4" in written[f"_2-4pam-{kind}.csv"].decode("utf-8")
 
     def test_unresolvable_lattice_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "experiment.json"

@@ -61,7 +61,9 @@ def test_bound_csv_bytes(name, big_k):
         "slb": slb(c.lattice, grid),
         "sub": sub(c.lattice, grid),
     }
-    digests = {kind: _digest(curve_csv_rows(curve)) for kind, curve in curves.items()}
+    digests = {
+        kind: _digest(curve_csv_rows(curve, name, big_k)) for kind, curve in curves.items()
+    }
     assert digests == BOUND_DIGESTS[(name, big_k)]
 
 
