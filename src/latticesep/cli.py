@@ -15,7 +15,8 @@ Three subcommands:
 ``latticesep verify``
     Run the fast self-check suite (combinatorial identities, catalog
     fidelity, closed-form equivalence, a small simulation sandwich, and
-    decoder agreement) and exit non-zero on any failure.
+    decoder agreement, including the simulator's own verdicts on E8 K=4
+    against its full point table) and exit non-zero on any failure.
 
 SNR convention: every dB value is ``10 log10(rho)`` with
 ``rho = 1 / sigma**2``, the reciprocal per-coordinate noise variance of
@@ -55,6 +56,9 @@ from .sep import (
     _MIN_TARGET_ERRORS,
     JSource,
     SimPlan,
+    _certificate,
+    _decoder,
+    _errors,
     exact_sep_theorem1,
     simulate_sep,
     write_sep_csv,
@@ -513,7 +517,19 @@ def _check_decoder_agreement():
     u = (rng.random((2000, 2)) * 4).astype(np.int64)
     y = u @ lattice.generator.T + rng.standard_normal((2000, 2)) * 0.5
     mismatches = int(np.count_nonzero(np.any(brute.decode(y) != sphere.decode(y), axis=1)))
-    return mismatches == 0, f"sphere vs brute force on 2000 noisy points, {mismatches} mismatches"
+    # The simulator's own verdicts (certificate, radius query, sphere
+    # search) on E8 K = 4, 65536 points, against the full point table.
+    e8 = catalog_lattice("E8").generator
+    rng = stream(0, 1)
+    u = (rng.random((400, 8)) * 4).astype(np.int64)
+    e = rng.standard_normal((400, 8)) * 10.0 ** (-9.0 / 20.0)
+    table = BatchDecoder(e8, 4, Decoder.BRUTE_FORCE).decode(u @ e8.T + e)
+    verdicts = _errors(e8, _decoder(e8, 4), _certificate(e8, 4), u, e, len(u))
+    wrong = int(np.count_nonzero(verdicts != np.any(table != u, axis=1)))
+    return mismatches == 0 and wrong == 0, (
+        f"sphere vs brute force on 2000 noisy A2 points, {mismatches} mismatches; "
+        f"simulator vs brute force on 400 E8 K=4 trials at 9 dB, {wrong} mismatches"
+    )
 
 
 VERIFY_CHECKS = (

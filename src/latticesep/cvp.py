@@ -28,6 +28,7 @@ TIE_TOL = 1e-12
 _MAX_CONDITION = 1e8
 
 _ENUM_MAX_NODES = 1 << 26
+_QUERY_MAX_NODES = 1 << 16  # nodes one level of a radius query may hold
 
 
 class Decoder(enum.Enum):
@@ -306,6 +307,7 @@ class BatchDecoder:
                 self._half = 0.5 + TIE_TOL / (2.0 * diagonal**2)
             else:
                 self._qt = q.T.copy()
+                self._r = r
                 self._r_rows = [[float(r[i, j]) for j in range(self._k)] for i in range(self._k)]
         else:
             raise ValueError(f"unknown decoder method: {method!r}")
@@ -360,6 +362,80 @@ class BatchDecoder:
             yt = [float(t) for t in self._qt @ y[i]]
             out[i] = _sphere_search(self._r_rows, yt, lo, hi)
         return out
+
+    def radius_query(self, u: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The box points near ``y = G u + e``, for rows of symbols ``u`` and noise ``e``.
+
+        Enumerates, for every row at once and level by level in the QR
+        frame, the box points within squared distance ``|e|**2 + 2 TIE_TOL``
+        of ``y``; each level expands a node only over its window
+        intersected with the box.  Returns two arrays of one value per row:
+        ``own``, the squared distance of ``G u`` itself, and ``other``, the
+        largest squared distance of any other point found (``-inf`` if
+        there is none).  ``own`` is NaN where ``u`` was not reached, and on
+        a row whose search alone would hold more than ``_QUERY_MAX_NODES``
+        nodes at one level; a set of rows that would is split in halves,
+        so memory is bounded whatever the rows.  Offsets from ``u`` are
+        enumerated, not coefficients, so distances are formed from ``e``
+        without the cancellation in ``y``.  Box-constrained
+        ``SPHERE_DECODER`` on a non-diagonal generator only.
+        """
+        if self.method is not Decoder.SPHERE_DECODER or self._diag is not None or self._box is None:
+            raise ValueError("radius_query requires a box and a non-diagonal SPHERE_DECODER")
+        et = e @ self._qt.T
+        budget = np.einsum("ij,ij->i", e, e) + 2.0 * TIE_TOL
+        own = np.full(len(e), np.nan)
+        other = np.full(len(e), -np.inf)
+        pending = [np.arange(len(e))]
+        while pending:
+            rows = pending.pop()
+            leaves = self._leaves(u[rows], et[rows], budget[rows])
+            if leaves is None:
+                if rows.size > 1:
+                    pending += [rows[rows.size // 2 :], rows[: rows.size // 2]]
+                continue
+            node_row, cost, on_u = leaves
+            own[rows[node_row[on_u]]] = cost[on_u]
+            node_row, cost = node_row[~on_u], cost[~on_u]
+            if node_row.size:
+                # Children follow their parents, so node_row is ascending.
+                starts = np.flatnonzero(np.diff(node_row, prepend=-1))
+                other[rows[node_row[starts]]] = np.maximum.reduceat(cost, starts)
+        return own, other
+
+    def _leaves(self, u, et, budget):
+        # Breadth-first search of radius_query over the offsets d = z - u,
+        # last level first.  A node holds its row, its cost so far, whether
+        # its offsets are all 0 so far, and resid = et - R d over the levels
+        # still open, whose entry i over R[i, i] is the center of level i.
+        # Returns the leaves' rows, costs and flags, or None as soon as a
+        # level would hold more than _QUERY_MAX_NODES nodes.
+        r = self._r
+        top = self._box - 1
+        node_row = np.arange(len(u))
+        acc = np.zeros(len(u))
+        on_u = np.ones(len(u), dtype=bool)
+        resid = et
+        for i in range(self._k - 1, -1, -1):
+            center = resid[:, i] / r[i, i]
+            halfwidth = np.sqrt(budget[node_row] - acc) / r[i, i]
+            level = u[node_row, i]
+            first = np.maximum(np.ceil(center - halfwidth), -level)
+            count = np.minimum(np.floor(center + halfwidth), top - level) - first + 1.0
+            count = np.maximum(count, 0.0).astype(np.int64)
+            total = int(count.sum())
+            if total > _QUERY_MAX_NODES:
+                return None
+            parent = np.repeat(np.arange(count.size), count)
+            v = np.arange(total) + np.repeat(first - (np.cumsum(count) - count), count)
+            cost = acc[parent] + (r[i, i] * (v - center[parent])) ** 2
+            keep = cost <= budget[node_row[parent]]
+            parent, v, acc = parent[keep], v[keep], cost[keep]
+            node_row = node_row[parent]
+            on_u = on_u[parent] & (v == 0.0)
+            if i:
+                resid = resid[parent, :i] - v[:, None] * r[:i, i]
+        return node_row, acc, on_u
 
     def _share_tie_budget(self, y: np.ndarray, u: np.ndarray, window: np.ndarray) -> None:
         # A coordinate in the window rounded down at an extra squared

@@ -351,8 +351,10 @@ def _received(generator: np.ndarray, u: np.ndarray, e: np.ndarray, shard_rows: i
 def _decoder(generator: np.ndarray, big_k: int) -> BatchDecoder:
     # The cheapest exact search for the rows the certificate leaves open:
     # rounding for a diagonal generator, else the point table up to
-    # _TABLE_POINTS points, else the sphere search.  Every exact search
-    # gives the same verdicts, so the choice changes only the speed.
+    # _TABLE_POINTS points, else the radius query around the transmitted
+    # point, which sends only its tie-band rows to the sphere search
+    # (_errors).  Every exact search gives the same verdicts, so the choice
+    # changes only the speed.
     decoder = BatchDecoder(generator, big_k, Decoder.SPHERE_DECODER)
     if decoder.rounds or big_k ** generator.shape[0] > _TABLE_POINTS:
         return decoder
@@ -366,6 +368,35 @@ def _shard_buffers(entries: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # footprint is fixed whatever the thread timing.
     pairs = (entries + 1) // 2
     return np.empty(entries), np.empty(pairs), np.empty(pairs)
+
+
+def _errors(
+    generator: np.ndarray,
+    decoder: BatchDecoder,
+    cert: _Certificate | None,
+    u: np.ndarray,
+    e: np.ndarray,
+    shard_rows: int,
+) -> np.ndarray:
+    # Error mask of the trials y = G u + e, rows of a shard of shard_rows
+    # rows.  The certificate settles most rows (_certify).  Where the
+    # sphere search would decode the rest, the radius query around G u
+    # settles most of those (BatchDecoder.radius_query): a row with no
+    # other box point within |e|**2 + 2 TIE_TOL of y is correct, and one
+    # whose other points there are all closer than G u by more than 2
+    # TIE_TOL is an error, whatever the tie rule.  The rest -- a point in
+    # that tie band, u not reached, or a row over the query's node cap --
+    # and every row the certificate leaves to another search are decoded.
+    wrong, undecided = _certify(cert, u, e)
+    if undecided.size and cert is not None and decoder.method is Decoder.SPHERE_DECODER:
+        own, other = decoder.radius_query(u[undecided], e[undecided])
+        settled = other < own - 2.0 * TIE_TOL
+        wrong[undecided[settled]] = other[settled] > -np.inf
+        undecided = undecided[~settled]
+    if undecided.size:
+        y = _received(generator, u[undecided], e[undecided], shard_rows)
+        wrong[undecided] = np.any(decoder.decode(y) != u[undecided], axis=1)
+    return wrong
 
 
 def _shard_errors(
@@ -401,11 +432,7 @@ def _shard_errors(
         e = normals_from_angles(radius, angle, count, entries).reshape(block.size, n)
         e *= sigma
         u = uniforms_to_symbols(uniforms[block], big_k)
-        wrong, undecided = _certify(cert, u, e)
-        if undecided.size:
-            y = _received(generator, u[undecided], e[undecided], m)
-            wrong[undecided] = np.any(decoder.decode(y) != u[undecided], axis=1)
-        errors += int(np.count_nonzero(wrong))
+        errors += int(np.count_nonzero(_errors(generator, decoder, cert, u, e, m)))
     return errors
 
 
@@ -491,9 +518,15 @@ def simulate_sep(plan: SimPlan, threads: int = 1) -> Curve:
     alone: a diagonal generator is rounded per coordinate, which is
     cheaper than the certificate, so every row that reaches it is
     decoded; otherwise the rows are decoded from the table of all
-    ``K**N`` points when ``K**N <= 4096``, and by the sphere search
-    above that.  Every non-diagonal generator needs a condition number
-    of at most 1e8 (``ValueError`` above it).
+    ``K**N`` points when ``K**N <= 4096``.  Above that, one batched
+    radius query (:meth:`latticesep.cvp.BatchDecoder.radius_query`)
+    enumerates, for all those rows at once, the box points within ``|e|**2
+    + 2e-12`` of ``y``: a row with no other point there is correct, one
+    whose other points are all closer than ``x`` by more than ``2e-12``
+    is an error, and only the rest (a point in that tie band, or a row
+    over the query's node cap) go to the per-row sphere search.  Every
+    non-diagonal generator needs a condition number of at most 1e8
+    (``ValueError`` above it).
 
     Before any of that, a radial screen settles most rows at high SNR
     from the Box-Muller radii alone.  Each noise entry is ``sigma r cos``
@@ -507,7 +540,8 @@ def simulate_sep(plan: SimPlan, threads: int = 1) -> Curve:
     only the open rows get their noise, symbols, received points and
     verdicts, 4096 rows at a time.  A shard's uniforms, radii and angles
     are drawn into buffers that the call allocates once per shard it
-    runs at a time, so its memory does not depend on how the threads
+    runs at a time (at most ``threads``, and at most the shards a point
+    can run), so its memory does not depend on how the threads
     interleave.  Open rows carry the very values the whole shard would,
     so every ``(trials, errors)`` is the one that deciding every row
     gives.
@@ -533,7 +567,8 @@ def simulate_sep(plan: SimPlan, threads: int = 1) -> Curve:
     cert = None if decoder.rounds else _certificate(generator, plan.constellation.K)
     estimates = []
     entries = min(SHARD_SIZE, plan.max_trials) * plan.constellation.dimension
-    buffers = [_shard_buffers(entries) for _ in range(threads)]
+    shards = (plan.max_trials + SHARD_SIZE - 1) // SHARD_SIZE
+    buffers = [_shard_buffers(entries) for _ in range(min(threads, shards))]
     rate = None
     for i, (db, rho) in enumerate(zip(plan.grid.db, plan.grid.rho)):
         trials, errors = _simulate_point(plan, decoder, cert, i, float(rho), threads, rate, buffers)

@@ -11,10 +11,12 @@ from pathlib import Path
 import pytest
 
 from latticesep import cli
+from latticesep.cvp import BatchDecoder
 from latticesep.cli import (
     ConfigError,
     ExperimentConfig,
     _check_catalog,
+    _check_decoder_agreement,
     load_config_file,
     load_preset,
     main,
@@ -386,6 +388,20 @@ class TestVerifyCommand:
         ok, detail = _check_catalog()
         assert not ok
         assert "E8" in detail
+
+    def test_decoder_agreement_reaches_the_radius_query(self, monkeypatch):
+        # A query that places a closer point next to every row it sees
+        # turns open E8 trials into errors, which the table check catches.
+        real = BatchDecoder.radius_query
+
+        def corrupted(self, u, e):
+            own, other = real(self, u, e)
+            return own, own - 1.0
+
+        monkeypatch.setattr(BatchDecoder, "radius_query", corrupted)
+        ok, detail = _check_decoder_agreement()
+        assert not ok
+        assert "E8 K=4" in detail and "0 mismatches" in detail  # the A2 part still agrees
 
     def test_catalog_check_passes_uncorrupted(self):
         ok, detail = _check_catalog()

@@ -15,8 +15,8 @@ import pytest
 from latticesep.bounds import SnrGrid, curve_csv_rows, mslb, msub, slb, sub
 from latticesep.constellation import FiniteConstellation
 from latticesep import sep as sep_module
-from latticesep.cvp import Decoder
-from latticesep.lattices import catalog_lattice
+from latticesep.cvp import BatchDecoder, Decoder
+from latticesep.lattices import catalog_lattice, load_lattice
 from latticesep.sep import JSource, SimPlan, exact_sep_theorem1, sep_csv_rows, simulate_sep
 
 BOUND_DIGESTS = {
@@ -105,6 +105,16 @@ def test_exact_monte_carlo_csv_bytes_beyond_a2(name, big_k, seed, grid, digest):
     assert _digest(sep_csv_rows(estimates, name, big_k, seed)) == digest
 
 
+# A fixed skewed 3-D basis (condition number 9.2 after scaling to unit
+# volume); with K = 20 it has 8000 points, so the radius query decides its
+# open trials.
+_SKEW3 = [[1.0, 0.6, -0.3], [0.2, 1.1, 0.7], [-0.4, 0.3, 0.9]]
+
+
+def _lattice(name):
+    return load_lattice(_SKEW3, name=name) if name == "skew3" else catalog_lattice(name)
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize(
     "name, big_k, decoder, seed, snr_db, max_trials, target_errors, digest",
@@ -125,23 +135,43 @@ def test_exact_monte_carlo_csv_bytes_beyond_a2(name, big_k, seed, grid, digest):
             "A2", 128, Decoder.SPHERE_DECODER, 14, [8.0, 14.0, 18.0], 200000, 2000,
             "cf2418bd4c25e0bb6bd8a44d4e55cb9cc20abd187b43fcf6b50a9fe6e01b87b9",
         ),
+        (
+            "E8", 4, Decoder.SPHERE_DECODER, 1, [6.0, 12.0], 20000, 400,
+            "161db312ed2f9e4c186b03d97139ea1b20a0df3b38825cab7361c781a8f0cb9b",
+        ),
+        (
+            "skew3", 20, Decoder.SPHERE_DECODER, 5, [6.0, 12.0, 18.0], 200000, 1000,
+            "ff6cf33a57517aa7bb96a470cc09daa93db28d5aa94ca1319f12935c473fb17e",
+        ),
     ],
 )
 def test_simulation_csv_bytes(
-    name, big_k, decoder, seed, snr_db, max_trials, target_errors, digest, threads
+    name, big_k, decoder, seed, snr_db, max_trials, target_errors, digest, threads, monkeypatch
 ):
     # Every search the simulator picks: the point table (A2 K = 4, E4
-    # K = 2), diagonal rounding (Z3) and the sphere search (A2 K = 128,
-    # 16384 points), with budgets that stop some points mid-wave at 3
-    # threads, some after several shards and some at the trial cap.  The
-    # E4 and A2 K = 128 digests were recorded with the sphere search, so
-    # they also pin that the choice of search changes no byte.
-    generator = catalog_lattice(name).generator
-    chosen = sep_module._decoder(generator, big_k)
+    # K = 2), diagonal rounding (Z3) and, for a non-diagonal sphere
+    # decoder, the radius query with the sphere search for its tie-band
+    # rows (A2 K = 128, 16384 points; E8 K = 4; the skewed basis), with
+    # budgets that stop some points mid-wave at 3 threads, some after
+    # several shards and some at the trial cap.  The E4 and A2 K = 128
+    # digests were recorded with the sphere search for every open row, and
+    # the E8 and skewed-basis ones with the sphere search for every row the
+    # certificate left open, so they also pin that the choice of search
+    # changes no byte.
+    lattice = _lattice(name)
+    chosen = sep_module._decoder(lattice.generator, big_k)
     assert chosen.method is decoder
     assert chosen.rounds is (name == "Z3")
+    queried = []
+    radius_query = BatchDecoder.radius_query
+
+    def counting(self, u, e):
+        queried.append(len(u))
+        return radius_query(self, u, e)
+
+    monkeypatch.setattr(BatchDecoder, "radius_query", counting)
     plan = SimPlan(
-        constellation=FiniteConstellation(catalog_lattice(name), big_k),
+        constellation=FiniteConstellation(lattice, big_k),
         grid=SnrGrid.from_db_values(snr_db),
         seed=seed,
         max_trials=max_trials,
@@ -149,3 +179,4 @@ def test_simulation_csv_bytes(
     )
     estimates = simulate_sep(plan, threads=threads)
     assert _digest(sep_csv_rows(estimates, name, big_k, seed)) == digest
+    assert bool(queried) is (decoder is Decoder.SPHERE_DECODER and not chosen.rounds)

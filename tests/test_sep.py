@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from latticesep import sep as sep_module
 from latticesep.bounds import SnrGrid, mslb, msub
 from latticesep.constellation import FiniteConstellation
-from latticesep.cvp import BatchDecoder, Decoder
-from latticesep.lattices import catalog_lattice
+from latticesep import cvp
+from latticesep.cvp import TIE_TOL, BatchDecoder, Decoder
+from latticesep.lattices import catalog_lattice, load_lattice
 from latticesep.sep import (
     JSource,
     SepMethod,
@@ -309,7 +310,7 @@ class TestDecoderChoice:
     )
     def test_search_follows_the_constellation(self, name, big_k, method, rounds):
         # Rounding for a diagonal generator, else the point table up to
-        # 2**12 points, else the sphere search.
+        # 2**12 points, else the sphere search with its radius query.
         decoder = sep_module._decoder(catalog_lattice(name).generator, big_k)
         assert decoder.method is method
         assert decoder.rounds is rounds
@@ -577,6 +578,85 @@ class TestCertificate:
         assert np.all(wrong[-cert.half_norms.size :])  # every neighbour of an inner point is in the box
 
 
+def _assert_query_matches_table(generator, big_k, seed, vectors=None):
+    # The radius query on every row of _certified_rows, not only on those
+    # the certificate leaves open: each row it settles is an error iff the
+    # point table decodes it elsewhere.  The simulator's whole path
+    # (_errors: certificate, query, sphere search) gives the sphere
+    # search's verdict on every row; the table's agrees outside the tie
+    # window, where the two searches' rounding of |y|**2-sized values can
+    # split a near tie differently.  Returns the mask of the rows the
+    # query leaves to the sphere search.
+    cert, u, e, ties = _certified_rows(generator, big_k, np.random.default_rng(seed), vectors)
+    sphere = BatchDecoder(generator, big_k, Decoder.SPHERE_DECODER)
+    brute = BatchDecoder(generator, big_k, Decoder.BRUTE_FORCE)
+    y = u @ generator.T + e
+    table = np.any(brute.decode(y) != u, axis=1)
+    own, other = sphere.radius_query(u, e)
+    settled = other < own - 2.0 * TIE_TOL
+    assert np.array_equal((other > -np.inf)[settled], table[settled])
+    full = np.any(sphere.decode(y) != u, axis=1)
+    assert np.array_equal(sep_module._errors(generator, sphere, cert, u, e, len(u)), full)
+    return ~settled
+
+
+class TestRadiusQuery:
+    def test_verdicts_match_the_table_on_e8(self):
+        # E8 K = 4, 65536 points: the simulator's own case.  Exact ties
+        # with an in-box neighbour reach the sphere search.
+        generator = catalog_lattice("E8").generator
+        open_rows = _assert_query_matches_table(generator, 4, 3, slice(None, None, 20))
+        assert 0 < np.count_nonzero(open_rows) < open_rows.size // 2
+
+    @given(matrix=_SQUARE_MATRICES)
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_verdicts_match_the_table_on_random_bases(self, matrix):
+        _assert_query_matches_table(_unit_volume_basis(matrix), 5, 5)
+
+    def test_settles_errors_and_correct_rows_on_a_skewed_basis(self):
+        g = load_lattice([[1.0, 0.6, -0.3], [0.2, 1.1, 0.7], [-0.4, 0.3, 0.9]]).generator
+        cert, u, e, ties = _certified_rows(g, 20, np.random.default_rng(7))
+        own, other = BatchDecoder(g, 20, Decoder.SPHERE_DECODER).radius_query(u, e)
+        settled = other < own - 2.0 * TIE_TOL
+        assert np.any(settled & (other > -np.inf)) and np.any(settled & (other == -np.inf))
+        # At an exact tie row y = G u + v_j / 2 the point G (u + c_j) ties
+        # G u; where it is in the box, the row is left to the sphere search.
+        neighbour = u + np.rint(np.linalg.solve(g, 2.0 * e.T)).T.astype(np.int64)
+        tied = ties & np.all((neighbour >= 0) & (neighbour < 20), axis=1)
+        assert tied.any() and not np.any(settled[tied])
+        _assert_query_matches_table(g, 20, 7)
+
+    def test_node_cap_splits_blocks_and_sends_lone_rows_to_the_sphere_search(self, monkeypatch):
+        # With at most 6 nodes per level, sets of rows are split down to
+        # lone rows, and a lone row over the cap is left open.
+        monkeypatch.setattr(cvp, "_QUERY_MAX_NODES", 6)
+        calls = []
+        original = BatchDecoder._leaves
+
+        def counting(self, u, et, budget):
+            leaves = original(self, u, et, budget)
+            calls.append((len(u), leaves is None))
+            return leaves
+
+        monkeypatch.setattr(BatchDecoder, "_leaves", counting)
+        g = catalog_lattice("A2").generator
+        open_rows = _assert_query_matches_table(g, 8, 11)
+        assert any(rows > 1 and over for rows, over in calls)
+        assert any(rows == 1 and over for rows, over in calls)
+        assert any(rows > 1 and not over for rows, over in calls)
+        assert np.count_nonzero(open_rows) >= sum(rows == 1 and over for rows, over in calls)
+
+    def test_rejects_searches_without_a_query(self):
+        u, e = np.zeros((1, 2), dtype=np.int64), np.zeros((1, 2))
+        for decoder in (
+            BatchDecoder(np.eye(2), 4, Decoder.SPHERE_DECODER),
+            BatchDecoder(catalog_lattice("A2").generator, 4, Decoder.BRUTE_FORCE),
+            BatchDecoder(catalog_lattice("A2").generator, None, Decoder.SPHERE_DECODER),
+        ):
+            with pytest.raises(ValueError):
+                decoder.radius_query(u, e)
+
+
 def _count_decoded_rows(monkeypatch):
     # Rows passed to BatchDecoder.decode or .decode_indices, in all.
     decoded = [0]
@@ -671,7 +751,9 @@ class TestRadialScreen:
             ("Z8", 4, Decoder.SPHERE_DECODER),
             ("Z3", 4, Decoder.BRUTE_FORCE),
             ("A2", 4, Decoder.BRUTE_FORCE),
+            ("A2", 4, Decoder.SPHERE_DECODER),  # the radius query
             ("E4", 4, Decoder.BRUTE_FORCE),
+            ("E4", 4, Decoder.SPHERE_DECODER),
             ("E8", 2, Decoder.BRUTE_FORCE),
         ],
     )
@@ -718,6 +800,35 @@ class TestRadialScreen:
         two = [(e.trials, e.errors_observed) for e in simulate_sep(plan, threads=2)]
         assert one == two
         assert made == [SHARD_SIZE * 4] * 3
+
+    @pytest.mark.parametrize(
+        "threads,max_trials,sets",
+        [(4, SHARD_SIZE, 1), (4, 2 * SHARD_SIZE + 1, 3), (2, 3 * SHARD_SIZE, 2)],
+    )
+    def test_buffer_sets_are_capped_by_the_shards_a_point_runs(
+        self, monkeypatch, threads, max_trials, sets
+    ):
+        # A point runs at most ceil(max_trials / SHARD_SIZE) shards at once,
+        # so no more buffer sets than that are allocated.
+        made = []
+        original = sep_module._shard_buffers
+
+        def counting(entries):
+            made.append(entries)
+            return original(entries)
+
+        monkeypatch.setattr(sep_module, "_shard_buffers", counting)
+        c = FiniteConstellation(lattice=catalog_lattice("Z2"), K=4)
+        plan = SimPlan(
+            constellation=c,
+            grid=SnrGrid.from_db_values([20.0]),
+            seed=5,
+            max_trials=max_trials,
+            target_errors=10**9,
+        )
+        est = simulate_sep(plan, threads=threads)[0]
+        assert est.trials == max_trials
+        assert made == [min(SHARD_SIZE, max_trials) * 2] * sets
 
     def test_lone_rows_are_received_as_in_the_whole_shard(self):
         # numpy computes a one-row product by gemv; a lone open row of a
