@@ -2,9 +2,10 @@
 
 Maximum-likelihood detection of a carved constellation is the closest
 vector problem restricted to coefficients in {0..K-1}**N.  The package
-ships two decoders: an exhaustive tabulated search, and a depth-first
-sphere decoder that prunes by partial distance (with a coordinate-wise
-fast path for diagonal generators).  They return identical coefficients;
+ships two decoders: an exhaustive tabulated search, and a sphere
+decoder that enumerates all rows at once, level by level, and prunes by
+partial distance (with a coordinate-wise fast path for diagonal
+generators).  They return identical coefficients;
 their costs diverge as the table grows.
 """
 

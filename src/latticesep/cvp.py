@@ -1,12 +1,17 @@
 """Closest-point search and bounded enumeration on lattice generators.
 
 A lattice is ``{G @ z : z integer}`` with the columns of ``G`` as basis
-vectors.  Everything here works on the QR-triangularized system: with
+vectors.  Every search here runs on the QR-triangularized system: with
 ``G = Q R`` (R upper triangular, positive diagonal) and ``yt = Q.T @ y``,
-``||G z - y|| == ||R z - yt||``, and the triangular structure admits a
-depth-first search over integer coordinates, last coordinate first, where
-each level contributes ``(R[i, i] * (z[i] - c[i]))**2`` to the squared
-distance and candidate values are visited nearest-center first.
+``||G z - y||**2 == sum_i (R[i, i] * (z[i] - c[i]))**2``, where the center
+``c[i]`` of level i depends only on ``z[i+1:]``.  One enumerator lists, for
+many rows at once, every integer vector within a per-row squared-distance
+budget (and, optionally, per-row coordinate bounds), level by level from
+the last coordinate (Pohst enumeration, as in Agrell, Eriksson, Vardy &
+Zeger, IEEE Trans. IT 2002, with the per-level center update of
+Ghasemmehdi & Agrell, IEEE Trans. IT 2011).  Closest-point decoding, the
+radius query, bounded enumeration and the Voronoi test vectors all reduce
+its leaves.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ TIE_TOL = 1e-12
 _MAX_CONDITION = 1e8
 
 _ENUM_MAX_NODES = 1 << 26
-_QUERY_MAX_NODES = 1 << 16  # nodes one level of a radius query may hold
+_CHUNK = 1 << 13  # nodes the enumerator lists at one step
+_MAX_COORDINATE = 2.0**52  # beyond it, float64 no longer holds every integer
 
 
 class Decoder(enum.Enum):
@@ -58,119 +64,126 @@ def triangularize(generator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * signs, r * signs[:, None]
 
 
-def _babai_rounding(r_rows, yt, lo, hi):
-    # Greedy nearest-plane rounding, optionally clipped to [lo, hi]; returns
-    # the rounded coefficients and their exact squared distance.
-    k = len(yt)
-    z = [0] * k
-    dist = 0.0
-    for i in range(k - 1, -1, -1):
-        row = r_rows[i]
-        t = yt[i]
-        for j in range(i + 1, k):
-            t -= row[j] * z[j]
-        c = t / row[i]
-        zi = int(round(c))
+def _frame(qt, r, y, name):
+    # The rows of y in the QR frame, yt = y Q; a ValueError naming `name`
+    # unless every basis coordinate of y, R^-1 yt, is at most 2**52 in size
+    # (which also rejects NaN and infinity).
+    with np.errstate(invalid="ignore", over="ignore"):
+        yt = y @ qt.T
+        coordinates = np.linalg.solve(r, yt.T)
+    if not np.all(np.abs(coordinates) <= _MAX_COORDINATE):
+        raise ValueError(f"{name} must be finite, with basis coordinates of at most 2**52 in size")
+    return yt
+
+
+def _leaves(r, center, budget, lo=None, hi=None, max_nodes=math.inf):
+    # Yields every integer vector z with ||R z - center[row]||**2 <=
+    # budget[row], and lo[row] <= z <= hi[row] when bounds are given, as
+    # chunks (row, z, cost) of at most _CHUNK leaves, in all ordered by row,
+    # then by (z[k-1], ..., z[0]).  A node at level i holds its row, its
+    # cost so far and a state row: resid = center - R z over levels 0..i,
+    # whose entry i over R[i, i] is the center of level i, then z over the
+    # levels above i.  A level's children are listed _CHUNK at a time,
+    # depth-first over the chunks, so memory is bounded whatever the rows
+    # and windows.  budget is read as the search goes: lowering a row's
+    # entry between chunks prunes the rest of that row's search.  Raises
+    # BudgetError as soon as the windows counted would take the nodes
+    # listed past max_nodes, before they are listed.  windows and children
+    # are functions of their own so that their temporaries are freed
+    # before the search descends.
+    listed = 0.0
+
+    def windows(i, row, acc, state):
+        # The centers of level i, and each node's offset (child t of the
+        # listing takes v = t + offset) and end in the level's listing.
+        nonlocal listed
+        c = state[:, i] / r[i, i]
+        halfwidth = np.sqrt(np.maximum(budget[row] - acc, 0.0)) / r[i, i]
+        first = np.ceil(c - halfwidth)
+        last = np.floor(c + halfwidth)
         if lo is not None:
-            zi = min(max(zi, lo), hi)
-        z[i] = zi
-        dist += (row[i] * (zi - c)) ** 2
-    return z, dist
+            first = np.maximum(first, lo[row, i])
+            last = np.minimum(last, hi[row, i])
+        count = np.maximum(last - first + 1.0, 0.0)
+        listed += count.sum()
+        if listed > max_nodes:
+            raise BudgetError(f"lattice enumeration exceeded {max_nodes} nodes")
+        ends = np.cumsum(count.astype(np.int64))
+        return c, first - (ends - count), ends
+
+    def children(i, row, acc, state, c, offset, ends, start):
+        # The children start, start + 1, ... of the listing, up to _CHUNK
+        # of them, that are within budget: their rows, costs and states.
+        t = np.arange(start, min(start + _CHUNK, int(ends[-1])))
+        parent = np.searchsorted(ends, t, side="right")
+        v = t + offset[parent]
+        cost = acc[parent] + (r[i, i] * (v - c[parent])) ** 2
+        keep = cost <= budget[row[parent]]
+        parent, v = parent[keep], v[keep]
+        child = state[parent]
+        child[:, :i] -= v[:, None] * r[:i, i]
+        child[:, i] = v
+        return row[parent], cost[keep], child
+
+    def expand(i, row, acc, state):
+        c, offset, ends = windows(i, row, acc, state)
+        for start in range(0, int(ends[-1]), _CHUNK):
+            row_, cost, child = children(i, row, acc, state, c, offset, ends, start)
+            if not row_.size:
+                continue
+            if i == 0:
+                yield row_, child, cost
+            else:
+                yield from expand(i - 1, row_, cost, child)
+
+    if len(center):
+        yield from expand(len(r) - 1, np.arange(len(center)), np.zeros(len(center)), center)
 
 
-def _level_window(c, rii, budget, lo, hi):
-    # The integer range [first, last] of values v with (rii * (v - c))**2 <=
-    # budget, intersected with [lo, hi]; empty when first > last.
-    if budget < 0.0:
-        return 1, 0
-    halfwidth = math.sqrt(budget) / rii
-    first = math.ceil(c - halfwidth)
-    last = math.floor(c + halfwidth)
-    if lo is not None:
-        first = max(first, lo)
-        last = min(last, hi)
-    return first, last
+def _babai(r, center, lo=None, hi=None):
+    # Nearest-plane rounding of every row, clipped to [lo, hi] when bounds
+    # are given: the coefficient vectors and their costs, formed as _leaves
+    # forms them.
+    m, k = center.shape
+    z = np.empty((m, k))
+    cost = np.zeros(m)
+    resid = center
+    for i in range(k - 1, -1, -1):
+        c = resid[:, i] / r[i, i]
+        v = np.rint(c)
+        if lo is not None:
+            v = np.clip(v, lo[:, i], hi[:, i])
+        cost = cost + (r[i, i] * (v - c)) ** 2
+        z[:, i] = v
+        resid = resid[:, :i] - v[:, None] * r[:i, i]
+    return z, cost
 
 
-def _depth_first(r_rows, yt, lo, hi, budget, leaf, max_nodes):
-    # Visits every coefficient vector within squared distance ``budget`` of
-    # yt, last coordinate first, candidates nearest-center first, and calls
-    # leaf(z, dist) at each one; the callback returns the budget for the
-    # rest of the search.  Raises BudgetError once the candidate lists
-    # entered hold more than max_nodes values, before building the list
-    # that would pass it.
-    k = len(yt)
-    z = [0] * k
-    acc = [0.0] * k  # acc[i]: cost contributed by levels above i
-    centers = [0.0] * k
-    cands: list[list[int]] = [[] for _ in range(k)]
-    pos = [0] * k
-    nodes = 0
-
-    def enter(i):
-        nonlocal nodes
-        row = r_rows[i]
-        t = yt[i]
-        for j in range(i + 1, k):
-            t -= row[j] * z[j]
-        c = t / row[i]
-        centers[i] = c
-        first, last = _level_window(c, row[i], budget - acc[i], lo, hi)
-        nodes += max(0, last - first + 1)
-        if nodes > max_nodes:
-            raise BudgetError(f"depth-first lattice search exceeded {max_nodes} nodes")
-        # Nearest-center first, ties toward the smaller value.
-        cands[i] = sorted(range(first, last + 1), key=lambda v: (abs(v - c), v))
-        pos[i] = 0
-
-    i = k - 1
-    enter(i)
-    while True:
-        if pos[i] >= len(cands[i]):
-            i += 1
-            if i == k:
-                break
-            continue
-        v = cands[i][pos[i]]
-        pos[i] += 1
-        cost = (r_rows[i][i] * (v - centers[i])) ** 2
-        if acc[i] + cost > budget:
-            # Candidates are nearest-first, so the rest of this level is worse.
-            i += 1
-            if i == k:
-                break
-            continue
-        if i == 0:
-            z[0] = v
-            budget = leaf(z, acc[0] + cost)
-            continue
-        z[i] = v
-        acc[i - 1] = acc[i] + cost
-        i -= 1
-        enter(i)
-
-
-def _sphere_search(r_rows, yt, lo, hi):
-    # Depth-first search with radius initialized from the Babai rounding
-    # candidate and shrunk on every improvement.  Returns the tie-resolved
-    # best coefficient vector.
-    best_z, best_dist = _babai_rounding(r_rows, yt, lo, hi)
-
-    def leaf(z, dist):
-        nonlocal best_z, best_dist
-        if dist < best_dist - TIE_TOL:
-            best_dist = dist
-            best_z = z.copy()
-        else:
-            # Within the tie window of the current best.
-            if dist < best_dist:
-                best_dist = dist
-            if z < best_z:
-                best_z = z.copy()
-        return best_dist + TIE_TOL
-
-    _depth_first(r_rows, yt, lo, hi, best_dist + TIE_TOL, leaf, math.inf)
-    return best_z
+def _near_best(r, center, slack, lo=None, hi=None):
+    # Every vector within slack(d) of its row's least cost d, once, as
+    # arrays (row, z) in lexicographic order.  The search starts from each row's Babai point, whose slack is
+    # the row's first budget, and lowers the budget to slack(least cost so
+    # far) as leaves come: the sphere decoder's shrinking radius.  The
+    # Babai points stay candidates, so every row has one even where
+    # rounding keeps the enumeration from reaching it again.
+    z, cost = _babai(r, center, lo, hi)
+    row = np.arange(len(center))
+    budget = slack(cost)
+    for new_row, new_z, new_cost in _leaves(r, center, budget, lo, hi):
+        # Rows ascend within a chunk.
+        starts = np.flatnonzero(np.diff(new_row, prepend=-1))
+        seen = new_row[starts]
+        budget[seen] = np.minimum(budget[seen], slack(np.minimum.reduceat(new_cost, starts)))
+        row = np.concatenate([row, new_row])
+        z = np.concatenate([z, new_z])
+        cost = np.concatenate([cost, new_cost])
+        keep = cost <= budget[row]
+        row, z, cost = row[keep], z[keep], cost[keep]
+    order = np.lexsort(np.vstack([z.T[::-1], row]))
+    row, z = row[order], z[order]
+    # A Babai point the enumeration reached again is listed twice, in a row.
+    fresh = np.concatenate([[True], (np.diff(row) != 0) | np.any(np.diff(z, axis=0) != 0.0, axis=1)])
+    return row[fresh], z[fresh]
 
 
 def closest_point(
@@ -204,8 +217,10 @@ def enumerate_within_radius(
     The search is complete: the per-level window ``|R[i,i] * (z[i] - c[i])|
     <= remaining budget`` provably contains every solution, so no vector
     inside the radius is missed.  Returns ``(z, squared_distance)`` pairs in
-    depth-first order.  Raises :class:`BudgetError` if the search tree
-    holds more than ``max_nodes`` candidates.
+    ascending order of ``(z[k-1], ..., z[0])``, last coordinate first.
+    Raises :class:`BudgetError` if the search tree holds more than
+    ``max_nodes`` candidates, and ``ValueError`` for a non-finite center
+    or one with a basis coordinate above ``2**52`` in size.
     """
     g = np.asarray(generator, dtype=float)
     q, r = triangularize(g)
@@ -213,21 +228,16 @@ def enumerate_within_radius(
     if radius < 0.0 or not math.isfinite(radius):
         raise ValueError(f"radius must be finite and non-negative, got {radius!r}")
     if center is None:
-        yt = [0.0] * k
+        yt = np.zeros((1, k))
     else:
         cv = np.asarray(center, dtype=float).reshape(-1)
         if cv.shape[0] != k:
             raise ValueError(f"center shape {cv.shape} does not match dimension {k}")
-        yt = [float(t) for t in q.T @ cv]
-    r_rows = [[float(r[i, j]) for j in range(k)] for i in range(k)]
-    budget = radius * radius + TIE_TOL
+        yt = _frame(q.T, r, cv[None, :], "center")
+    budget = np.array([radius * radius + TIE_TOL])
     out: list[tuple[tuple[int, ...], float]] = []
-
-    def leaf(z, dist):
-        out.append((tuple(z), dist))
-        return budget
-
-    _depth_first(r_rows, yt, None, None, budget, leaf, max_nodes)
+    for _, z, cost in _leaves(r, yt, budget, max_nodes=max_nodes):
+        out += zip(map(tuple, z.astype(np.int64).tolist()), cost.tolist())
     return out
 
 
@@ -262,14 +272,17 @@ class BatchDecoder:
     cubic lattices), nothing at all, because rounding each coordinate is
     then an exact closest-point rule.
 
-    The brute-force path scores points by ``||x||**2 - 2 y.x``, which
-    orders them identically to the squared distance (the ``||y||**2``
-    shift is constant per query), and picks the first point within
-    ``TIE_TOL`` of the row minimum -- the lexicographically smallest
-    coefficient vector, as does the sphere decoder.  The diagonal path
-    makes the same choice by rounding coordinates down, in coordinate
-    order, while the extra squared distance this costs the row stays
-    within ``TIE_TOL`` in all.
+    Every strategy has one tie rule: of the points within ``TIE_TOL`` of
+    the least squared distance, the lexicographically smallest
+    coefficient vector wins.  The brute-force path scores points by
+    ``||x||**2 - 2 y.x``, which orders them identically to the squared
+    distance (the ``||y||**2`` shift is constant per query), and picks the
+    first point within ``TIE_TOL`` of the row minimum.  The sphere decoder
+    enumerates every point within ``TIE_TOL`` of the Babai point's
+    distance, shrinking that radius as closer points come, and applies
+    the rule to the points left.  The diagonal path makes the same choice
+    by rounding coordinates down, in coordinate order, while the extra
+    squared distance this costs the row stays within ``TIE_TOL`` in all.
     """
 
     def __init__(
@@ -308,7 +321,6 @@ class BatchDecoder:
             else:
                 self._qt = q.T.copy()
                 self._r = r
-                self._r_rows = [[float(r[i, j]) for j in range(self._k)] for i in range(self._k)]
         else:
             raise ValueError(f"unknown decoder method: {method!r}")
 
@@ -331,7 +343,9 @@ class BatchDecoder:
         Parameters
         ----------
         targets : ndarray, shape (m, k)
-            Received points, one per row.
+            Received points, one per row.  On a non-diagonal
+            ``SPHERE_DECODER`` a target whose basis coordinates exceed
+            ``2**52`` in size is a ``ValueError``.
 
         Returns
         -------
@@ -356,12 +370,13 @@ class BatchDecoder:
             if self._box is not None:
                 np.clip(u, 0, self._box - 1, out=u)
             return u.astype(np.int64)
-        lo, hi = (None, None) if self._box is None else (0, self._box - 1)
-        out = np.empty((y.shape[0], self._k), dtype=np.int64)
-        for i in range(y.shape[0]):
-            yt = [float(t) for t in self._qt @ y[i]]
-            out[i] = _sphere_search(self._r_rows, yt, lo, hi)
-        return out
+        yt = _frame(self._qt, self._r, y, "targets")
+        lo = hi = None
+        if self._box is not None:
+            lo, hi = np.broadcast_to(0.0, y.shape), np.broadcast_to(self._box - 1.0, y.shape)
+        row, z = _near_best(self._r, yt, lambda d: d + TIE_TOL, lo, hi)
+        # The lexicographically smallest candidate of each row.
+        return z[np.flatnonzero(np.diff(row, prepend=-1))].astype(np.int64)
 
     def radius_query(self, u: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The box points near ``y = G u + e``, for rows of symbols ``u`` and noise ``e``.
@@ -370,72 +385,30 @@ class BatchDecoder:
         frame, the box points within squared distance ``|e|**2 + 2 TIE_TOL``
         of ``y``; each level expands a node only over its window
         intersected with the box.  Returns two arrays of one value per row:
-        ``own``, the squared distance of ``G u`` itself, and ``other``, the
-        largest squared distance of any other point found (``-inf`` if
-        there is none).  ``own`` is NaN where ``u`` was not reached, and on
-        a row whose search alone would hold more than ``_QUERY_MAX_NODES``
-        nodes at one level; a set of rows that would is split in halves,
-        so memory is bounded whatever the rows.  Offsets from ``u`` are
-        enumerated, not coefficients, so distances are formed from ``e``
-        without the cancellation in ``y``.  Box-constrained
-        ``SPHERE_DECODER`` on a non-diagonal generator only.
+        ``own``, the squared distance of ``G u`` itself (NaN where ``u``
+        was not reached), and ``other``, the largest squared distance of
+        any other point found (``-inf`` if there is none).  Offsets from
+        ``u`` are enumerated, not coefficients, so distances are formed
+        from ``e`` without the cancellation in ``y``; a row of ``e`` whose
+        basis coordinates exceed ``2**52`` in size is a ``ValueError``.
+        Box-constrained ``SPHERE_DECODER`` on a non-diagonal generator only.
         """
         if self.method is not Decoder.SPHERE_DECODER or self._diag is not None or self._box is None:
             raise ValueError("radius_query requires a box and a non-diagonal SPHERE_DECODER")
-        et = e @ self._qt.T
+        et = _frame(self._qt, self._r, e, "e")
         budget = np.einsum("ij,ij->i", e, e) + 2.0 * TIE_TOL
         own = np.full(len(e), np.nan)
         other = np.full(len(e), -np.inf)
-        pending = [np.arange(len(e))]
-        while pending:
-            rows = pending.pop()
-            leaves = self._leaves(u[rows], et[rows], budget[rows])
-            if leaves is None:
-                if rows.size > 1:
-                    pending += [rows[rows.size // 2 :], rows[: rows.size // 2]]
-                continue
-            node_row, cost, on_u = leaves
-            own[rows[node_row[on_u]]] = cost[on_u]
-            node_row, cost = node_row[~on_u], cost[~on_u]
-            if node_row.size:
-                # Children follow their parents, so node_row is ascending.
-                starts = np.flatnonzero(np.diff(node_row, prepend=-1))
-                other[rows[node_row[starts]]] = np.maximum.reduceat(cost, starts)
+        for row, offset, cost in _leaves(self._r, et, budget, -u, self._box - 1 - u):
+            on_u = ~np.any(offset, axis=1)
+            own[row[on_u]] = cost[on_u]
+            row, cost = row[~on_u], cost[~on_u]
+            if row.size:
+                # Rows ascend within a chunk.
+                starts = np.flatnonzero(np.diff(row, prepend=-1))
+                seen = row[starts]
+                other[seen] = np.maximum(other[seen], np.maximum.reduceat(cost, starts))
         return own, other
-
-    def _leaves(self, u, et, budget):
-        # Breadth-first search of radius_query over the offsets d = z - u,
-        # last level first.  A node holds its row, its cost so far, whether
-        # its offsets are all 0 so far, and resid = et - R d over the levels
-        # still open, whose entry i over R[i, i] is the center of level i.
-        # Returns the leaves' rows, costs and flags, or None as soon as a
-        # level would hold more than _QUERY_MAX_NODES nodes.
-        r = self._r
-        top = self._box - 1
-        node_row = np.arange(len(u))
-        acc = np.zeros(len(u))
-        on_u = np.ones(len(u), dtype=bool)
-        resid = et
-        for i in range(self._k - 1, -1, -1):
-            center = resid[:, i] / r[i, i]
-            halfwidth = np.sqrt(budget[node_row] - acc) / r[i, i]
-            level = u[node_row, i]
-            first = np.maximum(np.ceil(center - halfwidth), -level)
-            count = np.minimum(np.floor(center + halfwidth), top - level) - first + 1.0
-            count = np.maximum(count, 0.0).astype(np.int64)
-            total = int(count.sum())
-            if total > _QUERY_MAX_NODES:
-                return None
-            parent = np.repeat(np.arange(count.size), count)
-            v = np.arange(total) + np.repeat(first - (np.cumsum(count) - count), count)
-            cost = acc[parent] + (r[i, i] * (v - center[parent])) ** 2
-            keep = cost <= budget[node_row[parent]]
-            parent, v, acc = parent[keep], v[keep], cost[keep]
-            node_row = node_row[parent]
-            on_u = on_u[parent] & (v == 0.0)
-            if i:
-                resid = resid[parent, :i] - v[:, None] * r[:i, i]
-        return node_row, acc, on_u
 
     def _share_tie_budget(self, y: np.ndarray, u: np.ndarray, window: np.ndarray) -> None:
         # A coordinate in the window rounded down at an extra squared
@@ -487,30 +460,21 @@ def voronoi_test_vectors(generator: np.ndarray) -> np.ndarray:
     """Lattice vectors sufficient to decide Voronoi-cell membership exactly.
 
     For each of the ``2**k - 1`` nonzero cosets of twice the lattice, collects
-    every shortest coset vector.  The union is a superset of the
+    every shortest coset vector (squared norms within a relative 1e-9, plus
+    1e-12, of the coset's least).  The union is a superset of the
     Voronoi-relevant vectors and a subset of the lattice, so
     ``x . v <= ||v||**2 / 2`` for all returned ``v`` holds if and only if the
     origin is a closest lattice point to ``x``.
 
-    Returns the vectors as rows, shape ``(m, k)``.
+    Returns the vectors as rows, shape ``(m, k)``, coset by coset.
     """
     g = np.asarray(generator, dtype=float)
-    q, r = triangularize(g)
+    _, r = triangularize(g)
     if np.linalg.cond(g) > _MAX_CONDITION:
         raise ValueError("unbounded search rejected: generator condition number exceeds 1e8")
     k = g.shape[0]
-    r_rows = [[float(r[i, j]) for j in range(k)] for i in range(k)]
-    vectors = []
-    for c in itertools.product((0, 1), repeat=k):
-        if not any(c):
-            continue
-        half = g @ (np.array(c, dtype=float) / 2.0)
-        target = -half
-        z0 = np.array(_sphere_search(r_rows, [float(t) for t in q.T @ target], None, None))
-        d0 = float(np.linalg.norm(g @ z0 - target))
-        hits = enumerate_within_radius(g, d0 * (1.0 + 1e-12) + 1e-12, center=target)
-        d_best = min(dist_sq for _, dist_sq in hits)
-        for z, dist_sq in hits:
-            if dist_sq <= d_best * (1.0 + 1e-9) + 1e-12:
-                vectors.append(g @ (np.array(c, dtype=float) + 2.0 * np.array(z, dtype=float)))
-    return np.array(vectors)
+    cosets = np.array(list(itertools.product((0.0, 1.0), repeat=k))[1:])
+    # The coset c + 2z is shortest where z is closest to -c/2; in the QR
+    # frame -G c/2 is -R c/2.
+    row, z = _near_best(r, cosets @ r.T / -2.0, lambda d: d * (1.0 + 1e-9) + 1e-12)
+    return (cosets[row] + 2.0 * z) @ g.T

@@ -385,8 +385,8 @@ def _errors(
     # other box point within |e|**2 + 2 TIE_TOL of y is correct, and one
     # whose other points there are all closer than G u by more than 2
     # TIE_TOL is an error, whatever the tie rule.  The rest -- a point in
-    # that tie band, u not reached, or a row over the query's node cap --
-    # and every row the certificate leaves to another search are decoded.
+    # that tie band, or u not reached -- and every row the certificate
+    # leaves to another search are decoded.
     wrong, undecided = _certify(cert, u, e)
     if undecided.size and cert is not None and decoder.method is Decoder.SPHERE_DECODER:
         own, other = decoder.radius_query(u[undecided], e[undecided])
@@ -523,10 +523,9 @@ def simulate_sep(plan: SimPlan, threads: int = 1) -> Curve:
     enumerates, for all those rows at once, the box points within ``|e|**2
     + 2e-12`` of ``y``: a row with no other point there is correct, one
     whose other points are all closer than ``x`` by more than ``2e-12``
-    is an error, and only the rest (a point in that tie band, or a row
-    over the query's node cap) go to the per-row sphere search.  Every
-    non-diagonal generator needs a condition number of at most 1e8
-    (``ValueError`` above it).
+    is an error, and only the rest (a point in that tie band) go to the
+    sphere search.  Every non-diagonal generator needs a condition number
+    of at most 1e8 (``ValueError`` above it).
 
     Before any of that, a radial screen settles most rows at high SNR
     from the Box-Muller radii alone.  Each noise entry is ``sigma r cos``

@@ -1,14 +1,16 @@
 """Closest-point search: sphere decoder, brute-force reference, enumeration."""
 
+import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from latticesep import BudgetError
+from latticesep import BudgetError, cvp
 from latticesep.cvp import (
     BatchDecoder,
     Decoder,
@@ -18,6 +20,21 @@ from latticesep.cvp import (
     voronoi_test_vectors,
 )
 from latticesep.lattices import catalog_lattice, load_lattice
+
+# A fixed skewed unit-volume basis, and two more for the pinned test vectors.
+_SKEWED = [[1.0, 0.6, -0.3], [0.2, 1.1, 0.7], [-0.4, 0.3, 0.9]]
+_SKEWED_MORE = [
+    [[2.0, 1.9, 0.3], [0.0, 0.5, -0.7], [0.1, 0.2, 1.3]],
+    [[1.0, -0.45, 0.8], [0.3, 1.2, -0.6], [0.0, 0.25, 0.7]],
+]
+
+
+def _noisy_rows(generator, big_k, rows, sigma, seed):
+    # Symbols u uniform over the box and targets G u + N(0, sigma**2 I).
+    rng = np.random.default_rng(seed)
+    n = generator.shape[0]
+    u = rng.integers(0, big_k, size=(rows, n))
+    return u, u @ generator.T + rng.normal(scale=sigma, size=(rows, n))
 
 
 class TestClosestPoint:
@@ -88,6 +105,29 @@ class TestClosestPoint:
         with pytest.raises(ValueError):
             closest_point(np.eye(2), [0.1, 0.2, 0.3])
 
+    def test_targets_beyond_2_to_52_basis_coordinates_are_rejected(self):
+        g = catalog_lattice("A2").generator
+        with pytest.raises(ValueError, match="targets"):
+            closest_point(g, [1e19, 0.0])
+        with pytest.raises(ValueError, match="targets"):
+            closest_point(g, [1e16, 0.0], box=4)
+        with pytest.raises(ValueError, match="e must"):
+            BatchDecoder(g, 4).radius_query(np.zeros((1, 2), dtype=np.int64), np.array([[0.0, 1e19]]))
+
+    @pytest.mark.parametrize("tol", [0.05, 0.2])
+    @pytest.mark.parametrize("name, big_k", [("A2", 4), ("E4", 4), ("skewed", 6)])
+    def test_one_tie_rule_with_a_wide_tie_window(self, monkeypatch, tol, name, big_k):
+        # With a tie window wide enough that near ties chain (a within tol
+        # of b, b within tol of c, a not within tol of c), the sphere
+        # decoder still keeps exactly the table's candidates: those within
+        # tol of the least distance, the lexicographically smallest winning.
+        monkeypatch.setattr(cvp, "TIE_TOL", tol)
+        g = load_lattice(_SKEWED).generator if name == "skewed" else catalog_lattice(name).generator
+        _, y = _noisy_rows(g, big_k, 3000, 0.6, 2)
+        sphere = BatchDecoder(g, big_k, Decoder.SPHERE_DECODER).decode(y)
+        brute = BatchDecoder(g, big_k, Decoder.BRUTE_FORCE).decode(y)
+        assert np.array_equal(sphere, brute)
+
 
 class TestEnumerateWithinRadius:
     def test_z2_unit_radius(self):
@@ -108,6 +148,17 @@ class TestEnumerateWithinRadius:
         for z, dist_sq in enumerate_within_radius(g, 1.5):
             x = g @ np.array(z, dtype=float)
             assert dist_sq == pytest.approx(float(x @ x), abs=1e-12)
+
+    def test_order_is_last_coordinate_first(self):
+        found = [z for z, _ in enumerate_within_radius(catalog_lattice("E4").generator, 1.6)]
+        assert len(found) > 24
+        assert found == sorted(found, key=lambda z: z[::-1])
+
+    def test_bad_centers_are_rejected(self):
+        g = catalog_lattice("A2").generator
+        for center in ([np.nan, 0.0], [np.inf, 0.0], [1e19, 0.0]):
+            with pytest.raises(ValueError, match="center"):
+                enumerate_within_radius(g, 1.0, center=center)
 
     def test_node_budget(self):
         with pytest.raises(BudgetError):
@@ -263,6 +314,31 @@ class TestVoronoiTestVectors:
             d_origin = float(x @ x)
             assert inside == (d_origin <= d_best + 1e-12), x
 
+    @pytest.mark.parametrize(
+        "name, count, digest",
+        [
+            ("Z2", 8, "afde01379669b0dae63fcf9746106bd24bb63f34167d2ade90110f66d961dd00"),
+            ("A2", 6, "429d69cef547a7d00b5d3463ac57ba8e390a2c531191c29903ba4cdaa141496f"),
+            ("E4", 48, "98c65a3c44a55468f6738a81cae6d450fd369eba2e8ec031756788aa80bf44e7"),
+            ("E8", 2400, "b6584ae75279e4790a0f99600674edab17b6d8503f7d189d7633ac46cf68f43f"),
+            (0, 14, "1e8201dd030ce0e359b42f7d2c991fc75f9cb645d9327393446c610be160142d"),
+            (1, 14, "bbc637d3bd0310e8d81a279e2a150a8feb962d3d55f9dd0c1dbe7abcc3b7c7f4"),
+            (2, 14, "8451e6dba5753c28cf0f5be72ff1dbef015aa3c391dc5a061aa173ec40a18904"),
+        ],
+    )
+    def test_pinned_vectors(self, name, count, digest):
+        # SHA-256 of the float64 bytes of the vectors, sorted row-wise,
+        # pinned from the earlier per-coset search; integers select the
+        # fixed skewed bases.
+        if isinstance(name, int):
+            g = load_lattice(([_SKEWED] + _SKEWED_MORE)[name]).generator
+        else:
+            g = catalog_lattice(name).generator
+        v = voronoi_test_vectors(g)
+        v = np.ascontiguousarray(v[np.lexsort(v.T[::-1])])
+        assert len(v) == count
+        assert hashlib.sha256(v.tobytes()).hexdigest() == digest
+
     def test_all_vectors_are_lattice_vectors(self):
         g = catalog_lattice("E4").generator
         v = voronoi_test_vectors(g)
@@ -369,3 +445,56 @@ class TestBatchDecoder:
             decoder.decode(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             decoder.decode(np.array([[np.nan, 0.0]]))
+
+
+def _search_results(generator, big_k, rows, sigma, seed):
+    # What every search built on the enumerator returns for one generator.
+    u, y = _noisy_rows(generator, big_k, rows, sigma, seed)
+    decoder = BatchDecoder(generator, big_k, Decoder.SPHERE_DECODER)
+    return (
+        decoder.decode(y),
+        BatchDecoder(generator, None, Decoder.SPHERE_DECODER).decode(y),
+        *decoder.radius_query(u, y - u @ generator.T),
+        enumerate_within_radius(generator, 2.0, center=y[0]),
+        voronoi_test_vectors(generator),
+    )
+
+
+class TestChunkedEnumeration:
+    @pytest.mark.parametrize(
+        "name, big_k, rows, sigma",
+        [("A2", 8, 300, 1.0), ("E8", 4, 12, 0.8), ("skewed", 20, 300, 0.7)],
+    )
+    def test_tiny_chunks_give_the_same_values(self, monkeypatch, name, big_k, rows, sigma):
+        # With 3 nodes per step, every level and many a single parent's
+        # window is split into chunks; every result must be unchanged.
+        g = load_lattice(_SKEWED).generator if name == "skewed" else catalog_lattice(name).generator
+        default = _search_results(g, big_k, rows, sigma, 8)
+        monkeypatch.setattr(cvp, "_CHUNK", 3)
+        tiny = _search_results(g, big_k, rows, sigma, 8)
+        for a, b in zip(default, tiny):
+            if isinstance(a, list):
+                assert a == b
+            else:
+                assert np.array_equal(a, b, equal_nan=True)
+
+    def test_a_window_wider_than_a_chunk_is_split(self, monkeypatch):
+        # The last coordinate's window, under one parent, holds 9 values.
+        default = enumerate_within_radius(np.eye(2), 4.0)
+        monkeypatch.setattr(cvp, "_CHUNK", 3)
+        assert enumerate_within_radius(np.eye(2), 4.0) == default
+        assert len(default) == 49
+
+    def test_memory_is_bounded_at_low_snr(self):
+        # E8 K = 4 at 0 dB: about 2 M leaves within the first radius of
+        # 2000 rows if listed at once (over 600 MB); chunks hold the peak.
+        g = catalog_lattice("E8").generator
+        _, y = _noisy_rows(g, 4, 2000, 1.0, 1)
+        decoder = BatchDecoder(g, 4, Decoder.SPHERE_DECODER)
+        tracemalloc.start()
+        try:
+            decoder.decode(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20

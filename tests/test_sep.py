@@ -626,25 +626,13 @@ class TestRadiusQuery:
         assert tied.any() and not np.any(settled[tied])
         _assert_query_matches_table(g, 20, 7)
 
-    def test_node_cap_splits_blocks_and_sends_lone_rows_to_the_sphere_search(self, monkeypatch):
-        # With at most 6 nodes per level, sets of rows are split down to
-        # lone rows, and a lone row over the cap is left open.
-        monkeypatch.setattr(cvp, "_QUERY_MAX_NODES", 6)
-        calls = []
-        original = BatchDecoder._leaves
-
-        def counting(self, u, et, budget):
-            leaves = original(self, u, et, budget)
-            calls.append((len(u), leaves is None))
-            return leaves
-
-        monkeypatch.setattr(BatchDecoder, "_leaves", counting)
-        g = catalog_lattice("A2").generator
-        open_rows = _assert_query_matches_table(g, 8, 11)
-        assert any(rows > 1 and over for rows, over in calls)
-        assert any(rows == 1 and over for rows, over in calls)
-        assert any(rows > 1 and not over for rows, over in calls)
-        assert np.count_nonzero(open_rows) >= sum(rows == 1 and over for rows, over in calls)
+    def test_tiny_chunks_keep_the_verdicts(self, monkeypatch):
+        # With 6 nodes per enumeration step, levels and single windows are
+        # split into many chunks; the query still settles rows as the
+        # table does, and leaves only tie-band rows open.
+        monkeypatch.setattr(cvp, "_CHUNK", 6)
+        open_rows = _assert_query_matches_table(catalog_lattice("A2").generator, 8, 11)
+        assert 0 < np.count_nonzero(open_rows) < open_rows.size // 2
 
     def test_rejects_searches_without_a_query(self):
         u, e = np.zeros((1, 2), dtype=np.int64), np.zeros((1, 2))
