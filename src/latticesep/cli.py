@@ -24,8 +24,7 @@ the unit-volume lattice.  No energy normalization is applied, so curves
 are not directly comparable to Es/N0-normalized plots.
 
 Exit codes: 0 success, 1 failed checks or runtime errors, 2 usage or
-config errors.  The ``LATTICESEP_THREADS`` environment variable sets the
-default simulation thread count (overridden by ``--threads``).
+config errors.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -70,7 +68,6 @@ from .svgplot import CurveSeries, write_svg
 __all__ = ["ConfigError", "ExperimentConfig", "main", "parse_config_data", "preset_names"]
 
 CURVE_NAMES = ("SEP_SIM", "SEP_EXACT", "MSLB", "MSUB", "SLB", "SUB")
-THREADS_ENV_VAR = "LATTICESEP_THREADS"
 
 
 class ConfigError(ValueError):
@@ -255,19 +252,6 @@ def _resolve_lattice(name_or_path: str) -> Lattice:
     raise ConfigError(f"lattice {name_or_path!r} is not an existing file: {catalog_error}")
 
 
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}") from None
-    if threads < 1:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
-    return threads
-
-
 def _stem(lattice_name: str, big_k: int) -> str:
     safe = re.sub(r"[^A-Za-z0-9_.-]+", "_", lattice_name.lower())
     return f"{safe}-{big_k}pam"
@@ -397,9 +381,8 @@ def cmd_run(args) -> int:
     if overrides:
         config = replace(config, **overrides)
 
-    threads = args.threads if args.threads is not None else _default_threads()
-    if threads < 1:
-        raise ConfigError(f"--threads must be a positive integer, got {threads}")
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be a positive integer, got {args.threads}")
 
     lattice = _resolve_lattice(config.lattice)
     sampled = [
@@ -425,7 +408,7 @@ def cmd_run(args) -> int:
     if config.description:
         print(f"  {config.description}")
 
-    results = _run_curves(config, lattice, grid, threads)
+    results = _run_curves(config, lattice, grid, args.threads)
     out_dir = Path(args.out or config.out or ".")
     written = _write_outputs(config, lattice, grid, results, out_dir, args.plot)
     _print_summary(config, results)
@@ -524,7 +507,7 @@ def _check_decoder_agreement():
     u = (rng.random((400, 8)) * 4).astype(np.int64)
     e = rng.standard_normal((400, 8)) * 10.0 ** (-9.0 / 20.0)
     table = BatchDecoder(e8, 4, Decoder.BRUTE_FORCE).decode(u @ e8.T + e)
-    verdicts = _errors(e8, _decoder(e8, 4), _certificate(e8, 4), u, e, len(u))
+    verdicts = _errors(e8, _decoder(e8, 4), _certificate(e8, 4), u, e)
     wrong = int(np.count_nonzero(verdicts != np.any(table != u, axis=1)))
     return mismatches == 0 and wrong == 0, (
         f"sphere vs brute force on 2000 noisy A2 points, {mismatches} mismatches; "
@@ -573,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, help="override the config seed")
     p_run.add_argument("--max-trials", type=int, help="override the per-point trial cap")
     p_run.add_argument("--target-errors", type=int, help="override the early-stopping error target")
-    p_run.add_argument("--threads", type=int, help=f"simulation threads (default ${THREADS_ENV_VAR} or 1)")
+    p_run.add_argument("--threads", type=int, default=1, help="simulation threads (default 1)")
     p_run.add_argument("--out", help="output directory (overrides the config's 'out'; default: current directory)")
     p_run.add_argument("--plot", action="store_true", help="also write an SVG plot")
     p_run.set_defaults(func=cmd_run)

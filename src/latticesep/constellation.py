@@ -29,8 +29,9 @@ class FiniteConstellation:
     K: int
 
     def __post_init__(self):
-        if not isinstance(self.K, int) or self.K < 2:
+        if not isinstance(self.K, (int, np.integer)) or self.K < 2:  # True and False are below 2
             raise ValueError(f"K must be an integer >= 2, got {self.K!r}")
+        object.__setattr__(self, "K", int(self.K))
 
     @property
     def dimension(self) -> int:

@@ -17,7 +17,6 @@ its leaves.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 
 import numpy as np
@@ -210,7 +209,6 @@ def enumerate_within_radius(
     generator: np.ndarray,
     radius: float,
     center: np.ndarray | None = None,
-    max_nodes: int = _ENUM_MAX_NODES,
 ) -> list[tuple[tuple[int, ...], float]]:
     """All integer vectors z with ``||generator @ z - center|| <= radius``.
 
@@ -219,7 +217,7 @@ def enumerate_within_radius(
     inside the radius is missed.  Returns ``(z, squared_distance)`` pairs in
     ascending order of ``(z[k-1], ..., z[0])``, last coordinate first.
     Raises :class:`BudgetError` if the search tree holds more than
-    ``max_nodes`` candidates, and ``ValueError`` for a non-finite center
+    ``2**26`` candidates, and ``ValueError`` for a non-finite center
     or one with a basis coordinate above ``2**52`` in size.
     """
     g = np.asarray(generator, dtype=float)
@@ -236,7 +234,7 @@ def enumerate_within_radius(
         yt = _frame(q.T, r, cv[None, :], "center")
     budget = np.array([radius * radius + TIE_TOL])
     out: list[tuple[tuple[int, ...], float]] = []
-    for _, z, cost in _leaves(r, yt, budget, max_nodes=max_nodes):
+    for _, z, cost in _leaves(r, yt, budget, max_nodes=_ENUM_MAX_NODES):
         out += zip(map(tuple, z.astype(np.int64).tolist()), cost.tolist())
     return out
 
@@ -277,7 +275,9 @@ class BatchDecoder:
     coefficient vector wins.  The brute-force path scores points by
     ``||x||**2 - 2 y.x``, which orders them identically to the squared
     distance (the ``||y||**2`` shift is constant per query), and picks the
-    first point within ``TIE_TOL`` of the row minimum.  The sphere decoder
+    first point within ``TIE_TOL`` of the row minimum; where that score's
+    rounding leaves more than one candidate, the candidates are re-scored
+    by ``||y - x||**2``.  The sphere decoder
     enumerates every point within ``TIE_TOL`` of the Babai point's
     distance, shrinking that radius as closer points come, and applies
     the rule to the points left.  The diagonal path makes the same choice
@@ -305,9 +305,9 @@ class BatchDecoder:
             total = box**self._k
             if total > 1 << 24:
                 raise BudgetError(f"brute-force table of {total} points exceeds the 2**24 budget")
-            coeffs = np.array(list(itertools.product(range(box), repeat=self._k)), dtype=np.int64)
-            self._coeffs = coeffs
-            self._points = coeffs @ g.T
+            # Every vector of {0, ..., box-1}**k, in lexicographic order.
+            self._coeffs = np.indices((box,) * self._k).reshape(self._k, -1).T
+            self._points = self._coeffs @ g.T
             self._norms = np.sum(self._points**2, axis=1)
         elif method is Decoder.SPHERE_DECODER:
             if box is None and np.linalg.cond(g) > _MAX_CONDITION:
@@ -444,16 +444,38 @@ class BatchDecoder:
         total = self._points.shape[0]
         chunk = max(1, (1 << 22) // total)
         out = np.empty(y.shape[0], dtype=np.int64)
+        # The score |p|**2 - 2 y . p is off by up to about eps (|p|**2 + 2
+        # |y|_1 |p|); a row with more than one point within TIE_TOL plus
+        # that of its least score is re-scored by |y - p|**2.
+        top = self._norms.max()
+        rounding = 64.0 * np.finfo(float).eps * (top + 2.0 * math.sqrt(top) * np.abs(y).sum(axis=1))
+        slack = TIE_TOL + rounding
         for start in range(0, y.shape[0], chunk):
             block = y[start : start + chunk]
-            # |p|**2 - 2 y . p, formed in place: -2 x is exact, so the
-            # bits are those of norms - 2.0 * product.
+            # Formed in place: -2 x is exact, so the bits are those of
+            # norms - 2.0 * product.
             scores = block @ self._points.T
             scores *= -2.0
             scores += self._norms
             best = scores.min(axis=1, keepdims=True)
-            out[start : start + block.shape[0]] = np.argmax(scores <= best + TIE_TOL, axis=1)
+            near = scores <= best + slack[start : start + block.shape[0], None]
+            out[start : start + block.shape[0]] = np.argmax(near, axis=1)
+            if np.count_nonzero(near) > block.shape[0]:
+                tied = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
+                out[start + tied] = self._rescore(block[tied], near[tied])
         return out
+
+    def _rescore(self, y: np.ndarray, near: np.ndarray) -> np.ndarray:
+        # The tie rule on the points marked in each row of `near`, from
+        # squared distances formed as differences: the first (smallest)
+        # index within TIE_TOL of the row's least.
+        row, index = np.nonzero(near)
+        diff = y[row] - self._points[index]
+        dist = np.einsum("ij,ij->i", diff, diff)
+        least = np.minimum.reduceat(dist, np.flatnonzero(np.diff(row, prepend=-1)))
+        keep = dist <= least[row] + TIE_TOL
+        row, index = row[keep], index[keep]
+        return index[np.flatnonzero(np.diff(row, prepend=-1))]
 
 
 def voronoi_test_vectors(generator: np.ndarray) -> np.ndarray:
@@ -473,7 +495,7 @@ def voronoi_test_vectors(generator: np.ndarray) -> np.ndarray:
     if np.linalg.cond(g) > _MAX_CONDITION:
         raise ValueError("unbounded search rejected: generator condition number exceeds 1e8")
     k = g.shape[0]
-    cosets = np.array(list(itertools.product((0.0, 1.0), repeat=k))[1:])
+    cosets = np.indices((2,) * k, dtype=float).reshape(k, -1).T[1:]
     # The coset c + 2z is shortest where z is closest to -c/2; in the QR
     # frame -G c/2 is -R c/2.
     row, z = _near_best(r, cosets @ r.T / -2.0, lambda d: d * (1.0 + 1e-9) + 1e-12)

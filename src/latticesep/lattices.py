@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cvp import shortest_vector_norm, triangularize
+from .cvp import shortest_vector_norm
 from .exceptions import BudgetError, InternalCheckError
 
 _MAX_ZN_DIM = 16
@@ -301,5 +301,4 @@ __all__ = [
     "minimum_distance",
     "read_lattice_file",
     "sublattice_generator",
-    "triangularize",
 ]

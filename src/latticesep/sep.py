@@ -44,8 +44,8 @@ from .cvp import TIE_TOL, BatchDecoder, Decoder, voronoi_test_vectors
 from .lattices import is_integer_orthonormal, sublattice_generator
 from .special import q_function
 from .streams import (
-    _MAX_SEED,
     SHARD_SIZE,
+    _check_seed,
     derive_seed,
     normal_angles,
     normal_radii,
@@ -104,8 +104,7 @@ class SimPlan:
                 f"simulation supports dimensions up to {_MAX_SIM_DIMENSION}, "
                 f"got {self.constellation.dimension}"
             )
-        if not isinstance(self.seed, int) or not 0 <= self.seed < _MAX_SEED:
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         _check_budget("max_trials", self.max_trials, _MIN_MAX_TRIALS)
         _check_budget("target_errors", self.target_errors, _MIN_TARGET_ERRORS)
 
@@ -338,16 +337,6 @@ def _open_rows(radius: np.ndarray, m: int, n: int, limit) -> np.ndarray:
     return np.concatenate(found)
 
 
-def _received(generator: np.ndarray, u: np.ndarray, e: np.ndarray, shard_rows: int) -> np.ndarray:
-    # y = u G^T + e for some rows of a shard of shard_rows rows, bit for bit
-    # as the product over the whole shard gives them: numpy hands a one-row
-    # product to gemv, whose rounding can differ from gemm's, so a lone row
-    # of a larger shard is multiplied as a pair.
-    if len(u) == 1 < shard_rows:
-        return (np.repeat(u, 2, axis=0) @ generator.T)[:1] + e
-    return u @ generator.T + e
-
-
 def _decoder(generator: np.ndarray, big_k: int) -> BatchDecoder:
     # The cheapest exact search for the rows the certificate leaves open:
     # rounding for a diagonal generator, else the point table up to
@@ -376,17 +365,16 @@ def _errors(
     cert: _Certificate | None,
     u: np.ndarray,
     e: np.ndarray,
-    shard_rows: int,
 ) -> np.ndarray:
-    # Error mask of the trials y = G u + e, rows of a shard of shard_rows
-    # rows.  The certificate settles most rows (_certify).  Where the
-    # sphere search would decode the rest, the radius query around G u
-    # settles most of those (BatchDecoder.radius_query): a row with no
-    # other box point within |e|**2 + 2 TIE_TOL of y is correct, and one
-    # whose other points there are all closer than G u by more than 2
-    # TIE_TOL is an error, whatever the tie rule.  The rest -- a point in
-    # that tie band, or u not reached -- and every row the certificate
-    # leaves to another search are decoded.
+    # Error mask of the trials y = G u + e.  The certificate settles most
+    # rows (_certify).  Where the sphere search would decode the rest, the
+    # radius query around G u settles most of those
+    # (BatchDecoder.radius_query): a row with no other box point within
+    # |e|**2 + 2 TIE_TOL of y is correct, and one whose other points there
+    # are all closer than G u by more than 2 TIE_TOL is an error, whatever
+    # the tie rule.  The rest -- a point in that tie band, or u not
+    # reached -- and every row the certificate leaves to another search
+    # are decoded.
     wrong, undecided = _certify(cert, u, e)
     if undecided.size and cert is not None and decoder.method is Decoder.SPHERE_DECODER:
         own, other = decoder.radius_query(u[undecided], e[undecided])
@@ -394,7 +382,7 @@ def _errors(
         wrong[undecided[settled]] = other[settled] > -np.inf
         undecided = undecided[~settled]
     if undecided.size:
-        y = _received(generator, u[undecided], e[undecided], shard_rows)
+        y = u[undecided] @ generator.T + e[undecided]
         wrong[undecided] = np.any(decoder.decode(y) != u[undecided], axis=1)
     return wrong
 
@@ -432,7 +420,7 @@ def _shard_errors(
         e = normals_from_angles(radius, angle, count, entries).reshape(block.size, n)
         e *= sigma
         u = uniforms_to_symbols(uniforms[block], big_k)
-        errors += int(np.count_nonzero(_errors(generator, decoder, cert, u, e, m)))
+        errors += int(np.count_nonzero(_errors(generator, decoder, cert, u, e)))
     return errors
 
 

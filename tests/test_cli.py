@@ -198,14 +198,6 @@ class TestRunCommand:
         four = (tmp_path / "t4" / "z2-4pam-sep_sim.csv").read_bytes()
         assert one == four
 
-    def test_threads_env_var(self, tmp_path, monkeypatch):
-        config_path = tmp_path / "experiment.json"
-        config_path.write_text(json.dumps(make_config_data(curves=["SEP_SIM"])))
-        monkeypatch.setenv("LATTICESEP_THREADS", "2")
-        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "env")]) == 0
-        monkeypatch.setenv("LATTICESEP_THREADS", "zero")
-        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "env2")]) == 2
-
     def test_config_out_field_and_flag_override(self, tmp_path):
         from_config = tmp_path / "from_config"
         data = make_config_data(curves=["MSLB"], out=str(from_config))

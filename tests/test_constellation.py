@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,3 +86,10 @@ class TestFiniteConstellation:
             FiniteConstellation(catalog_lattice("Z2"), 1)
         with pytest.raises(ValueError):
             FiniteConstellation(catalog_lattice("Z2"), 4.0)
+
+    def test_numpy_integers_are_accepted_as_python_ints(self):
+        c = FiniteConstellation(catalog_lattice("Z2"), np.int64(4))
+        assert c.K == 4 and type(c.K) is int and c.size == 16
+        for big_k in (True, np.bool_(True), np.float64(4.0), np.int32(1)):
+            with pytest.raises(ValueError, match="K must be an integer"):
+                FiniteConstellation(catalog_lattice("Z2"), big_k)

@@ -160,9 +160,10 @@ class TestEnumerateWithinRadius:
             with pytest.raises(ValueError, match="center"):
                 enumerate_within_radius(g, 1.0, center=center)
 
-    def test_node_budget(self):
+    def test_node_budget(self, monkeypatch):
+        monkeypatch.setattr(cvp, "_ENUM_MAX_NODES", 1000)
         with pytest.raises(BudgetError):
-            enumerate_within_radius(np.eye(2), 1e4, max_nodes=1000)
+            enumerate_within_radius(np.eye(2), 1e4)
 
     def test_node_budget_is_checked_before_a_level_is_listed(self):
         # The last coordinate's window holds about 1.3e12 values: the
@@ -410,6 +411,34 @@ class TestBatchDecoder:
             fast = BatchDecoder(np.diag(d), box, Decoder.SPHERE_DECODER).decode(y)
             brute = BatchDecoder(np.diag(d), box, Decoder.BRUTE_FORCE).decode(y)
             assert np.array_equal(fast, brute)
+
+    @pytest.mark.parametrize("name, big_k", [("A2", 64), ("skewed", 20)])
+    def test_table_splits_near_ties_as_the_sphere_search_does(self, name, big_k):
+        # Midpoints of neighbouring box points, off by 1e-14: ties that the
+        # table's score |p|**2 - 2 y.p cannot split by itself where |p|**2
+        # is large (about 4400 on A2 with K = 64).
+        g = load_lattice(_SKEWED).generator if name == "skewed" else catalog_lattice(name).generator
+        n = g.shape[0]
+        steps = np.rint(np.linalg.solve(g, voronoi_test_vectors(g).T)).T
+        rng = np.random.default_rng(0)
+        u = rng.integers(0, big_k, (2000, n))
+        y = (u + steps[rng.integers(0, len(steps), 2000)] / 2.0) @ g.T
+        y += rng.normal(scale=1e-14, size=y.shape)
+        brute = BatchDecoder(g, big_k, Decoder.BRUTE_FORCE).decode(y)
+        assert np.array_equal(brute, BatchDecoder(g, big_k, Decoder.SPHERE_DECODER).decode(y))
+
+    def test_table_takes_the_smaller_of_two_near_tied_points(self):
+        # Squared distances 6.1e-13 and 4.9e-14 apart on the skewed basis
+        # with K = 20: the lexicographically smaller point wins.
+        g = load_lattice(_SKEWED).generator
+        y = np.array(
+            [
+                [20.568150399320032, 35.693869249679054, 17.599551372614037],
+                [8.764435221703353, 48.487117436197515, 31.947780001692813],
+            ]
+        )
+        for method in Decoder:
+            assert np.array_equal(BatchDecoder(g, 20, method).decode(y), [[13, 10, 16], [0, 19, 19]])
 
     def test_decode_indices_ranks_row_major(self):
         g = catalog_lattice("Z2").generator

@@ -13,13 +13,8 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticesep import (
-    ConvergenceError,
-    InternalCheckError,
-    clamp_probability,
-    q_function,
-    regularized_gamma_upper,
-)
+from latticesep import ConvergenceError, InternalCheckError
+from latticesep.special import clamp_probability, q_function, regularized_gamma_upper
 from latticesep.bounds import inscribed_radius_sq, volume_matched_radius_sq
 
 
