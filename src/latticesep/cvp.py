@@ -479,14 +479,34 @@ class BatchDecoder:
 
 
 def voronoi_test_vectors(generator: np.ndarray) -> np.ndarray:
-    """Lattice vectors sufficient to decide Voronoi-cell membership exactly.
+    """The Voronoi-relevant vectors: the facet normals of the Voronoi cell.
 
-    For each of the ``2**k - 1`` nonzero cosets of twice the lattice, collects
-    every shortest coset vector (squared norms within a relative 1e-9, plus
-    1e-12, of the coset's least).  The union is a superset of the
-    Voronoi-relevant vectors and a subset of the lattice, so
-    ``x . v <= ||v||**2 / 2`` for all returned ``v`` holds if and only if the
-    origin is a closest lattice point to ``x``.
+    ``x . v <= ||v||**2 / 2`` for all returned ``v`` holds if and only if
+    the origin is a closest lattice point to ``x``.  By Voronoi's criterion
+    (Conway & Sloane, *Low-dimensional lattices VI*, Proc. R. Soc. A 1992;
+    Agrell, Eriksson, Vardy & Zeger, IEEE Trans. IT 2002), ``v`` is relevant
+    iff ``+-v`` are the only shortest vectors of its coset ``v + 2L``.  So
+    for each of the ``2**k - 1`` nonzero cosets of twice the lattice, the
+    shortest coset vectors are searched for (squared norms within a
+    relative 1e-9, plus 1e-12, of the coset's least), and of these the
+    ones within ``TIE_TOL`` of the least are kept if there are exactly two,
+    and the whole coset is dropped if there are more: 240 vectors on E8
+    (of 2400 searched), 24 on E4, 4 on Z2, 6 on A2.
+
+    Dropping is sound with the ``TIE_TOL / 2`` margins of the simulator's
+    certificate.  Tied ``v, w`` of one coset give lattice vectors ``a = (v +
+    w) / 2`` and ``b = (v - w) / 2``, both nonzero and shorter than ``v``,
+    with ``v = a + b`` and ``a . b = (||v||**2 - ||w||**2) / 4 >= -TIE_TOL /
+    4``, so ``h_v - x . v >= (h_a - x . a) + (h_b - x . b) - TIE_TOL / 4``
+    with ``h_v = ||v||**2 / 2``; a vector longer than its coset's least
+    splits the same way with ``a . b > 0``.  By induction on the norm, a
+    margin ``h - x . v > TIE_TOL / 2`` on every returned vector then holds
+    on every nonzero lattice vector, with ``TIE_TOL / 4`` to spare.  That
+    spare must cover the rounding of the norms, so where a coset's
+    allowance ``16 k eps ||v||**2`` reaches ``TIE_TOL / 4`` (squared norms
+    above 70 / k: large-scale bases, never a unit-volume catalog lattice),
+    every vector the search found for that coset is kept: a superset, which
+    is always sound.
 
     Returns the vectors as rows, shape ``(m, k)``, coset by coset.
     """
@@ -497,6 +517,13 @@ def voronoi_test_vectors(generator: np.ndarray) -> np.ndarray:
     k = g.shape[0]
     cosets = np.indices((2,) * k, dtype=float).reshape(k, -1).T[1:]
     # The coset c + 2z is shortest where z is closest to -c/2; in the QR
-    # frame -G c/2 is -R c/2.
+    # frame -G c/2 is -R c/2.  Every coset has a row, in ascending order.
     row, z = _near_best(r, cosets @ r.T / -2.0, lambda d: d * (1.0 + 1e-9) + 1e-12)
-    return (cosets[row] + 2.0 * z) @ g.T
+    vectors = (cosets[row] + 2.0 * z) @ g.T
+    norms = np.einsum("ij,ij->i", vectors, vectors)
+    starts = np.flatnonzero(np.diff(row, prepend=-1))
+    least = np.minimum.reduceat(norms, starts)
+    tied = norms <= least[row] + TIE_TOL
+    pair = np.add.reduceat(tied, starts) == 2
+    guarded = 16.0 * k * np.finfo(float).eps * least >= TIE_TOL / 4.0
+    return vectors[(tied & pair[row]) | guarded[row]]

@@ -118,7 +118,7 @@ def _check_budget(name: str, value, minimum: int) -> None:
 
 def _membership_halfspaces(generator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Half-space form of the Voronoi cell around the origin: x belongs iff
-    # x . v <= ||v||**2 / 2 for every test vector v (ties inside).
+    # x . v <= ||v||**2 / 2 for every Voronoi-relevant vector v (ties inside).
     vectors = voronoi_test_vectors(generator)
     half_norms = 0.5 * np.sum(vectors**2, axis=1)
     return vectors.T.copy(), half_norms
@@ -236,7 +236,12 @@ def exact_sep_theorem1(
 
 @dataclass(frozen=True)
 class _Certificate:
-    """The Voronoi test vectors ``v_j = G c_j`` of a generator, for deciding trials."""
+    """The Voronoi-relevant vectors ``v_j = G c_j`` of a generator, for deciding trials.
+
+    One half-space per facet of the Voronoi cell (240 on E8, 24 on E4):
+    :func:`latticesep.cvp.voronoi_test_vectors` shows that ``TIE_TOL / 2``
+    margins on these imply them on every other lattice vector.
+    """
 
     vt: np.ndarray  # (n, J): the vectors v_j as columns
     half_norms: np.ndarray  # (J,): h_j = |v_j|**2 / 2
@@ -493,8 +498,10 @@ def simulate_sep(plan: SimPlan, threads: int = 1) -> Curve:
     accumulated, or at ``max_trials``.
 
     Most rows are decided without decoding, by a certificate from the
-    Voronoi test vectors ``v_j = M c_j`` of the lattice
-    (:func:`latticesep.cvp.voronoi_test_vectors`).  With ``e = y - x`` and
+    Voronoi-relevant vectors ``v_j = M c_j`` of the lattice, one per facet
+    of its Voronoi cell (:func:`latticesep.cvp.voronoi_test_vectors`: 240
+    on E8, 24 on E4; a margin on these implies one on every other lattice
+    vector).  With ``e = y - x`` and
     ``h_j = |v_j|**2 / 2``, a row is correct if ``|e|**2 < d_min**2 / 4 -
     1e-12`` or if ``e . v_j - h_j < -0.5e-12`` for every j, and it is an
     error if ``e . v_j - h_j > 0.5e-12`` for some j with ``u + c_j`` in the

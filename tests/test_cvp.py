@@ -29,6 +29,20 @@ _SKEWED_MORE = [
 ]
 
 
+# A unit-volume basis of a nearly square lattice: the diagonal cosets hold
+# vectors of squared norms 2 -+ 2e-10, and only the shorter is relevant.
+_NEAR_SQUARE = [[0.0, 1.0], [1.0, 1e-10]]
+
+
+def _generator(name):
+    # A catalog lattice, a fixed skewed basis (an integer) or "near-square".
+    if isinstance(name, int):
+        return load_lattice(([_SKEWED] + _SKEWED_MORE)[name]).generator
+    if name == "near-square":
+        return np.array(_NEAR_SQUARE)
+    return catalog_lattice(name).generator
+
+
 def _noisy_rows(generator, big_k, rows, sigma, seed):
     # Symbols u uniform over the box and targets G u + N(0, sigma**2 I).
     rng = np.random.default_rng(seed)
@@ -284,13 +298,11 @@ class TestShortestVector:
 
 class TestVoronoiTestVectors:
     def test_z2_vectors(self):
+        # The diagonals (+-1, +-1) share a coset with four shortest vectors,
+        # so they are not relevant: the cell is the square of the axes.
         v = voronoi_test_vectors(np.eye(2))
         got = sorted(map(tuple, v.tolist()))
-        expected = sorted(
-            [(-1.0, -1.0), (-1.0, 0.0), (-1.0, 1.0), (0.0, -1.0), (0.0, 1.0),
-             (1.0, -1.0), (1.0, 0.0), (1.0, 1.0)]
-        )
-        assert got == expected
+        assert got == [(-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
 
     def test_a2_is_hexagonal(self):
         lat = catalog_lattice("A2")
@@ -298,44 +310,61 @@ class TestVoronoiTestVectors:
         assert len(v) == 6
         assert np.allclose(np.linalg.norm(v, axis=1), lat.d_min, atol=1e-9)
 
-    @pytest.mark.parametrize("name,k", [("Z2", 2), ("Z3", 3), ("A2", 2), ("E4", 4)])
+    @pytest.mark.parametrize(
+        "name,k",
+        [("Z2", 2), ("Z3", 3), ("A2", 2), ("E4", 4), ("E8", 8), (0, 3), (1, 3), (2, 3), ("near-square", 2)],
+    )
     def test_membership_agrees_with_decoding(self, name, k):
         # The half-space test must reproduce "the origin is a closest lattice
         # point" exactly, decided here by the sphere decoder.
-        lat = catalog_lattice(name)
-        g = lat.generator
+        g = _generator(name)
         v = voronoi_test_vectors(g)
         half_norms = 0.5 * np.sum(v * v, axis=1)
         rng = np.random.default_rng(7)
         samples = rng.normal(scale=0.7, size=(500, k))
         inside_test = np.all(samples @ v.T <= half_norms + 1e-12, axis=1)
-        for x, inside in zip(samples, inside_test):
-            z = closest_point(g, x)
-            d_best = float(np.sum((g @ z - x) ** 2))
-            d_origin = float(x @ x)
-            assert inside == (d_origin <= d_best + 1e-12), x
+        z = BatchDecoder(g, None, Decoder.SPHERE_DECODER).decode(samples)
+        d_best = np.sum((z @ g.T - samples) ** 2, axis=1)
+        d_origin = np.sum(samples**2, axis=1)
+        assert np.array_equal(inside_test, d_origin <= d_best + 1e-12)
+
+    @pytest.mark.parametrize("name", ["Z2", "A2", "E4", "E8", 0, 1, 2, "near-square"])
+    def test_every_vector_is_relevant(self, name):
+        # Voronoi's criterion: the sphere on the segment from 0 to v holds
+        # no other lattice point.
+        g = _generator(name)
+        k = g.shape[0]
+        for v in voronoi_test_vectors(g):
+            c = tuple(np.rint(np.linalg.solve(g, v)).astype(int).tolist())
+            found = enumerate_within_radius(g, np.linalg.norm(v) / 2.0, center=v / 2.0)
+            assert sorted(z for z, _ in found) == sorted([(0,) * k, c])
+
+    def test_large_norms_keep_every_shortest_coset_vector(self):
+        # Squared norms of 1e4 leave no room below TIE_TOL / 4 for rounding,
+        # so the four tied diagonals of 100 Z2 are all kept.
+        v = voronoi_test_vectors(100.0 * np.eye(2))
+        got = sorted(map(tuple, (v / 100.0).tolist()))
+        assert got == [p for p in itertools.product((-1.0, 0.0, 1.0), repeat=2) if any(p)]
+        assert len(voronoi_test_vectors(30.0 * catalog_lattice("E4").generator)) == 48
 
     @pytest.mark.parametrize(
         "name, count, digest",
         [
-            ("Z2", 8, "afde01379669b0dae63fcf9746106bd24bb63f34167d2ade90110f66d961dd00"),
+            ("Z2", 4, "d8c6689261283644e289f4d1f84dbca07a117c39e42a843a269de32128daee4d"),
             ("A2", 6, "429d69cef547a7d00b5d3463ac57ba8e390a2c531191c29903ba4cdaa141496f"),
-            ("E4", 48, "98c65a3c44a55468f6738a81cae6d450fd369eba2e8ec031756788aa80bf44e7"),
-            ("E8", 2400, "b6584ae75279e4790a0f99600674edab17b6d8503f7d189d7633ac46cf68f43f"),
+            ("E4", 24, "c2bad9bc38dc705ee80464add7ff586527a0cdb8839e6c23bb46e07b8567ad43"),
+            ("E8", 240, "17f6b464668bbaeaf6a631c0a0fc7e8265edc43e94070843a853cbd905845567"),
             (0, 14, "1e8201dd030ce0e359b42f7d2c991fc75f9cb645d9327393446c610be160142d"),
             (1, 14, "bbc637d3bd0310e8d81a279e2a150a8feb962d3d55f9dd0c1dbe7abcc3b7c7f4"),
             (2, 14, "8451e6dba5753c28cf0f5be72ff1dbef015aa3c391dc5a061aa173ec40a18904"),
         ],
     )
     def test_pinned_vectors(self, name, count, digest):
-        # SHA-256 of the float64 bytes of the vectors, sorted row-wise,
-        # pinned from the earlier per-coset search; integers select the
-        # fixed skewed bases.
-        if isinstance(name, int):
-            g = load_lattice(([_SKEWED] + _SKEWED_MORE)[name]).generator
-        else:
-            g = catalog_lattice(name).generator
-        v = voronoi_test_vectors(g)
+        # SHA-256 of the float64 bytes of the vectors, sorted row-wise;
+        # integers select the fixed skewed bases.  A2 and the skewed bases
+        # keep the digests of the earlier superset (every shortest vector of
+        # each coset), which held only relevant vectors there.
+        v = voronoi_test_vectors(_generator(name))
         v = np.ascontiguousarray(v[np.lexsort(v.T[::-1])])
         assert len(v) == count
         assert hashlib.sha256(v.tobytes()).hexdigest() == digest

@@ -509,7 +509,9 @@ def _certified_rows(generator, big_k, rng, vectors=None, random_rows=400):
     # rows at the midpoint of x_u and x_u + v_j for the test vectors
     # v_j (every one, or the given indices), with u at a random box point
     # and at a box corner.  Returns the certificate, u, e and the mask of
-    # the delta = 0 rows.
+    # the delta = 0 rows.  The test vectors are Voronoi-relevant, so each
+    # delta = 0 row is a true tie: x_u and x_u + v_j are its two closest
+    # lattice points.
     n = generator.shape[0]
     cert = sep_module._certificate(generator, big_k)
     sigmas = 10.0 ** (-rng.uniform(0.0, 20.0, random_rows) / 20.0)
@@ -552,6 +554,17 @@ class TestCertificate:
     def test_verdicts_match_decoding_on_random_bases(self, matrix):
         g = _unit_volume_basis(matrix)
         _assert_certificate_matches_decoding(g, 4, 5)
+
+    def test_verdicts_match_decoding_on_a_near_square_basis(self):
+        # The diagonal cosets hold vectors of squared norms 2 -+ 2e-10, and
+        # only the shorter is relevant; the midpoint of the longer is no tie,
+        # as the origin's other neighbours are closer by 1e-10.
+        _assert_certificate_matches_decoding(np.array([[0.0, 1.0], [1.0, 1e-10]]), 4, 5)
+
+    def test_verdicts_match_decoding_with_every_shortest_coset_vector(self):
+        # Squared norms of 1e4: every shortest coset vector is kept, the tied
+        # diagonals of 100 Z2 included.
+        _assert_certificate_matches_decoding(100.0 * np.eye(2), 4, 5)
 
     def test_box_limits_which_neighbours_count(self):
         # Z1 with K = 2: at u = 0 the neighbour -1 is outside the box, so
