@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .constellation import FiniteConstellation, facet_sum
+from .exceptions import check_integer
 from .lattices import Lattice
 from .special import clamp_probability, regularized_gamma_upper
 
@@ -68,7 +69,8 @@ class SnrGrid:
     @classmethod
     def from_db_values(cls, values) -> "SnrGrid":
         db = np.asarray(values, dtype=float).copy()
-        return cls(db=db, rho=10.0 ** (db / 10.0))
+        with np.errstate(over="ignore"):  # an infinite rho fails the finiteness check
+            return cls(db=db, rho=10.0 ** (db / 10.0))
 
     @classmethod
     def default(cls) -> "SnrGrid":
@@ -153,10 +155,8 @@ def volume_matched_radius_sq(k: int, n: int, mean_norm: float) -> float:
     ``R**2 = Gamma(k/2 + 1)**(2/k) / pi`` times ``W**2`` or 1 respectively:
     the MSLB sphere for facet dimension k of an N-dimensional constellation.
     """
-    if not isinstance(k, int) or not isinstance(n, int):
-        raise ValueError("sphere radius dimensions k and n must be integers")
-    if n < 1 or k < 1 or k > n:
-        raise ValueError(f"sphere radius requires 1 <= k <= n, got k={k}, n={n}")
+    n = check_integer("n", n, 1)
+    k = check_integer("k", k, 1, n)
     # Gamma(k/2 + 1)**(2/k) via lgamma keeps full precision for all k here.
     unit = math.exp((2.0 / k) * math.lgamma(0.5 * k + 1.0)) / math.pi
     if k == n:

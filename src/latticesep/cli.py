@@ -49,6 +49,7 @@ from .exceptions import LatticeSepError
 from .lattices import Lattice, catalog_lattice, catalog_names, is_integer_orthonormal, read_lattice_file
 from .sep import (
     _MAX_SIM_DIMENSION,
+    _MAX_SIM_LEVELS,
     _MIN_J_TRIALS,
     _MIN_MAX_TRIALS,
     _MIN_TARGET_ERRORS,
@@ -401,7 +402,12 @@ def cmd_run(args) -> int:
             f"curves: {', '.join(sampled)} on {lattice.name} needs a generator condition number "
             f"<= {_MAX_CONDITION:.0e}, got {condition:.3g}"
         )
-    grid = SnrGrid.from_db(config.snr_start, config.snr_stop, config.snr_step)
+    if "SEP_SIM" in config.curves and config.K > _MAX_SIM_LEVELS:
+        raise ConfigError(f"curves: SEP_SIM needs K <= {_MAX_SIM_LEVELS}, got K={config.K}")
+    try:
+        grid = SnrGrid.from_db(config.snr_start, config.snr_stop, config.snr_step)
+    except ValueError as exc:
+        raise ConfigError(f"snr_db: {exc}") from None
 
     label = args.figure or str(args.config)
     print(f"run {label}: {lattice.name} {config.K}-PAM, {len(grid)} SNR points, seed {config.seed}")

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .exceptions import check_integer
 from .lattices import Lattice
 
 
@@ -29,9 +30,7 @@ class FiniteConstellation:
     K: int
 
     def __post_init__(self):
-        if not isinstance(self.K, (int, np.integer)) or self.K < 2:  # True and False are below 2
-            raise ValueError(f"K must be an integer >= 2, got {self.K!r}")
-        object.__setattr__(self, "K", int(self.K))
+        object.__setattr__(self, "K", check_integer("K", self.K, 2))
 
     @property
     def dimension(self) -> int:
@@ -44,20 +43,14 @@ class FiniteConstellation:
 
 def facet_count(n: int, k: int) -> int:
     """Number of k-dimensional facets of the N-parallelotope: 2**(N-k) C(N, k)."""
-    if not isinstance(n, int) or not isinstance(k, int):
-        raise ValueError("facet_count arguments must be integers")
-    if n < 1 or k < 0 or k > n:
-        raise ValueError(f"facet_count requires 0 <= k <= n with n >= 1, got n={n}, k={k}")
+    n = check_integer("n", n, 1)
+    k = check_integer("k", k, 0, n)
     return (1 << (n - k)) * math.comb(n, k)
 
 
 def points_per_facet(big_k: int, k: int) -> int:
     """Constellation points on one k-facet: (K-2)**k (so 1 on each vertex)."""
-    if not isinstance(big_k, int) or not isinstance(k, int):
-        raise ValueError("points_per_facet arguments must be integers")
-    if big_k < 2 or k < 0:
-        raise ValueError(f"points_per_facet requires K >= 2 and k >= 0, got K={big_k}, k={k}")
-    return (big_k - 2) ** k
+    return (check_integer("K", big_k, 2) - 2) ** check_integer("k", k, 0)
 
 
 def facet_weights(n: int, big_k: int) -> np.ndarray:

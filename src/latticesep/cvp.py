@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .exceptions import BudgetError
+from .exceptions import BudgetError, check_integer
 
 # Two squared distances closer than this are a tie; ties resolve to the
 # lexicographically smallest coefficient vector so results are reproducible.
@@ -63,15 +63,21 @@ def triangularize(generator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * signs, r * signs[:, None]
 
 
+def _check_coordinates(coordinates, name):
+    # A ValueError naming `name` unless every basis coordinate is at most
+    # 2**52 in size (NaN fails both comparisons).
+    least, most = np.min(coordinates, initial=0.0), np.max(coordinates, initial=0.0)
+    if not (-_MAX_COORDINATE <= least and most <= _MAX_COORDINATE):
+        raise ValueError(f"{name} must be finite, with basis coordinates of at most 2**52 in size")
+
+
 def _frame(qt, r, y, name):
-    # The rows of y in the QR frame, yt = y Q; a ValueError naming `name`
-    # unless every basis coordinate of y, R^-1 yt, is at most 2**52 in size
-    # (which also rejects NaN and infinity).
+    # The rows of y in the QR frame, yt = y Q, once their basis
+    # coordinates, R^-1 yt, pass _check_coordinates.
     with np.errstate(invalid="ignore", over="ignore"):
         yt = y @ qt.T
         coordinates = np.linalg.solve(r, yt.T)
-    if not np.all(np.abs(coordinates) <= _MAX_COORDINATE):
-        raise ValueError(f"{name} must be finite, with basis coordinates of at most 2**52 in size")
+    _check_coordinates(coordinates, name)
     return yt
 
 
@@ -266,9 +272,9 @@ class BatchDecoder:
 
     Precomputes whatever the chosen strategy can reuse across calls: the
     full point table for ``BRUTE_FORCE``, the triangularization for the
-    ``SPHERE_DECODER`` -- or, when the generator is exactly diagonal (the
-    cubic lattices), nothing at all, because rounding each coordinate is
-    then an exact closest-point rule.
+    ``SPHERE_DECODER``.  When the generator is exactly diagonal (the cubic
+    lattices), the sphere decoder rounds each coordinate, which is then an
+    exact closest-point rule, and searches only the rows it cannot settle.
 
     Every strategy has one tie rule: of the points within ``TIE_TOL`` of
     the least squared distance, the lexicographically smallest
@@ -280,9 +286,9 @@ class BatchDecoder:
     by ``||y - x||**2``.  The sphere decoder
     enumerates every point within ``TIE_TOL`` of the Babai point's
     distance, shrinking that radius as closer points come, and applies
-    the rule to the points left.  The diagonal path makes the same choice
-    by rounding coordinates down, in coordinate order, while the extra
-    squared distance this costs the row stays within ``TIE_TOL`` in all.
+    the rule to the points left.  The diagonal path rounds each coordinate
+    to its nearest value and hands the rows with a coordinate near a
+    half-way point, where a tie may fall, to that search.
     """
 
     def __init__(
@@ -291,9 +297,7 @@ class BatchDecoder:
         q, r = triangularize(generator)
         g = np.asarray(generator, dtype=float)
         if box is not None:
-            box = int(box)
-            if box < 1:
-                raise ValueError(f"box must be a positive integer, got {box}")
+            box = check_integer("box", box, 1)
         self._k = g.shape[0]
         self._box = box
         self.method = method
@@ -315,12 +319,8 @@ class BatchDecoder:
             diagonal = np.diagonal(g)
             if np.array_equal(g, np.diag(diagonal)):
                 self._diag = diagonal.copy()
-                # With f the fractional part of y / d, the lower candidate is
-                # within TIE_TOL, (d f)**2 - (d (1 - f))**2 <= TIE_TOL, iff f <= _half.
-                self._half = 0.5 + TIE_TOL / (2.0 * diagonal**2)
-            else:
-                self._qt = q.T.copy()
-                self._r = r
+            self._qt = q.T.copy()
+            self._r = r
         else:
             raise ValueError(f"unknown decoder method: {method!r}")
 
@@ -343,9 +343,9 @@ class BatchDecoder:
         Parameters
         ----------
         targets : ndarray, shape (m, k)
-            Received points, one per row.  On a non-diagonal
-            ``SPHERE_DECODER`` a target whose basis coordinates exceed
-            ``2**52`` in size is a ``ValueError``.
+            Received points, one per row.  On a ``SPHERE_DECODER`` a
+            target whose basis coordinates exceed ``2**52`` in size is a
+            ``ValueError``.
 
         Returns
         -------
@@ -355,27 +355,36 @@ class BatchDecoder:
         y = self._targets(targets)
         if self._coeffs is not None:
             return self._coeffs[self._indices(y)]
-        if self._diag is not None:
-            # Exact for diagonal generators: coordinates decouple, and
-            # ceil(c - _half) rounds ties within TIE_TOL down to the smaller
-            # value.  In the window a coordinate was rounded down although
-            # its upper candidate is closer.
-            c = y / self._diag
-            u = np.ceil(c - self._half)
-            c -= 0.5
-            window = c > u
-            del c  # before the int64 copy, so decoding needs no more memory than rounding did
-            if window.any():
-                self._share_tie_budget(y, u, window)
-            if self._box is not None:
-                np.clip(u, 0, self._box - 1, out=u)
-            return u.astype(np.int64)
+        if self._diag is None:
+            return self._search(y)
+        # Exact for diagonal generators: coordinates decouple, so each is
+        # rounded to its nearest value (clipped to the box), unless it lies
+        # within TIE_TOL / d**2 of a half-way point, where the two values'
+        # squared distances may tie.  That window is twice the exact one, to
+        # absorb the rounding of y / d; its rows go to the search.
+        c = y / self._diag
+        _check_coordinates(c, "targets")
+        u = np.rint(c)
+        c -= u
+        np.abs(c, out=c)
+        window = c >= 0.5 - TIE_TOL / self._diag**2
+        del c  # before the int64 copy, so decoding needs no more memory than rounding does
+        if self._box is not None:
+            np.clip(u, 0, self._box - 1, out=u)
+        u = u.astype(np.int64)
+        if window.any():  # rarely true; the per-row reduction costs as much as the rounding
+            tied = np.flatnonzero(window.any(axis=1))
+            u[tied] = self._search(y[tied])
+        return u
+
+    def _search(self, y: np.ndarray) -> np.ndarray:
+        # The tie rule by enumeration: of each row's points within TIE_TOL
+        # of its least squared distance, the lexicographically smallest.
         yt = _frame(self._qt, self._r, y, "targets")
         lo = hi = None
         if self._box is not None:
             lo, hi = np.broadcast_to(0.0, y.shape), np.broadcast_to(self._box - 1.0, y.shape)
         row, z = _near_best(self._r, yt, lambda d: d + TIE_TOL, lo, hi)
-        # The lexicographically smallest candidate of each row.
         return z[np.flatnonzero(np.diff(row, prepend=-1))].astype(np.int64)
 
     def radius_query(self, u: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -409,26 +418,6 @@ class BatchDecoder:
                 seen = row[starts]
                 other[seen] = np.maximum(other[seen], np.maximum.reduceat(cost, starts))
         return own, other
-
-    def _share_tie_budget(self, y: np.ndarray, u: np.ndarray, window: np.ndarray) -> None:
-        # A coordinate in the window rounded down at an extra squared
-        # distance d**2 (2 (c - u) - 1) <= TIE_TOL.  The lexicographic rule
-        # lets a row spend TIE_TOL once in all, so rows with several such
-        # coordinates keep rounding down, in coordinate order, only while
-        # the running sum fits.  Candidates outside the box cost nothing.
-        if self._box is not None:
-            window &= (u >= 0) & (u < self._box - 1)
-        rows = np.flatnonzero(np.count_nonzero(window, axis=1) >= 2)
-        if rows.size == 0:
-            return
-        c = y[rows] / self._diag
-        extra = np.where(window[rows], self._diag**2 * (2.0 * (c - u[rows]) - 1.0), 0.0)
-        spent = np.zeros(rows.size)
-        for i in range(self._k):
-            spent += extra[:, i]
-            over = spent > TIE_TOL
-            u[rows[over], i] += 1
-            spent[over] -= extra[over, i]
 
     def decode_indices(self, targets: np.ndarray) -> np.ndarray:
         """Row indices into the brute-force point table (``BRUTE_FORCE`` only).

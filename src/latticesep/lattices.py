@@ -258,7 +258,7 @@ def write_lattice_file(lattice: Lattice, path) -> None:
         "generator": [[float(v) for v in row] for row in lattice.generator],
         "normalize": False,
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8", newline="\n")
 
 
 def read_lattice_file(path) -> Lattice:
@@ -272,10 +272,15 @@ def read_lattice_file(path) -> Lattice:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: top level must be an object, got {type(payload).__name__}")
     for field in ("name", "dimension", "generator"):
         if field not in payload:
             raise ValueError(f"{path}: missing required field {field!r}")
-    matrix = np.array(payload["generator"], dtype=float)
+    try:
+        matrix = np.array(payload["generator"], dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: generator must be a list of rows of numbers") from None
     if matrix.ndim != 2 or matrix.shape != (payload["dimension"], payload["dimension"]):
         raise ValueError(
             f"{path}: generator shape {matrix.shape} does not match dimension "

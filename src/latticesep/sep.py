@@ -41,6 +41,7 @@ import numpy as np
 from .bounds import _CI_FACTOR, Curve, SepEstimate, SepMethod, SnrGrid, _curve, format_sig
 from .constellation import FiniteConstellation, facet_sum
 from .cvp import TIE_TOL, BatchDecoder, Decoder, voronoi_test_vectors
+from .exceptions import check_integer
 from .lattices import is_integer_orthonormal, sublattice_generator
 from .special import q_function
 from .streams import (
@@ -69,6 +70,7 @@ _MIN_J_TRIALS = 10**4
 _MIN_MAX_TRIALS = 10**4
 _MIN_TARGET_ERRORS = 50
 _MAX_SIM_DIMENSION = 8
+_MAX_SIM_LEVELS = 1 << 20  # here y = G u + e keeps 32 fractional bits of the noise; at 2**52, none
 _RELIABLE_ERRORS = 20
 _GAUGE_BLOCK = 1 << 18  # entries per block of sample-by-test-vector products (2 MB)
 _CERT_BLOCK = 1 << 16  # entries per block of trial-by-test-vector products (512 kB)
@@ -89,7 +91,8 @@ class SimPlan:
     """Everything that determines a simulation run.
 
     Two runs with equal plans produce identical estimates, whatever the
-    thread count.
+    thread count.  The constellation may have up to 8 dimensions and
+    ``K <= 2**20`` levels.
     """
 
     constellation: FiniteConstellation
@@ -104,16 +107,10 @@ class SimPlan:
                 f"simulation supports dimensions up to {_MAX_SIM_DIMENSION}, "
                 f"got {self.constellation.dimension}"
             )
+        check_integer("K", self.constellation.K, 2, _MAX_SIM_LEVELS)
         object.__setattr__(self, "seed", _check_seed(self.seed))
-        _check_budget("max_trials", self.max_trials, _MIN_MAX_TRIALS)
-        _check_budget("target_errors", self.target_errors, _MIN_TARGET_ERRORS)
-
-
-def _check_budget(name: str, value, minimum: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+        for name, minimum in (("max_trials", _MIN_MAX_TRIALS), ("target_errors", _MIN_TARGET_ERRORS)):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
 
 
 def _membership_halfspaces(generator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,6 +190,11 @@ def exact_sep_theorem1(
     points are correlated (they always were, since the streams have
     never depended on ``rho``); the cost is one sort per group, whatever
     the grid size.
+
+    Known bias: the ``(K-1)**k`` count is exact only when every relevant
+    vector has basis coefficients ``|c_i| <= 1``, as on Z^N and A2 but not
+    on E4 (up to 2) or E8 (up to 7).  On E8 with K = 2 at 10 dB the estimate
+    sits 9.1 sigma above simulation: there it is not the exact SEP.
     """
     n = c.dimension
     if not isinstance(j_source, JSource):
@@ -210,7 +212,7 @@ def exact_sep_theorem1(
     else:
         if n > _MAX_SIM_DIMENSION:
             raise ValueError(f"MC_VORONOI supports dimensions up to {_MAX_SIM_DIMENSION}")
-        _check_budget("trials_per_j", trials_per_j, _MIN_J_TRIALS)
+        trials_per_j = check_integer("trials_per_j", trials_per_j, _MIN_J_TRIALS)
 
         # Group subsets with bit-identical sublattice Gram matrices; each
         # group is estimated once, on the whole grid, from the stream of its
@@ -307,7 +309,7 @@ def _radial_limit(generator: np.ndarray, big_k: int, cert: _Certificate | None, 
     # Bound on the Box-Muller radii under which a trial at SNR rho is
     # correct (see _open_rows).  Rounding (cert None, a diagonal generator)
     # decodes coordinate i correctly when |e_i| < d_i / 2 - TIE_TOL / (2 d_i),
-    # inside the decoder's tie window; the slack also covers the rounding of
+    # short of a tie by TIE_TOL; the slack also covers the rounding of
     # y_i / d_i, which grows with the level.  Every other decoder counts a
     # trial correct when |e|**2 is below the certificate's inscribed bound.
     if cert is None:
@@ -553,9 +555,7 @@ def simulate_sep(plan: SimPlan, threads: int = 1) -> Curve:
     """
     if not isinstance(plan, SimPlan):
         raise ValueError(f"plan must be a SimPlan, got {plan!r}")
-    threads = int(threads)
-    if threads < 1:
-        raise ValueError(f"threads must be a positive integer, got {threads}")
+    threads = check_integer("threads", threads, 1)
     generator = plan.constellation.lattice.generator
     decoder = _decoder(generator, plan.constellation.K)
     cert = None if decoder.rounds else _certificate(generator, plan.constellation.K)

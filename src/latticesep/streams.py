@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .exceptions import check_integer
+
 __all__ = [
     "SHARD_SIZE",
     "derive_seed",
@@ -57,12 +59,11 @@ _MAX_SEED = 1 << 64
 
 
 def _check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
-    seed = int(seed)
-    if not 0 <= seed < _MAX_SEED:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    return seed
+    return check_integer("seed", seed, 0, _MAX_SEED - 1)
+
+
+def _seed_parts(seed: int, path) -> list[int]:
+    return [_check_seed(seed)] + [check_integer("stream path component", part, 0) for part in path]
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
@@ -81,13 +82,7 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     numpy.random.Generator
         A generator whose output depends only on ``seed`` and ``path``.
     """
-    seed = _check_seed(seed)
-    parts = [seed]
-    for part in path:
-        if not isinstance(part, (int, np.integer)) or int(part) < 0:
-            raise ValueError(f"stream path components must be non-negative integers, got {part!r}")
-        parts.append(int(part))
-    sequence = np.random.SeedSequence(parts)
+    sequence = np.random.SeedSequence(_seed_parts(seed, path))
     return np.random.Generator(np.random.Philox(seed=sequence))
 
 
@@ -98,9 +93,7 @@ def derive_seed(seed: int, *path: int) -> int:
     example, one facet class of a larger estimate) while keeping the
     whole computation a function of the original seed.
     """
-    seed = _check_seed(seed)
-    parts = [seed] + [int(p) for p in path]
-    return int(np.random.SeedSequence(parts).generate_state(1, np.uint64)[0])
+    return int(np.random.SeedSequence(_seed_parts(seed, path)).generate_state(1, np.uint64)[0])
 
 
 def normal_radii(rng: np.random.Generator, count: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -180,8 +173,7 @@ def standard_normals(rng: np.random.Generator, count: int) -> np.ndarray:
     numpy.ndarray
         Shape ``(count,)`` array of independent ``N(0, 1)`` samples.
     """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
+    count = check_integer("count", count, 0)
     radius = normal_radii(rng, count)
     return normals_from_angles(radius, normal_angles(rng, radius.size), count)
 
@@ -209,8 +201,6 @@ def uniform_symbols(rng: np.random.Generator, count: int, levels: int) -> np.nda
     numpy.ndarray
         Shape ``(count,)`` array of dtype ``int64``.
     """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    if levels < 1:
-        raise ValueError(f"levels must be positive, got {levels}")
+    count = check_integer("count", count, 0)
+    levels = check_integer("levels", levels, 1)
     return uniforms_to_symbols(rng.random(count), levels)

@@ -349,6 +349,34 @@ class TestRunCommand:
         assert "curves" in err and "SEP_SIM" in err and "4e+08" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("payload", [5, {"name": "x", "dimension": 2, "generator": {"a": 1}}])
+    def test_malformed_lattice_file_exits_2(self, tmp_path, capsys, payload):
+        lattice_path = tmp_path / "malformed.json"
+        lattice_path.write_text(json.dumps(payload))
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(make_config_data(lattice=str(lattice_path))))
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+        assert "malformed.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stop, step", [(4000.0, 1000.0), (1e300, 1.0)])
+    def test_unusable_snr_grid_exits_2_before_any_curve(self, tmp_path, capsys, stop, step):
+        data = make_config_data(curves=["MSLB"], snr_db={"start": 0.0, "stop": stop, "step": step})
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(data))
+        out_dir = tmp_path / "results"
+        assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 2
+        assert "snr_db" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_simulation_beyond_2_to_20_levels_exits_2_before_any_curve(self, tmp_path, capsys):
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(make_config_data(K=(1 << 20) + 1, curves=["MSLB", "SEP_SIM"])))
+        out_dir = tmp_path / "results"
+        assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "SEP_SIM" in err and "K=1048577" in err
+        assert not out_dir.exists()
+
     def test_out_of_range_seed_flag_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "experiment.json"
         config_path.write_text(json.dumps(make_config_data(curves=["MSLB"])))

@@ -24,6 +24,13 @@ class TestFacetCount:
         for n in range(1, 9):
             assert facet_count(n, n) == 1
 
+    def test_numpy_integers_are_accepted(self):
+        assert facet_count(np.int64(3), 1) == 12
+        assert points_per_facet(np.int32(4), np.int64(2)) == 4
+        for n in (3.0, True):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                facet_count(n, 1)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             facet_count(3, 4)
@@ -90,6 +97,8 @@ class TestFiniteConstellation:
     def test_numpy_integers_are_accepted_as_python_ints(self):
         c = FiniteConstellation(catalog_lattice("Z2"), np.int64(4))
         assert c.K == 4 and type(c.K) is int and c.size == 16
-        for big_k in (True, np.bool_(True), np.float64(4.0), np.int32(1)):
+        for big_k in (True, np.bool_(True), np.float64(4.0)):
             with pytest.raises(ValueError, match="K must be an integer"):
                 FiniteConstellation(catalog_lattice("Z2"), big_k)
+        with pytest.raises(ValueError, match="K must be at least 2"):
+            FiniteConstellation(catalog_lattice("Z2"), np.int32(1))

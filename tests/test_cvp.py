@@ -127,16 +127,39 @@ class TestClosestPoint:
             closest_point(g, [1e16, 0.0], box=4)
         with pytest.raises(ValueError, match="e must"):
             BatchDecoder(g, 4).radius_query(np.zeros((1, 2), dtype=np.int64), np.array([[0.0, 1e19]]))
+        # Rounding (a diagonal generator) applies the same rule.
+        with pytest.raises(ValueError, match="targets"):
+            closest_point(np.eye(2), [1e19, 0.0])
+        with pytest.raises(ValueError, match="targets"):
+            closest_point(np.diag([2.0, 0.5]), [1e16, 0.0], box=4)
+        assert closest_point(np.eye(2), [2.0**52, -(2.0**52)]).tolist() == [2**52, -(2**52)]
+
+    @pytest.mark.parametrize("box", [4.7, True, 0, "4"])
+    def test_box_must_be_a_positive_integer(self, box):
+        with pytest.raises(ValueError, match="box must"):
+            BatchDecoder(np.eye(2), box)
+
+    def test_numpy_integer_box_is_accepted(self):
+        assert BatchDecoder(np.eye(2), np.int64(4)).decode([[4.2, 0.0]]).tolist() == [[3, 0]]
 
     @pytest.mark.parametrize("tol", [0.05, 0.2])
-    @pytest.mark.parametrize("name, big_k", [("A2", 4), ("E4", 4), ("skewed", 6)])
+    @pytest.mark.parametrize(
+        "name, big_k", [("A2", 4), ("E4", 4), ("skewed", 6), ("diagonal", 4), ("diagonal", 2)]
+    )
     def test_one_tie_rule_with_a_wide_tie_window(self, monkeypatch, tol, name, big_k):
         # With a tie window wide enough that near ties chain (a within tol
         # of b, b within tol of c, a not within tol of c), the sphere
         # decoder still keeps exactly the table's candidates: those within
         # tol of the least distance, the lexicographically smallest winning.
+        # A diagonal generator is rounded, and its rows near a half-way
+        # point go to the same search.
         monkeypatch.setattr(cvp, "TIE_TOL", tol)
-        g = load_lattice(_SKEWED).generator if name == "skewed" else catalog_lattice(name).generator
+        if name == "skewed":
+            g = load_lattice(_SKEWED).generator
+        elif name == "diagonal":
+            g = np.diag([2.0, 0.5, 1.0])
+        else:
+            g = catalog_lattice(name).generator
         _, y = _noisy_rows(g, big_k, 3000, 0.6, 2)
         sphere = BatchDecoder(g, big_k, Decoder.SPHERE_DECODER).decode(y)
         brute = BatchDecoder(g, big_k, Decoder.BRUTE_FORCE).decode(y)

@@ -249,6 +249,25 @@ class TestLatticeFiles:
         with pytest.raises(ValueError, match="generator"):
             read_lattice_file(path)
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (5, "top level must be an object"),
+            ({"name": "x", "dimension": 2, "generator": {"a": 1}}, "generator must be a list of rows"),
+        ],
+    )
+    def test_malformed_payload_is_a_value_error(self, tmp_path, payload, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            read_lattice_file(path)
+
+    def test_written_with_lf_newlines(self, tmp_path):
+        path = tmp_path / "a2.json"
+        write_lattice_file(catalog_lattice("A2"), path)
+        data = path.read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n")
+
     def test_shape_mismatch(self, tmp_path):
         path = tmp_path / "shape.json"
         path.write_text(

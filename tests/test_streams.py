@@ -54,6 +54,9 @@ class TestStream:
             stream(0, -1)
         with pytest.raises(ValueError):
             stream(0, 1.5)
+        for part in (-1, 1.5, True):
+            with pytest.raises(ValueError):
+                derive_seed(0, part)
 
     def test_shard_size_is_a_power_of_two(self):
         assert SHARD_SIZE == 1 << 16
