@@ -5,8 +5,9 @@ All bounds are chi-square tail expressions: a k-dimensional Gaussian with
 per-coordinate variance ``1/rho`` leaves a sphere of squared radius ``R2``
 with probability ``Q(k/2, R2 * rho / 2)``.  The single-sphere bounds apply
 one full-dimensional sphere to every point; the multiple-sphere bounds
-weight one sphere per facet dimension k by the exact fraction of
-constellation points on k-facets, ``C(N,k) (K-1)^k / K^N``.
+weight one k-dimensional sphere per rank k by Theorem 1's coefficient
+``C(N,k) (K-1)^k / K^N`` (:func:`latticesep.constellation.facet_weights`,
+which are not the shares of points on k-facets).
 
 A :class:`Curve` holds one :class:`SepEstimate` per grid point, whatever
 produced it: the four bounds here, and the facet decomposition and the
@@ -209,9 +210,9 @@ def _multi_sphere(constellation: FiniteConstellation, grid: SnrGrid, radii: list
 def mslb(constellation: FiniteConstellation, grid: SnrGrid) -> Curve:
     """Multiple-sphere lower bound.
 
-    Each k-facet point keeps a k-dimensional decision cell, replaced by the
-    volume-matched k-sphere (radius from ``W`` for k < N, from the unit cell
-    for k = N):
+    Theorem 1 weighs the Gaussian mass of each rank-k sublattice cell by
+    ``C(N,k)(K-1)^k/K^N``; each cell is replaced by the volume-matched
+    k-sphere (radius from ``W`` for k < N, from the unit cell for k = N):
     ``P = 1 - sum_k C(N,k)(K-1)^k/K^N * (1 - Q(k/2, R_k**2 rho/2))``.
     Converges to the single-sphere bound as K grows.  ``W`` depends on the
     chosen basis, so for skewed user bases the curve is not guaranteed to

@@ -249,7 +249,11 @@ def _resolve_lattice(name_or_path: str) -> Lattice:
         try:
             return read_lattice_file(path)
         except (ValueError, LatticeSepError, OSError) as exc:
-            raise ConfigError(f"lattice file {name_or_path}: {exc}") from None
+            # read_lattice_file's own messages already start with the path.
+            detail = str(exc)
+            if str(path) not in detail:
+                detail = f"{path}: {detail}"
+            raise ConfigError(f"lattice file {detail}") from None
     raise ConfigError(f"lattice {name_or_path!r} is not an existing file: {catalog_error}")
 
 
@@ -562,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, help="override the config seed")
     p_run.add_argument("--max-trials", type=int, help="override the per-point trial cap")
     p_run.add_argument("--target-errors", type=int, help="override the early-stopping error target")
-    p_run.add_argument("--threads", type=int, default=1, help="simulation threads (default 1)")
+    p_run.add_argument("--threads", type=int, default=1, help="SNR points simulated at once (default 1)")
     p_run.add_argument("--out", help="output directory (overrides the config's 'out'; default: current directory)")
     p_run.add_argument("--plot", action="store_true", help="also write an SVG plot")
     p_run.set_defaults(func=cmd_run)

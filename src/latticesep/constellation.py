@@ -54,10 +54,15 @@ def points_per_facet(big_k: int, k: int) -> int:
 
 
 def facet_weights(n: int, big_k: int) -> np.ndarray:
-    """Fraction of constellation points on k-facets, k = 0..N.
+    """Theorem 1's rank-k weights ``C(N,k) (K-1)^k / K^N``, k = 0..N.
 
-    Each weight ``C(N,k) (K-1)^k / K^N`` is the exact rational rounded
-    once to the nearest float.  The weights sum to 1 up to that rounding.
+    Weight k is the chance that exactly k of N coordinates, each uniform
+    over K levels, avoid one fixed level: the coefficient of the rank-k
+    cell masses once Theorem 1's sum over points is telescoped.  It is
+    not the share of points on k-facets, ``C(N,k) 2^(N-k) (K-2)^k / K^N``:
+    for N = 1 and K = 4 the weights are ``[0.25, 0.75]`` and the shares
+    ``[0.5, 0.5]``.  Each weight is the exact rational rounded once to the
+    nearest float.  The weights sum to 1 up to that rounding.
     """
     return np.array([_share(math.comb(n, k), n, big_k, k) for k in range(n + 1)])
 

@@ -30,10 +30,10 @@ variance per coordinate; decibel values are ``10 * log10(rho)``.
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
 import enum
 import itertools
 import math
+import queue
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +75,7 @@ _RELIABLE_ERRORS = 20
 _GAUGE_BLOCK = 1 << 18  # entries per block of sample-by-test-vector products (2 MB)
 _CERT_BLOCK = 1 << 16  # entries per block of trial-by-test-vector products (512 kB)
 _SCREEN_MARGIN = 1e-9  # relative slack of the radial screen, far above the rounding it absorbs
-_ROW_BLOCK = 1 << 12  # rows of a shard screened, or transformed and decided, at a time
+_ROW_BLOCK = 1 << 11  # rows of a shard screened, or transformed and decided, at a time, per worker
 _TABLE_POINTS = 1 << 12  # largest constellation decoded from a point table
 
 
@@ -360,7 +360,7 @@ def _decoder(generator: np.ndarray, big_k: int) -> BatchDecoder:
 def _shard_buffers(entries: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # The draws of one shard of up to `entries` noise entries: its symbol
     # uniforms, noise radii and noise angles.  A simulation owns one set per
-    # shard it runs at once and reuses it from shard to shard, so its
+    # worker and reuses it from shard to shard and point to point, so its
     # footprint is fixed whatever the thread timing.
     pairs = (entries + 1) // 2
     return np.empty(entries), np.empty(pairs), np.empty(pairs)
@@ -437,56 +437,24 @@ def _simulate_point(
     cert: _Certificate | None,
     grid_index: int,
     rho: float,
-    threads: int,
-    prior_rate: float | None,
-    buffers: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    buffers: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[int, int]:
-    # Returns (trials, errors) accumulated in shard order with early
-    # stopping at a shard boundary, so the result is independent of how
-    # many shards ran concurrently.  Shards run in waves of at most
-    # ``threads``, each sized by the shards the error target still needs
-    # at the error rate seen so far (at the first wave, the previous grid
-    # point's rate; a point with neither runs one shard alone).  The j-th
-    # shard of a wave draws into buffers[j].  With one thread they run
-    # lazily on the calling thread, because a one-worker pool holds more
-    # memory at peak.
+    # Returns (trials, errors) of one grid point: its shards run one after
+    # another, each drawing into `buffers`, and the point stops at the first
+    # shard boundary where target_errors have accumulated.  So no shard runs
+    # that the target does not need, and the result does not depend on the
+    # thread that runs the point.
     g = plan.constellation.lattice.generator
     big_k = plan.constellation.K
     limit = _radial_limit(g, big_k, cert, rho)
     sigma = 1.0 / math.sqrt(rho)
-
-    def run_shard(s: int, slot: int) -> tuple[int, int]:
-        m = min(SHARD_SIZE, plan.max_trials - s * SHARD_SIZE)
-        rng = stream(plan.seed, grid_index, s)
-        return m, _shard_errors(g, big_k, decoder, cert, limit, sigma, rng, m, buffers[slot])
-
-    total_trials = 0
-    total_errors = 0
-    shard_count = (plan.max_trials + SHARD_SIZE - 1) // SHARD_SIZE
-    if threads == 1:
-        executor = contextlib.nullcontext()
-    else:
-        executor = concurrent.futures.ThreadPoolExecutor(max_workers=threads)
-    with executor as pool:
-        run_wave = map if pool is None else pool.map
-        start = 0
-        while start < shard_count:
-            rate = total_errors / total_trials if total_trials else prior_rate
-            if rate is None:
-                size = 1
-            elif rate == 0.0:
-                size = threads
-            else:
-                missing = plan.target_errors - total_errors
-                size = max(1, min(threads, math.ceil(missing / (rate * SHARD_SIZE))))
-            wave = range(start, min(start + size, shard_count))
-            start = wave.stop
-            for m, e in run_wave(run_shard, wave, range(len(wave))):
-                total_trials += m
-                total_errors += e
-                if total_errors >= plan.target_errors:
-                    return total_trials, total_errors
-    return total_trials, total_errors
+    trials = errors = 0
+    while trials < plan.max_trials and errors < plan.target_errors:
+        m = min(SHARD_SIZE, plan.max_trials - trials)
+        rng = stream(plan.seed, grid_index, trials // SHARD_SIZE)
+        errors += _shard_errors(g, big_k, decoder, cert, limit, sigma, rng, m, buffers)
+        trials += m
+    return trials, errors
 
 
 def simulate_sep(plan: SimPlan, threads: int = 1) -> Curve:
@@ -534,20 +502,24 @@ def simulate_sep(plan: SimPlan, threads: int = 1) -> Curve:
     margin of at least 1e-9 against rounding.  A shard with an open row
     draws all its angles in one piece, one with none draws no angles;
     only the open rows get their noise, symbols, received points and
-    verdicts, 4096 rows at a time.  A shard's uniforms, radii and angles
-    are drawn into buffers that the call allocates once per shard it
-    runs at a time (at most ``threads``, and at most the shards a point
-    can run), so its memory does not depend on how the threads
-    interleave.  Open rows carry the very values the whole shard would,
-    so every ``(trials, errors)`` is the one that deciding every row
-    gives.
+    verdicts, 2048 rows at a time.  Open rows carry the very values the
+    whole shard would, so every ``(trials, errors)`` is the one that
+    deciding every row gives.
 
     Shard ``s`` of grid point ``i`` draws all its symbol uniforms, then
     all its noise radii, then its noise angles, from ``stream(seed, i,
-    s)``; shards are accumulated in shard order whatever the thread count,
-    so the output is byte-stable for a fixed plan.  With several threads,
-    each wave of shards is sized from the error rate seen so far, so a
-    point that one shard settles opens one stream.
+    s)``, so a point's result depends on no other point.  The grid
+    points are the unit of parallel work: ``min(threads, points)``
+    workers take them in grid order, each runs its point's shards one
+    after another and stops at the first shard boundary that reaches
+    ``target_errors``, and the estimates are gathered in grid order.  So
+    the output is byte-stable for a fixed plan whatever the thread
+    count, and a point opens only the streams its shards need.  Each
+    worker draws into one set of shard buffers, reused from point to
+    point, so the call's memory does not depend on how the threads
+    interleave.  With one worker (one thread, or a one-point grid) the
+    points run on the calling thread, so a one-point grid gains nothing
+    from threads.
 
     A point with zero observed errors reports mean 0 with
     ``reliable=False`` (so does any point with fewer than 20 errors);
@@ -559,14 +531,30 @@ def simulate_sep(plan: SimPlan, threads: int = 1) -> Curve:
     generator = plan.constellation.lattice.generator
     decoder = _decoder(generator, plan.constellation.K)
     cert = None if decoder.rounds else _certificate(generator, plan.constellation.K)
-    estimates = []
+    points = range(len(plan.grid))
+    workers = min(threads, len(points))
     entries = min(SHARD_SIZE, plan.max_trials) * plan.constellation.dimension
-    shards = (plan.max_trials + SHARD_SIZE - 1) // SHARD_SIZE
-    buffers = [_shard_buffers(entries) for _ in range(min(threads, shards))]
-    rate = None
-    for i, (db, rho) in enumerate(zip(plan.grid.db, plan.grid.rho)):
-        trials, errors = _simulate_point(plan, decoder, cert, i, float(rho), threads, rate, buffers)
-        mean = rate = errors / trials
+    free = queue.SimpleQueue()
+    for _ in range(workers):
+        free.put(_shard_buffers(entries))
+
+    def run_point(i: int) -> tuple[int, int]:
+        # At most `workers` points run at once, so a free set is always
+        # there; it goes back even if the point raises.
+        buffers = free.get()
+        try:
+            return _simulate_point(plan, decoder, cert, i, float(plan.grid.rho[i]), buffers)
+        finally:
+            free.put(buffers)
+
+    if workers == 1:
+        counts = list(map(run_point, points))
+    else:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            counts = list(pool.map(run_point, points))
+    estimates = []
+    for db, rho, (trials, errors) in zip(plan.grid.db, plan.grid.rho, counts):
+        mean = errors / trials
         estimates.append(
             SepEstimate(
                 snr_db=float(db),

@@ -349,14 +349,23 @@ class TestRunCommand:
         assert "curves" in err and "SEP_SIM" in err and "4e+08" in err
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("payload", [5, {"name": "x", "dimension": 2, "generator": {"a": 1}}])
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            5,
+            {"name": "x", "dimension": 2, "generator": {"a": 1}},
+            {"name": "x", "dimension": 2, "generator": [[1, 0], [0, 0]]},
+        ],
+    )
     def test_malformed_lattice_file_exits_2(self, tmp_path, capsys, payload):
+        # The message names the file once, whether the file reader or the
+        # generator check refuses it.
         lattice_path = tmp_path / "malformed.json"
         lattice_path.write_text(json.dumps(payload))
         config_path = tmp_path / "experiment.json"
         config_path.write_text(json.dumps(make_config_data(lattice=str(lattice_path))))
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 2
-        assert "malformed.json" in capsys.readouterr().err
+        assert capsys.readouterr().err.count(str(lattice_path)) == 1
 
     @pytest.mark.parametrize("stop, step", [(4000.0, 1000.0), (1e300, 1.0)])
     def test_unusable_snr_grid_exits_2_before_any_curve(self, tmp_path, capsys, stop, step):

@@ -7,6 +7,8 @@ are deterministic.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -443,6 +445,59 @@ class TestSimulateSep:
         assert est.trials == SHARD_SIZE and est.errors_observed >= 50
         assert opened == [(1, 0, 0)]
 
+    @pytest.mark.parametrize("threads", [1, 2, 3, 5])
+    def test_points_open_the_same_streams_whatever_the_thread_count(self, monkeypatch, threads):
+        # Z2 K = 4: at 0 dB one shard reaches the target, at 12 dB two do,
+        # and at 20 dB the point runs to the cap, ending in a partial shard.
+        # Every thread count opens exactly these streams and counts the
+        # same; a short switch interval makes the workers interleave often.
+        opened = []
+        original = sep_module.stream
+
+        def counting(*args):
+            opened.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(sep_module, "stream", counting)
+        c = FiniteConstellation(lattice=catalog_lattice("Z2"), K=4)
+        grid = SnrGrid.from_db_values([0.0, 12.0, 20.0])
+        cap = 2 * SHARD_SIZE + 1000
+        plan = SimPlan(constellation=c, grid=grid, seed=3, max_trials=cap, target_errors=6000)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            counts = [(e.trials, e.errors_observed) for e in simulate_sep(plan, threads=threads)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == [(SHARD_SIZE, 46614), (2 * SHARD_SIZE, 8984), (cap, 0)]
+        assert sorted(opened) == [(3, 0, 0), (3, 1, 0), (3, 1, 1), (3, 2, 0), (3, 2, 1), (3, 2, 2)]
+
+    def test_estimates_come_back_in_grid_order(self, monkeypatch):
+        # Point 0's only shard waits until the other points have finished,
+        # so its estimate arrives last; the curve is still in grid order
+        # and equal to the one-thread curve.
+        c = FiniteConstellation(lattice=catalog_lattice("Z2"), K=4)
+        plan = SimPlan(constellation=c, grid=SnrGrid.from_db_values([0.0, 2.0, 4.0]), seed=9, max_trials=10**4)
+        one = simulate_sep(plan, threads=1)
+        first_sigma = 1.0 / math.sqrt(float(plan.grid.rho[0]))
+        original = sep_module._shard_errors
+        finished = []
+        others_done = threading.Event()
+
+        def ordered(generator, big_k, decoder, cert, limit, sigma, *rest):
+            if sigma == first_sigma:
+                assert others_done.wait(timeout=60)
+            errors = original(generator, big_k, decoder, cert, limit, sigma, *rest)
+            finished.append(sigma)
+            if len(finished) == 2:
+                others_done.set()
+            return errors
+
+        monkeypatch.setattr(sep_module, "_shard_errors", ordered)
+        three = simulate_sep(plan, threads=3)
+        assert finished[-1] == first_sigma
+        assert three == one
+
     def test_threads_validation(self):
         z2 = catalog_lattice("Z2")
         c = FiniteConstellation(lattice=z2, K=4)
@@ -800,9 +855,9 @@ class TestRadialScreen:
         _assert_screen_is_sound(catalog_lattice(name).generator, big_k, method, range(6))
 
     def test_two_threads_draw_into_their_own_buffers(self, monkeypatch):
-        # Shards of a wave run at once, each on its own buffers: two
-        # threads count what one thread does, and the call allocates one
-        # buffer set per thread.
+        # Points run at once, each worker on its own buffers: two threads
+        # count what one thread does, and a call allocates one buffer set
+        # per worker (one at one thread, two at two).
         made = []
         original = sep_module._shard_buffers
 
@@ -824,15 +879,11 @@ class TestRadialScreen:
         assert one == two
         assert made == [SHARD_SIZE * 4] * 3
 
-    @pytest.mark.parametrize(
-        "threads,max_trials,sets",
-        [(4, SHARD_SIZE, 1), (4, 2 * SHARD_SIZE + 1, 3), (2, 3 * SHARD_SIZE, 2)],
-    )
-    def test_buffer_sets_are_capped_by_the_shards_a_point_runs(
-        self, monkeypatch, threads, max_trials, sets
-    ):
-        # A point runs at most ceil(max_trials / SHARD_SIZE) shards at once,
-        # so no more buffer sets than that are allocated.
+    @pytest.mark.parametrize("threads,points,sets", [(4, 1, 1), (4, 3, 3), (2, 3, 2)])
+    def test_buffer_sets_are_capped_by_the_grid_points(self, monkeypatch, threads, points, sets):
+        # A call runs min(threads, points) workers, each with one buffer
+        # set however many shards its points run (three each here, the last
+        # one partial), so it allocates that many sets.
         made = []
         original = sep_module._shard_buffers
 
@@ -842,13 +893,14 @@ class TestRadialScreen:
 
         monkeypatch.setattr(sep_module, "_shard_buffers", counting)
         c = FiniteConstellation(lattice=catalog_lattice("Z2"), K=4)
+        max_trials = 2 * SHARD_SIZE + 1
         plan = SimPlan(
             constellation=c,
-            grid=SnrGrid.from_db_values([20.0]),
+            grid=SnrGrid.from_db_values([20.0 + p for p in range(points)]),
             seed=5,
             max_trials=max_trials,
             target_errors=10**9,
         )
-        est = simulate_sep(plan, threads=threads)[0]
-        assert est.trials == max_trials
-        assert made == [min(SHARD_SIZE, max_trials) * 2] * sets
+        curve = simulate_sep(plan, threads=threads)
+        assert [e.trials for e in curve] == [max_trials] * points
+        assert made == [SHARD_SIZE * 2] * sets
