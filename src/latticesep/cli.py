@@ -192,6 +192,12 @@ def parse_config_data(data, source: str = "config") -> ExperimentConfig:
     if not isinstance(out, str):
         raise ConfigError(f"{source}: field 'out' must be a directory path string")
 
+    # Validated here, not inside the try below: _as_int's messages already
+    # name the source.
+    seed = _as_int(data.get("seed", 0), "seed", source)
+    max_trials = _as_int(data.get("max_trials", 10**6), "max_trials", source)
+    target_errors = _as_int(data.get("target_errors", 100), "target_errors", source)
+    trials_per_j = _as_int(data.get("trials_per_j", 10**5), "trials_per_j", source)
     try:
         return ExperimentConfig(
             lattice=lattice,
@@ -200,10 +206,10 @@ def parse_config_data(data, source: str = "config") -> ExperimentConfig:
             snr_stop=stop,
             snr_step=step,
             curves=tuple(curves),
-            seed=_as_int(data.get("seed", 0), "seed", source),
-            max_trials=_as_int(data.get("max_trials", 10**6), "max_trials", source),
-            target_errors=_as_int(data.get("target_errors", 100), "target_errors", source),
-            trials_per_j=_as_int(data.get("trials_per_j", 10**5), "trials_per_j", source),
+            seed=seed,
+            max_trials=max_trials,
+            target_errors=target_errors,
+            trials_per_j=trials_per_j,
             out=out,
             description=description,
         )

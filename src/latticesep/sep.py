@@ -51,6 +51,7 @@ from .streams import (
     normal_angles,
     normal_radii,
     normals_from_angles,
+    seek,
     standard_normals,
     stream,
     uniform_symbols,  # not called here; bench/spans.py traces sep's stream functions by name
@@ -77,6 +78,9 @@ _CERT_BLOCK = 1 << 16  # entries per block of trial-by-test-vector products (512
 _SCREEN_MARGIN = 1e-9  # relative slack of the radial screen, far above the rounding it absorbs
 _ROW_BLOCK = 1 << 11  # rows of a shard screened, or transformed and decided, at a time, per worker
 _TABLE_POINTS = 1 << 12  # largest constellation decoded from a point table
+_SEEK_CHUNK = 1 << 10  # words of a shard's symbol or angle region that are read, or skipped, whole
+_SPARSE_OPEN = 2  # open rows per _SEEK_CHUNK symbol words from which a shard reads every word
+_DENSE_RANGE = 0.9  # share of open rows from which a _ROW_BLOCK row range is transformed whole
 
 
 class JSource(enum.Enum):
@@ -337,11 +341,22 @@ def _open_rows(radius: np.ndarray, m: int, n: int, limit) -> np.ndarray:
         flat[cut - lo :] = radius[cut - pairs : hi - pairs]
         block = flat.reshape(-1, n)
         if np.ndim(limit):
-            hit = np.any(block >= limit, axis=1)
+            hit = _any_column(block[:, i] >= limit[i] for i in range(n))
         else:
             hit = np.einsum("ij,ij->i", block, block) >= limit
         found.append(first + np.flatnonzero(hit))
     return np.concatenate(found)
+
+
+def _any_column(columns) -> np.ndarray:
+    # np.any(axis=1) of a block of rows with n <= 8 columns, given as one
+    # fresh boolean array per column: a fold over the columns takes about
+    # half the time of the row reduction.
+    columns = iter(columns)
+    hit = next(columns)
+    for column in columns:
+        hit |= column
+    return hit
 
 
 def _decoder(generator: np.ndarray, big_k: int) -> BatchDecoder:
@@ -373,25 +388,62 @@ def _errors(
     u: np.ndarray,
     e: np.ndarray,
 ) -> np.ndarray:
-    # Error mask of the trials y = G u + e.  The certificate settles most
-    # rows (_certify).  Where the sphere search would decode the rest, the
-    # radius query around G u settles most of those
+    # Error mask of the trials y = G u + e.  A rounding decoder (no
+    # certificate) decodes every row.  Otherwise the certificate settles
+    # most rows (_certify).  Where the sphere search would decode the rest,
+    # the radius query around G u settles most of those
     # (BatchDecoder.radius_query): a row with no other box point within
     # |e|**2 + 2 TIE_TOL of y is correct, and one whose other points there
     # are all closer than G u by more than 2 TIE_TOL is an error, whatever
     # the tie rule.  The rest -- a point in that tie band, or u not
     # reached -- and every row the certificate leaves to another search
     # are decoded.
+    n = generator.shape[0]
+    if cert is None:
+        decoded = decoder.decode(u @ generator.T + e)
+        return _any_column(decoded[:, i] != u[:, i] for i in range(n))
     wrong, undecided = _certify(cert, u, e)
-    if undecided.size and cert is not None and decoder.method is Decoder.SPHERE_DECODER:
+    if undecided.size and decoder.method is Decoder.SPHERE_DECODER:
         own, other = decoder.radius_query(u[undecided], e[undecided])
         settled = other < own - 2.0 * TIE_TOL
         wrong[undecided[settled]] = other[settled] > -np.inf
         undecided = undecided[~settled]
     if undecided.size:
-        y = u[undecided] @ generator.T + e[undecided]
-        wrong[undecided] = np.any(decoder.decode(y) != u[undecided], axis=1)
+        sent = u[undecided]
+        decoded = decoder.decode(sent @ generator.T + e[undecided])
+        wrong[undecided] = _any_column(decoded[:, i] != sent[:, i] for i in range(n))
     return wrong
+
+
+def _chunk_runs(size: int, *words: np.ndarray) -> list[tuple[int, int]]:
+    # Word ranges [a, b) of the runs of consecutive _SEEK_CHUNK-word chunks
+    # of a size-word region that hold any of `words`, in ascending order.
+    marks = np.zeros(-(-size // _SEEK_CHUNK) + 2, dtype=bool)  # one False each side
+    for w in words:
+        marks[1 + w // _SEEK_CHUNK] = True
+    edges = np.flatnonzero(marks[1:] != marks[:-1]) * _SEEK_CHUNK
+    return [(a, min(b, size)) for a, b in zip(edges[::2].tolist(), edges[1::2].tolist())]
+
+
+def _read_open_words(rng, origin: dict, rows: np.ndarray, n: int, uniforms, angle) -> None:
+    # Reads into `uniforms` and `angle` the chunks of a shard's symbol and
+    # angle words that hold the entries of `rows`, one seek per run of
+    # chunks; every other word of those buffers is left as it was.  Row r
+    # has entries t = r n .. r n + n - 1, symbol words t, and angle words t
+    # (cosines, t < pairs) or t - pairs (sines).  A row's entries span at
+    # most two chunks, so marking the chunks of their ends marks them all.
+    count, pairs = uniforms.size, angle.size
+    first = rows * n
+    last = first + (n - 1)
+    for a, b in _chunk_runs(count, first, last):
+        seek(rng, origin, a)
+        rng.random(out=uniforms[a:b])
+    cosine = first[: np.searchsorted(first, pairs)]
+    sine = last[np.searchsorted(last, pairs) :] - pairs
+    ends = (cosine, np.minimum(cosine + (n - 1), pairs - 1), np.maximum(sine - (n - 1), 0), sine)
+    for a, b in _chunk_runs(pairs, *ends):
+        seek(rng, origin, count + pairs + a)
+        normal_angles(rng, b - a, out=angle[a:b])
 
 
 def _shard_errors(
@@ -405,29 +457,59 @@ def _shard_errors(
     m: int,
     buffers: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> int:
-    # Symbol errors among the m trials drawn from rng: symbol uniforms, then
-    # the noise radii, into `buffers` (_shard_buffers); the radii settle
-    # most rows as correct (_open_rows).  If any row is open, all the angles
-    # are drawn, and the open rows are taken _ROW_BLOCK at a time: each
+    # Symbol errors among the m trials of the fresh stream rng, whose
+    # layout is m n symbol uniforms, then the noise radii, then the noise
+    # angles, read by position (streams.seek) into `buffers`
+    # (_shard_buffers).  The radii are read first and settle most rows as
+    # correct (_open_rows).  A shard with fewer than _SPARSE_OPEN open rows
+    # per _SEEK_CHUNK symbol words then reads only the chunks of symbol and
+    # angle words that hold an open row's entries (_read_open_words).  With
+    # more, few chunks are free of open rows and the seeks would cost more
+    # than they skip, so the shard reads every word, and transforms each
+    # _ROW_BLOCK range of rows that is at least _DENSE_RANGE open whole,
+    # through slices: its settled rows decode as correct, so the count is
+    # the same.  The other open rows are taken _ROW_BLOCK at a time.  Each
     # block gets its noise, symbols, received points and verdicts, so no
-    # per-row array outlives its block.
+    # per-row array outlives its block, and every row gets the values that
+    # a front-to-back read gives it.
     n = generator.shape[0]
     count = m * n
-    uniforms = rng.random(out=buffers[0][:count]).reshape(m, n)
+    origin = rng.bit_generator.state
+    seek(rng, origin, count)
     radius = normal_radii(rng, count, out=buffers[1])
     rows = _open_rows(radius, m, n, limit)
     if rows.size == 0:
         return 0
-    angle = normal_angles(rng, radius.size, out=buffers[2])
-    columns = np.arange(n)
+    pairs = radius.size
+    uniforms, angle = buffers[0][:count], buffers[2][:pairs]
+    symbols = uniforms.reshape(m, n)
+
+    def block_errors(entries, block_uniforms: np.ndarray) -> int:
+        e = normals_from_angles(radius, angle, count, entries).reshape(-1, n)
+        e *= sigma
+        u = uniforms_to_symbols(block_uniforms, big_k)
+        return int(np.count_nonzero(_errors(generator, decoder, cert, u, e)))
+
     errors = 0
+    if rows.size * _SEEK_CHUNK < _SPARSE_OPEN * count:
+        _read_open_words(rng, origin, rows, n, uniforms, angle)
+    else:
+        normal_angles(rng, pairs, out=angle)  # the angles follow the radii
+        seek(rng, origin, 0)
+        rng.random(out=uniforms)
+        starts = np.arange(0, m, _ROW_BLOCK)
+        stops = np.minimum(starts + _ROW_BLOCK, m)
+        counts = np.diff(np.searchsorted(rows, np.append(starts, m)))
+        dense = counts >= _DENSE_RANGE * (stops - starts)
+        if dense.any():
+            # Dropped before the ranges run, so the whole list is not in their peak memory.
+            rows = rows[np.repeat(~dense, counts)]
+        for lo, hi in zip(starts[dense].tolist(), stops[dense].tolist()):
+            errors += block_errors(slice(lo * n, hi * n), symbols[lo:hi])
+    columns = np.arange(n)
     for start in range(0, rows.size, _ROW_BLOCK):
         block = rows[start : start + _ROW_BLOCK]
-        entries = (block[:, None] * n + columns).reshape(-1)
-        e = normals_from_angles(radius, angle, count, entries).reshape(block.size, n)
-        e *= sigma
-        u = uniforms_to_symbols(uniforms[block], big_k)
-        errors += int(np.count_nonzero(_errors(generator, decoder, cert, u, e)))
+        errors += block_errors((block[:, None] * n + columns).reshape(-1), symbols[block])
     return errors
 
 
@@ -499,16 +581,22 @@ def simulate_sep(plan: SimPlan, threads: int = 1) -> Curve:
     < d_i / 2`` for every coordinate (rounding, with the tie window taken
     off) or when ``sigma**2`` times the sum of its ``r**2`` is below
     ``d_min**2 / 4 - 1e-12`` (every other decoder), each with a relative
-    margin of at least 1e-9 against rounding.  A shard with an open row
-    draws all its angles in one piece, one with none draws no angles;
-    only the open rows get their noise, symbols, received points and
-    verdicts, 2048 rows at a time.  Open rows carry the very values the
-    whole shard would, so every ``(trials, errors)`` is the one that
-    deciding every row gives.
+    margin of at least 1e-9 against rounding.
 
-    Shard ``s`` of grid point ``i`` draws all its symbol uniforms, then
-    all its noise radii, then its noise angles, from ``stream(seed, i,
-    s)``, so a point's result depends on no other point.  The grid
+    Shard ``s`` of grid point ``i`` lays out all its symbol uniforms,
+    then all its noise radii, then its noise angles, in ``stream(seed, i,
+    s)``, so a point's result depends on no other point.  The streams are
+    counter-based, so a shard reads its words by position
+    (:func:`latticesep.streams.seek`): its radii first.  A shard with no
+    open row reads nothing more; one with fewer than two open rows per
+    1024 symbol words reads only the 1024-word chunks of symbol and angle
+    words that hold an open row's entries; any other reads every word, and
+    transforms each 2048-row range that is at least 90% open whole, its
+    settled rows deciding as correct.  The other open rows get their
+    noise, symbols, received points and verdicts, 2048 rows at a time.
+    Every row carries the values that a front-to-back read of the shard
+    gives it, so every ``(trials, errors)`` is the one that deciding
+    every row gives.  The grid
     points are the unit of parallel work: ``min(threads, points)``
     workers take them in grid order, each runs its point's shards one
     after another and stops at the first shard boundary that reaches

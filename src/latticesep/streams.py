@@ -12,22 +12,28 @@ Two conventions make runs reproducible down to the byte:
   class); two draws with the same seed and path always yield the same
   values, and distinct paths yield statistically independent streams.
 
-* **Fixed draw order.**  Normal variates are produced by an explicit
-  Box-Muller transform (:func:`standard_normals`) rather than the
-  generator's built-in ziggurat sampler, whose output stream is an
+* **Fixed layout, read by position.**  Normal variates are produced by
+  an explicit Box-Muller transform (:func:`standard_normals`) rather than
+  the generator's built-in ziggurat sampler, whose output stream is an
   implementation detail of numpy.  Uniform symbol draws use plain
-  ``Generator.random`` scaled and floored (:func:`uniform_symbols`).
+  ``Generator.random`` scaled and floored (:func:`uniform_symbols`).  A
+  consumer lays its uniforms out in a fixed order, and because Philox is
+  counter-based (Salmon, Moraes, Dror & Shaw, SC 2011) any word of that
+  layout can be read at its position (:func:`seek`) without drawing the
+  words before it: a value depends on its position alone, never on which
+  other words were read or in what order.
 
 The transform comes in steps that a caller may also take apart:
 :func:`normal_radii` draws the radial uniforms and returns the radii
 ``r``, :func:`normal_angles` draws angular uniforms and returns the
 angles, and :func:`normals_from_angles` returns ``r cos`` / ``r sin`` --
-of the whole block, or of chosen entries only.  Every entry of the block
-is at most its pair's radius in magnitude, so a caller can settle a trial
-from the radii alone and transform only the trials that remain.  The
-radii and angles can be written into caller-owned buffers.
-:func:`uniforms_to_symbols` is the symbol map of :func:`uniform_symbols`
-on uniforms already drawn.
+of the whole block, of a contiguous range of it, or of chosen entries
+only.  Every entry of the block is at most its pair's radius in
+magnitude, so a caller can settle a trial from the radii alone and
+transform only the trials that remain, reading only the angles those
+trials use.  The radii and angles can be written into caller-owned
+buffers.  :func:`uniforms_to_symbols` is the symbol map of
+:func:`uniform_symbols` on uniforms already drawn.
 
 Work is split into shards of :data:`SHARD_SIZE` trials.  Each shard owns a
 private stream, so shards can be evaluated in any order -- or in parallel
@@ -46,6 +52,7 @@ __all__ = [
     "normal_angles",
     "normal_radii",
     "normals_from_angles",
+    "seek",
     "standard_normals",
     "stream",
     "uniform_symbols",
@@ -96,6 +103,24 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(np.random.SeedSequence(_seed_parts(seed, path)).generate_state(1, np.uint64)[0])
 
 
+def seek(rng: np.random.Generator, origin: dict, position: int) -> None:
+    """Set ``rng`` so that its next uniform is word ``position`` of its stream.
+
+    ``origin`` is ``rng.bit_generator.state`` as :func:`stream` returned
+    the generator, before any draw.  Word ``t`` of a Philox stream is word
+    ``t mod 4`` of the block at counter ``floor(t / 4) + 1``, and
+    ``advance(k)`` adds ``k`` to the counter and empties the block buffer;
+    so the seek restores ``origin``, advances ``floor(position / 4)`` and
+    discards ``position mod 4`` words.  It reads the same words forward,
+    backward, or from inside a partly used block.
+    """
+    bits = rng.bit_generator
+    bits.state = origin
+    bits.advance(position // 4)
+    if position % 4:
+        rng.random(position % 4)
+
+
 def normal_radii(rng: np.random.Generator, count: int, out: np.ndarray | None = None) -> np.ndarray:
     """Step 1 of :func:`standard_normals`: the radii of a block of ``count`` normals.
 
@@ -122,7 +147,7 @@ def normal_angles(rng: np.random.Generator, pairs: int, out: np.ndarray | None =
 
 
 def normals_from_angles(
-    radius: np.ndarray, angle: np.ndarray, count: int, entries: np.ndarray | None = None
+    radius: np.ndarray, angle: np.ndarray, count: int, entries: np.ndarray | slice | None = None
 ) -> np.ndarray:
     """Step 3 of :func:`standard_normals`: normals of a block from its radii and angles.
 
@@ -130,14 +155,18 @@ def normals_from_angles(
     ``radius[t] cos(angle[t])`` for ``t < pairs`` and
     ``radius[t - pairs] sin(angle[t - pairs])`` otherwise, so its magnitude
     is at most its pair's radius.  Without ``entries`` the call returns the
-    whole block of ``count`` normals; with ``entries`` (ascending indices
-    into the block) it returns those entries alone, bit for bit as the
-    whole block holds them.
+    whole block of ``count`` normals; with ``entries`` (a ``slice(lo, hi)``
+    of the block, or ascending indices into it) it returns those entries
+    alone, bit for bit as the whole block holds them, reading only their
+    radii and angles.
     """
     pairs = radius.size
     if entries is None:
-        split, size = pairs, count
-        cosines, sines = slice(0, pairs), slice(0, count - pairs)
+        entries = slice(0, count)
+    if isinstance(entries, slice):
+        lo, hi = entries.start, entries.stop
+        split, size = min(max(pairs - lo, 0), hi - lo), hi - lo
+        cosines, sines = slice(lo, lo + split), slice(max(lo, pairs) - pairs, max(hi - pairs, 0))
     else:
         split, size = int(np.searchsorted(entries, pairs)), entries.size
         cosines, sines = entries[:split], entries[split:] - pairs

@@ -367,6 +367,15 @@ class TestRunCommand:
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.count(str(lattice_path)) == 1
 
+    @pytest.mark.parametrize("field", ["seed", "max_trials", "target_errors", "trials_per_j"])
+    def test_non_integer_budget_names_the_config_once(self, tmp_path, capsys, field):
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(make_config_data(**{field: 1e5})))
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count(str(config_path)) == 1
+        assert f"field {field!r} must be an integer" in err
+
     @pytest.mark.parametrize("stop, step", [(4000.0, 1000.0), (1e300, 1.0)])
     def test_unusable_snr_grid_exits_2_before_any_curve(self, tmp_path, capsys, stop, step):
         data = make_config_data(curves=["MSLB"], snr_db={"start": 0.0, "stop": stop, "step": step})

@@ -31,7 +31,15 @@ from latticesep.sep import (
     write_sep_csv,
 )
 from latticesep.special import q_function, regularized_gamma_upper
-from latticesep.streams import SHARD_SIZE, normal_radii, standard_normals, stream, uniform_symbols
+from latticesep.streams import (
+    SHARD_SIZE,
+    normal_angles,
+    normal_radii,
+    normals_from_angles,
+    standard_normals,
+    stream,
+    uniform_symbols,
+)
 
 # Closed-form anchors at rho = 10 (from the Q-function oracle).
 J1_AT_10 = 0.886153701993342
@@ -783,7 +791,8 @@ def _full_path_errors(generator, big_k, decoder, cert, sigma, rng, m):
     e = standard_normals(rng, m * n).reshape(m, n) * sigma
     y = u @ generator.T + e
     wrong, rows = sep_module._certify(cert, u, e)
-    wrong[rows] = np.any(decoder.decode(y[rows]) != u[rows], axis=1)
+    if rows.size:
+        wrong[rows] = np.any(decoder.decode(y[rows]) != u[rows], axis=1)
     return wrong
 
 
@@ -820,6 +829,18 @@ def _assert_screen_is_sound(generator, big_k, method, seeds):
         assert screened == np.count_nonzero(full), seed
 
 
+class _CountingGenerator:
+    # A stream that counts the uniforms drawn from it, the few that a seek
+    # discards included.
+    def __init__(self, rng):
+        self._rng, self.bit_generator, self.words = rng, rng.bit_generator, 0
+
+    def random(self, size=None, out=None):
+        values = self._rng.random(size, out=out)
+        self.words += np.size(values)
+        return values
+
+
 class TestRadialScreen:
     @pytest.mark.parametrize(
         "name,big_k,method",
@@ -853,6 +874,87 @@ class TestRadialScreen:
         # lone-row blocks.
         monkeypatch.setattr(sep_module, "_ROW_BLOCK", 7)
         _assert_screen_is_sound(catalog_lattice(name).generator, big_k, method, range(6))
+
+    @pytest.mark.parametrize(
+        "name,big_k,m,dbs",
+        [
+            ("Z3", 4, 10001, [17.0, 0.0]),  # rounding; m n odd
+            ("Z8", 4, SHARD_SIZE, [18.0, 10.0, 0.0]),  # rounding; 10 dB mixes dense and other ranges
+            ("E4", 4, 20000, [18.0, 8.0]),  # the 256-point table
+            ("A2", 5, 4465, [18.0, 0.0]),  # the 25-point table; a partial last shard
+            ("E8", 3, 2000, [19.0, 16.0, 10.0]),  # the radius query
+        ],
+    )
+    def test_sparse_and_dense_shards_count_the_full_path_errors(self, name, big_k, m, dbs):
+        # The first SNR leaves fewer than two rows open per 1024 symbol
+        # words, so the shard reads only the chunks of symbol and angle words
+        # that hold them; the last leaves a row range at least 90% open,
+        # which is transformed whole.
+        g = catalog_lattice(name).generator
+        n = g.shape[0]
+        decoder = sep_module._decoder(g, big_k)
+        cert = None if decoder.rounds else sep_module._certificate(g, big_k)
+        buffers = sep_module._shard_buffers(m * n)
+        for i, db in enumerate(dbs):
+            rho = 10.0 ** (db / 10.0)
+            sigma = 1.0 / math.sqrt(rho)
+            limit = sep_module._radial_limit(g, big_k, cert, rho)
+            rng = stream(2, 0, 0)
+            rng.random(m * n)
+            rows = sep_module._open_rows(normal_radii(rng, m * n), m, n, limit)
+            if i == 0:
+                assert 0 < rows.size * sep_module._SEEK_CHUNK < sep_module._SPARSE_OPEN * m * n
+            if i == len(dbs) - 1:
+                assert rows.size >= sep_module._DENSE_RANGE * min(m, sep_module._ROW_BLOCK)
+            full = _full_path_errors(g, big_k, decoder, cert, sigma, stream(2, 0, 0), m)
+            screened = sep_module._shard_errors(g, big_k, decoder, cert, limit, sigma, stream(2, 0, 0), m, buffers)
+            assert screened == np.count_nonzero(full), db
+
+    @pytest.mark.parametrize("m,n", [(3391, 3), (2000, 8), (1500, 5), (777, 7)])
+    def test_open_rows_read_exactly_their_words(self, m, n):
+        # The rows across every 1024-word chunk edge of the symbol and angle
+        # words, and across the cosine/sine split, together and one at a
+        # time, read into buffers of NaN: their symbol uniforms and normals
+        # are the front-to-back ones.
+        count = m * n
+        rng = stream(3, m, n)
+        whole = rng.random(count)
+        radius = normal_radii(rng, count)
+        pairs = radius.size
+        normals = normals_from_angles(radius, normal_angles(rng, pairs), count)
+        chunk = sep_module._SEEK_CHUNK
+        edges = [*range(chunk, count, chunk), pairs, *range(pairs + chunk, count, chunk)]
+        rows = np.unique([t // n for b in edges for t in (b - 1, b) if t < count])
+        for picked in [rows, rows[::2], *rows[:, None]]:
+            uniforms, angle = np.full(count, np.nan), np.full(pairs, np.nan)
+            rng = stream(3, m, n)
+            sep_module._read_open_words(rng, rng.bit_generator.state, picked, n, uniforms, angle)
+            entries = (picked[:, None] * n + np.arange(n)).reshape(-1)
+            assert np.array_equal(uniforms[entries], whole[entries])
+            assert np.array_equal(normals_from_angles(radius, angle, count, entries), normals[entries])
+
+    def test_a_shard_reads_only_the_words_its_open_rows_use(self):
+        # Z8 K = 4, one whole shard: its layout is m n symbol words, then
+        # `pairs` radii, then `pairs` angles.  At 24 dB no row is open, and
+        # the shard reads its radii alone, a quarter of its words; at 20 dB
+        # a few rows are open, and it reads under 1% more; at 0 dB every
+        # row is open, and it reads every word once.
+        g = catalog_lattice("Z8").generator
+        m, n = SHARD_SIZE, 8
+        pairs = m * n // 2
+        decoder = sep_module._decoder(g, 4)
+        buffers = sep_module._shard_buffers(m * n)
+        words = {}
+        for db in (24.0, 20.0, 0.0):
+            rho = 10.0 ** (db / 10.0)
+            rng = _CountingGenerator(stream(1, 0, 0))
+            limit = sep_module._radial_limit(g, 4, None, rho)
+            sep_module._shard_errors(g, 4, decoder, None, limit, 1.0 / math.sqrt(rho), rng, m, buffers)
+            words[db] = rng.words
+        total = m * n + 2 * pairs
+        assert words[24.0] == pairs == total // 4
+        assert pairs < words[20.0] < pairs + 0.01 * total
+        assert words[0.0] == total
 
     def test_two_threads_draw_into_their_own_buffers(self, monkeypatch):
         # Points run at once, each worker on its own buffers: two threads

@@ -11,6 +11,7 @@ from latticesep.streams import (
     normal_angles,
     normal_radii,
     normals_from_angles,
+    seek,
     standard_normals,
     stream,
     uniform_symbols,
@@ -163,6 +164,50 @@ class TestNormalsFromRadii:
         replay = stream(8, m, n)
         replay.random(2 * radius.size)
         assert rng.random() == replay.random()
+
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (7, 3), (9, 8), (3391, 3)])
+    def test_row_ranges_match_the_whole_block(self, m, n):
+        # Slices of the block: all cosines, all sines, the range across the
+        # split, a single entry and an empty range.
+        count = m * n
+        whole = standard_normals(stream(9, m, n), count)
+        rng = stream(9, m, n)
+        radius = normal_radii(rng, count)
+        angle = normal_angles(rng, radius.size)
+        pairs = radius.size
+        across = (max(pairs - 5, 0), min(pairs + 4, count))
+        for lo, hi in [(0, count), (0, pairs), (pairs, count), across, (count - 1, count), (pairs, pairs)]:
+            assert np.array_equal(normals_from_angles(radius, angle, count, slice(lo, hi)), whole[lo:hi])
+
+
+class TestSeek:
+    def test_positioned_reads_match_a_front_to_back_read(self):
+        # Word t of a Philox stream is word t mod 4 of the block at counter
+        # floor(t / 4) + 1; a numpy change to the counter or to advance()
+        # fails here.  Reads in this order: ascending and unaligned starts,
+        # a start inside the 4-word block that the previous read left
+        # partly used (words 5, 6 read, 7 pending), a run across 1024-word
+        # chunks, then rewinds to earlier positions, aligned and not.
+        whole = stream(5, 1, 2).random(5000)
+        rng = stream(5, 1, 2)
+        origin = rng.bit_generator.state
+        reads = [(0, 3), (5, 2), (7, 9), (17, 1), (22, 2040), (4001, 999), (4, 4), (0, 5000), (3, 1), (2050, 6)]
+        for start, length in reads:
+            seek(rng, origin, start)
+            assert np.array_equal(rng.random(length), whole[start : start + length]), (start, length)
+
+    def test_reads_continue_after_a_seek(self):
+        # After a seek the stream goes on word by word, across block edges,
+        # and the Box-Muller steps read from the seeked position.
+        whole = stream(6).random(64)
+        rng = stream(6)
+        origin = rng.bit_generator.state
+        seek(rng, origin, 9)
+        assert np.array_equal(np.concatenate([rng.random(2), rng.random(5)]), whole[9:16])
+        seek(rng, origin, 33)
+        angle = normal_angles(rng, 10)
+        assert np.array_equal(angle, 2.0 * np.pi * whole[33:43])
 
 
 class TestUniformSymbols:
