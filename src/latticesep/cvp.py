@@ -187,7 +187,9 @@ def _near_best(r, center, slack, lo=None, hi=None):
     order = np.lexsort(np.vstack([z.T[::-1], row]))
     row, z = row[order], z[order]
     # A Babai point the enumeration reached again is listed twice, in a row.
-    fresh = np.concatenate([[True], (np.diff(row) != 0) | np.any(np.diff(z, axis=0) != 0.0, axis=1)])
+    # Built from the row starts, so that no row at all gives empty arrays.
+    fresh = np.diff(row, prepend=-1) != 0
+    fresh[1:] |= np.any(np.diff(z, axis=0) != 0.0, axis=1)
     return row[fresh], z[fresh]
 
 

@@ -49,12 +49,12 @@ from .streams import (
     _check_seed,
     derive_seed,
     normal_angles,
-    normal_radii,
     normals_from_angles,
     seek,
     standard_normals,
     stream,
     uniform_symbols,  # not called here; bench/spans.py traces sep's stream functions by name
+    uniforms_to_radii,
     uniforms_to_symbols,
 )
 
@@ -81,6 +81,7 @@ _TABLE_POINTS = 1 << 12  # largest constellation decoded from a point table
 _SEEK_CHUNK = 1 << 10  # words of a shard's symbol or angle region that are read, or skipped, whole
 _SPARSE_OPEN = 2  # open rows per _SEEK_CHUNK symbol words from which a shard reads every word
 _DENSE_RANGE = 0.9  # share of open rows from which a _ROW_BLOCK row range is transformed whole
+_DENSE_SHARE = 0.35  # expected share of open entries from which a rounding shard forms every normal
 
 
 class JSource(enum.Enum):
@@ -309,49 +310,115 @@ def _certify(
     return wrong, np.concatenate(undecided) if undecided else rows
 
 
-def _radial_limit(generator: np.ndarray, big_k: int, cert: _Certificate | None, rho: float):
-    # Bound on the Box-Muller radii under which a trial at SNR rho is
-    # correct (see _open_rows).  Rounding (cert None, a diagonal generator)
-    # decodes coordinate i correctly when |e_i| < d_i / 2 - TIE_TOL / (2 d_i),
-    # short of a tie by TIE_TOL; the slack also covers the rounding of
-    # y_i / d_i, which grows with the level.  Every other decoder counts a
-    # trial correct when |e|**2 is below the certificate's inscribed bound.
+@dataclass(frozen=True)
+class _Rounding:
+    """Entry-by-entry verdicts for a diagonal generator ``diag(d)`` at one SNR.
+
+    Coordinate i of a trial decodes from its noise entry ``sigma z`` alone:
+    to its symbol when ``|z| < inner_i``, and to the neighbour above (below)
+    its symbol when ``sign_i z > outer_i`` (``< -outer_i``) and that
+    neighbour is in the box, to its symbol when it is not.  Between the two
+    limits, a band about 1e-9 wide, the decoder decides.
+    """
+
+    inner: np.ndarray  # (n,)
+    outer: np.ndarray  # (n,)
+    flipped: np.ndarray  # (n,): d_i < 0, so that the symbol above is below in y
+    cut: np.ndarray  # (n,): a radial uniform below cut_i has a radius below inner_i
+    share: float  # mean_i exp(-inner_i**2 / 2), the expected share of entries that cut_i leaves open
+
+
+def _tail_bound(squared):
+    # A bound on 1 - u (on a product of such factors) that holds whenever the
+    # float Box-Muller radius sqrt(-2 log1p(-u)) reaches sqrt(squared) (the
+    # float squared radii sum to `squared` or more): exp(-squared / 2), with
+    # a relative allowance of _SCREEN_MARGIN on the exponent, for the
+    # rounding of log1p, sqrt and the sum, and on the value, for that of exp
+    # and the product.  1 - u itself is exact.
+    return np.exp(-0.5 * (1.0 - _SCREEN_MARGIN) * np.maximum(squared, 0.0)) * (1.0 + _SCREEN_MARGIN)
+
+
+def _screen(generator: np.ndarray, big_k: int, cert: _Certificate | None, rho: float):
+    # What settles trials at SNR rho from the radial uniforms of their noise.
+    # Entry t of a noise block is sigma z_t with |z_t| <= r, the radius of
+    # its pair's uniform u, and r >= L iff 1 - u <= exp(-L**2 / 2).
+    # Rounding (cert None, a diagonal generator) decides entry by entry
+    # (_Rounding): y_i / d_i = u_i + e_i / d_i, so coordinate i decodes to
+    # u_i when |e_i| < |d_i| / 2 - TIE_TOL / (2 |d_i|), and to u_i + 1 (u_i - 1)
+    # when sign(d_i) e_i > |d_i| / 2 + TIE_TOL / (2 |d_i|) (< -...), if it is
+    # in the box, in both cases by more than TIE_TOL; the slack also covers
+    # the rounding of y_i / d_i, which grows with the level.  Every other
+    # decoder counts a trial correct when |e|**2 is below the certificate's
+    # inscribed bound, so its rows stay open when the product of their
+    # entries' 1 - u is at most the returned bound (_open_rows).
     if cert is None:
-        d = np.abs(np.diagonal(generator))
+        d = np.diagonal(generator)
+        a = np.abs(d)
         slack = _SCREEN_MARGIN + 64 * big_k * np.finfo(float).eps
-        return (0.5 * d - 0.5 * TIE_TOL / d) * ((1.0 - slack) * math.sqrt(rho))
-    return cert.inscribed * (1.0 - _SCREEN_MARGIN) * rho
+        inner = (0.5 * a - 0.5 * TIE_TOL / a) * ((1.0 - slack) * math.sqrt(rho))
+        outer = (0.5 * a + 0.5 * TIE_TOL / a) * ((1.0 + slack) * math.sqrt(rho))
+        tail = _tail_bound(np.maximum(inner, 0.0) ** 2)
+        return _Rounding(inner, outer, d < 0, 1.0 - tail, float(np.mean(np.minimum(tail, 1.0))))
+    return float(_tail_bound(cert.inscribed * (1.0 - _SCREEN_MARGIN) * rho))
 
 
-def _open_rows(radius: np.ndarray, m: int, n: int, limit) -> np.ndarray:
-    # Ascending indices of the rows of an (m, n) noise block that its radii
-    # do not settle.  Entry t of the block comes from pair t (cosine) or
-    # t - pairs (sine), so |e_t| <= sigma r_p(t).  A per-coordinate limit
-    # (rounding) settles a row when every r_p(t) is below it; a scalar limit
-    # when the sum of the r_p(t)**2 is.  The r_p(t) are laid out a block of
-    # rows at a time.
-    pairs = radius.size
-    bound = np.empty(min(m, _ROW_BLOCK) * n)
+def _open_rows(uniforms: np.ndarray, m: int, n: int, bound: float) -> np.ndarray:
+    # Ascending indices of the rows of an (m, n) noise block that its radial
+    # uniforms do not settle, for a certificate.  Entry t of the block comes
+    # from pair t (cosine) or t - pairs (sine), so |e_t| <= sigma r_p(t).  A
+    # row is settled when the sum of its r_p(t)**2 is below the limit, that
+    # is when the product of its 1 - u_p(t) is above `bound` (_screen).  The
+    # 1 - u are laid out a block of rows at a time.
+    pairs = uniforms.size
+    tail = np.empty(min(m, _ROW_BLOCK) * n)
     found = []
     for first in range(0, m, _ROW_BLOCK):
         lo, hi = first * n, min(m, first + _ROW_BLOCK) * n
         cut = min(max(pairs, lo), hi)  # entries lo..cut are cosines, cut..hi sines
-        flat = bound[: hi - lo]
-        flat[: cut - lo] = radius[lo:cut]
-        flat[cut - lo :] = radius[cut - pairs : hi - pairs]
+        flat = tail[: hi - lo]
+        np.subtract(1.0, uniforms[lo:cut], out=flat[: cut - lo])
+        np.subtract(1.0, uniforms[cut - pairs : hi - pairs], out=flat[cut - lo :])
         block = flat.reshape(-1, n)
-        if np.ndim(limit):
-            hit = _any_column(block[:, i] >= limit[i] for i in range(n))
-        else:
-            hit = np.einsum("ij,ij->i", block, block) >= limit
-        found.append(first + np.flatnonzero(hit))
+        product = block[:, 0].copy()
+        for i in range(1, n):
+            product *= block[:, i]
+        found.append(first + np.flatnonzero(product <= bound))
     return np.concatenate(found)
+
+
+def _sides(rule: _Rounding, z: np.ndarray, coordinate) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    # For unit normals z of `coordinate` (an index array, or slice(None) for
+    # whole rows): the mask of those past their outer limit, whether each
+    # points up (sign_i z > 0), and the mask of those in the band between
+    # the two limits, or None when there is none.
+    size = np.abs(z)
+    beyond = size > rule.outer[coordinate]
+    reach = size >= rule.inner[coordinate]
+    band = reach & ~beyond if np.count_nonzero(reach) > np.count_nonzero(beyond) else None
+    up = z > 0.0
+    if rule.flipped.any():
+        up ^= rule.flipped[coordinate]
+    return beyond, up, band
+
+
+def _moved(up: np.ndarray, scaled: np.ndarray, big_k: int) -> np.ndarray:
+    # Whether entries past their outer limit move their coordinate: the
+    # neighbour on their side (above where `up`) is in the box.  `scaled`
+    # is K w for the symbol uniform w, whose symbol is min(floor(K w), K - 1)
+    # (streams.uniforms_to_symbols).  Selected by bit operations, which
+    # take a tenth of the time of np.where on masks.
+    above = scaled < big_k - 1
+    below = scaled >= 1.0
+    above ^= below
+    above &= up
+    above ^= below
+    return above
 
 
 def _any_column(columns) -> np.ndarray:
     # np.any(axis=1) of a block of rows with n <= 8 columns, given as one
-    # fresh boolean array per column: a fold over the columns takes about
-    # half the time of the row reduction.
+    # boolean array per column, the first of which it overwrites: a fold
+    # over the columns takes about half the time of the row reduction.
     columns = iter(columns)
     hit = next(columns)
     for column in columns:
@@ -388,9 +455,8 @@ def _errors(
     u: np.ndarray,
     e: np.ndarray,
 ) -> np.ndarray:
-    # Error mask of the trials y = G u + e.  A rounding decoder (no
-    # certificate) decodes every row.  Otherwise the certificate settles
-    # most rows (_certify).  Where the sphere search would decode the rest,
+    # Error mask of the trials y = G u + e.  The certificate, if there is
+    # one, settles most rows (_certify).  Where the sphere search would decode the rest,
     # the radius query around G u settles most of those
     # (BatchDecoder.radius_query): a row with no other box point within
     # |e|**2 + 2 TIE_TOL of y is correct, and one whose other points there
@@ -399,11 +465,8 @@ def _errors(
     # reached -- and every row the certificate leaves to another search
     # are decoded.
     n = generator.shape[0]
-    if cert is None:
-        decoded = decoder.decode(u @ generator.T + e)
-        return _any_column(decoded[:, i] != u[:, i] for i in range(n))
     wrong, undecided = _certify(cert, u, e)
-    if undecided.size and decoder.method is Decoder.SPHERE_DECODER:
+    if undecided.size and decoder.method is Decoder.SPHERE_DECODER and not decoder.rounds:
         own, other = decoder.radius_query(u[undecided], e[undecided])
         settled = other < own - 2.0 * TIE_TOL
         wrong[undecided[settled]] = other[settled] > -np.inf
@@ -425,25 +488,34 @@ def _chunk_runs(size: int, *words: np.ndarray) -> list[tuple[int, int]]:
     return [(a, min(b, size)) for a, b in zip(edges[::2].tolist(), edges[1::2].tolist())]
 
 
+def _read_chunks(rng, origin: dict, start: int, out: np.ndarray, draw, *words: np.ndarray) -> None:
+    # Reads into `out`, the region of a shard's layout that begins at word
+    # `start`, the chunks of it that hold any of `words`, one seek per run
+    # of chunks; draw(rng, size, out) reads `size` words into `out`.  Every
+    # other word of `out` is left as it was.
+    for a, b in _chunk_runs(out.size, *words):
+        seek(rng, origin, start + a)
+        draw(rng, b - a, out[a:b])
+
+
+def _draw_uniforms(rng, size: int, out: np.ndarray) -> None:
+    rng.random(out=out)
+
+
 def _read_open_words(rng, origin: dict, rows: np.ndarray, n: int, uniforms, angle) -> None:
     # Reads into `uniforms` and `angle` the chunks of a shard's symbol and
-    # angle words that hold the entries of `rows`, one seek per run of
-    # chunks; every other word of those buffers is left as it was.  Row r
+    # angle words that hold the entries of `rows` (_read_chunks).  Row r
     # has entries t = r n .. r n + n - 1, symbol words t, and angle words t
     # (cosines, t < pairs) or t - pairs (sines).  A row's entries span at
     # most two chunks, so marking the chunks of their ends marks them all.
     count, pairs = uniforms.size, angle.size
     first = rows * n
     last = first + (n - 1)
-    for a, b in _chunk_runs(count, first, last):
-        seek(rng, origin, a)
-        rng.random(out=uniforms[a:b])
+    _read_chunks(rng, origin, 0, uniforms, _draw_uniforms, first, last)
     cosine = first[: np.searchsorted(first, pairs)]
     sine = last[np.searchsorted(last, pairs) :] - pairs
     ends = (cosine, np.minimum(cosine + (n - 1), pairs - 1), np.maximum(sine - (n - 1), 0), sine)
-    for a, b in _chunk_runs(pairs, *ends):
-        seek(rng, origin, count + pairs + a)
-        normal_angles(rng, b - a, out=angle[a:b])
+    _read_chunks(rng, origin, count + pairs, angle, normal_angles, *ends)
 
 
 def _shard_errors(
@@ -451,38 +523,35 @@ def _shard_errors(
     big_k: int,
     decoder: BatchDecoder,
     cert: _Certificate | None,
-    limit,
+    screen,
     sigma: float,
     rng: np.random.Generator,
     m: int,
     buffers: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> int:
     # Symbol errors among the m trials of the fresh stream rng, whose
-    # layout is m n symbol uniforms, then the noise radii, then the noise
-    # angles, read by position (streams.seek) into `buffers`
-    # (_shard_buffers).  The radii are read first and settle most rows as
-    # correct (_open_rows).  A shard with fewer than _SPARSE_OPEN open rows
-    # per _SEEK_CHUNK symbol words then reads only the chunks of symbol and
-    # angle words that hold an open row's entries (_read_open_words).  With
-    # more, few chunks are free of open rows and the seeks would cost more
-    # than they skip, so the shard reads every word, and transforms each
-    # _ROW_BLOCK range of rows that is at least _DENSE_RANGE open whole,
-    # through slices: its settled rows decode as correct, so the count is
-    # the same.  The other open rows are taken _ROW_BLOCK at a time.  Each
-    # block gets its noise, symbols, received points and verdicts, so no
-    # per-row array outlives its block, and every row gets the values that
-    # a front-to-back read gives it.
+    # layout is m n symbol uniforms, then the radial uniforms of the noise,
+    # then its angular uniforms, read by position (streams.seek) into
+    # `buffers` (_shard_buffers).  The radial uniforms are read first and
+    # screened as they are (_screen); a radius is formed only where a trial
+    # needs it.  Every row gets the values that a front-to-back read gives
+    # it, and every row the screen or the entry verdicts do not settle is
+    # decided as the full path decides it.
     n = generator.shape[0]
     count = m * n
+    pairs = (count + 1) // 2
+    uniforms, radius, angle = buffers[0][:count], buffers[1][:pairs], buffers[2][:pairs]
+    symbols = uniforms.reshape(m, n)
+    columns = np.arange(n)
     origin = rng.bit_generator.state
     seek(rng, origin, count)
-    radius = normal_radii(rng, count, out=buffers[1])
-    rows = _open_rows(radius, m, n, limit)
-    if rows.size == 0:
-        return 0
-    pairs = radius.size
-    uniforms, angle = buffers[0][:count], buffers[2][:pairs]
-    symbols = uniforms.reshape(m, n)
+    rng.random(out=radius)
+
+    def read_all() -> None:
+        normal_angles(rng, pairs, out=angle)  # the angles follow the radial uniforms
+        seek(rng, origin, 0)
+        rng.random(out=uniforms)
+        uniforms_to_radii(radius)
 
     def block_errors(entries, block_uniforms: np.ndarray) -> int:
         e = normals_from_angles(radius, angle, count, entries).reshape(-1, n)
@@ -490,26 +559,131 @@ def _shard_errors(
         u = uniforms_to_symbols(block_uniforms, big_k)
         return int(np.count_nonzero(_errors(generator, decoder, cert, u, e)))
 
-    errors = 0
+    def row_errors(rows: np.ndarray, read: bool) -> int:
+        # Errors among `rows` (ascending) on the full path, _ROW_BLOCK rows
+        # at a time.  With `read`, their words are read first and their
+        # pairs' radii formed, once each (a pair used twice is one value).
+        if read:
+            _read_open_words(rng, origin, rows, n, uniforms, angle)
+            entries = (rows[:, None] * n + columns).reshape(-1)
+            pair = np.where(entries < pairs, entries, entries - pairs)
+            radius[pair] = uniforms_to_radii(radius[pair])
+        errors = 0
+        for start in range(0, rows.size, _ROW_BLOCK):
+            block = rows[start : start + _ROW_BLOCK]
+            errors += block_errors((block[:, None] * n + columns).reshape(-1), symbols[block])
+        return errors
+
+    if cert is None:
+        buffers = (uniforms, radius, angle)
+        return _entry_errors(screen, big_k, rng, origin, m, n, buffers, read_all, row_errors)
+    # A certificate: the product screen leaves rows open (_open_rows).  A
+    # shard with fewer than _SPARSE_OPEN open rows per _SEEK_CHUNK symbol
+    # words reads only the chunks of symbol and angle words that hold an
+    # open row's entries.  With more, few chunks are free of open rows and
+    # the seeks would cost more than they skip, so the shard reads every
+    # word, and transforms each _ROW_BLOCK range of rows that is at least
+    # _DENSE_RANGE open whole, through slices: its settled rows decode as
+    # correct, so the count is the same.  The other open rows are taken
+    # _ROW_BLOCK at a time, so no per-row array outlives its block.
+    rows = _open_rows(radius, m, n, screen)
+    if rows.size == 0:
+        return 0
     if rows.size * _SEEK_CHUNK < _SPARSE_OPEN * count:
-        _read_open_words(rng, origin, rows, n, uniforms, angle)
+        return row_errors(rows, read=True)
+    read_all()
+    errors = 0
+    starts = np.arange(0, m, _ROW_BLOCK)
+    stops = np.minimum(starts + _ROW_BLOCK, m)
+    counts = np.diff(np.searchsorted(rows, np.append(starts, m)))
+    dense = counts >= _DENSE_RANGE * (stops - starts)
+    if dense.any():
+        # Dropped before the ranges run, so the whole list is not in their peak memory.
+        rows = rows[np.repeat(~dense, counts)]
+    for lo, hi in zip(starts[dense].tolist(), stops[dense].tolist()):
+        errors += block_errors(slice(lo * n, hi * n), symbols[lo:hi])
+    return errors + row_errors(rows, read=False)
+
+
+def _entry_errors(
+    rule: _Rounding, big_k: int, rng, origin: dict, m: int, n: int, buffers, read_all, row_errors
+) -> int:
+    # Symbol errors among the m trials of a shard on a diagonal generator,
+    # decided entry by entry (_Rounding): a row is an error if one of its
+    # entries moves its coordinate, and correct if every entry keeps it;
+    # a row with an entry in the band, and no error, goes to row_errors, so
+    # to the decoder.  A shard whose expected open share is at least
+    # _DENSE_SHARE reads every word (read_all) and takes its entries
+    # _ROW_BLOCK rows at a time, through slices.  Any other screens its
+    # radial uniforms on the period-n pattern of the larger of each pair's
+    # two limits (pair p holds entry p, a cosine, and entry p + pairs, a
+    # sine, if there is one), and forms the radii, then the normals, of
+    # only the open pairs' open entries, reading only the chunks of angle
+    # words they use; it reads a symbol word only for an entry past its
+    # outer limit.  It screens the pairs of _ROW_BLOCK / 2 rows at a time
+    # and decides batches of at most that many open pairs, so per-entry
+    # arrays hold at most _ROW_BLOCK n entries.
+    uniforms, radius, angle = buffers
+    count, pairs = m * n, radius.size
+    wrong = np.zeros(m, dtype=bool)
+    tied = []
+    if rule.share >= _DENSE_SHARE:
+        read_all()
+        for lo in range(0, m, _ROW_BLOCK):
+            hi = min(lo + _ROW_BLOCK, m)
+            z = normals_from_angles(radius, angle, count, slice(lo * n, hi * n)).reshape(-1, n)
+            beyond, up, band = _sides(rule, z, slice(None))
+            hit = _moved(up, uniforms[lo * n : hi * n].reshape(-1, n) * big_k, big_k)
+            hit &= beyond
+            wrong[lo:hi] = _any_column(hit[:, i] for i in range(n))
+            if band is not None:
+                tied.append(lo + np.flatnonzero(_any_column(band[:, i] for i in range(n))))
     else:
-        normal_angles(rng, pairs, out=angle)  # the angles follow the radii
-        seek(rng, origin, 0)
-        rng.random(out=uniforms)
-        starts = np.arange(0, m, _ROW_BLOCK)
-        stops = np.minimum(starts + _ROW_BLOCK, m)
-        counts = np.diff(np.searchsorted(rows, np.append(starts, m)))
-        dense = counts >= _DENSE_RANGE * (stops - starts)
-        if dense.any():
-            # Dropped before the ranges run, so the whole list is not in their peak memory.
-            rows = rows[np.repeat(~dense, counts)]
-        for lo, hi in zip(starts[dense].tolist(), stops[dense].tolist()):
-            errors += block_errors(slice(lo * n, hi * n), symbols[lo:hi])
-    columns = np.arange(n)
-    for start in range(0, rows.size, _ROW_BLOCK):
-        block = rows[start : start + _ROW_BLOCK]
-        errors += block_errors((block[:, None] * n + columns).reshape(-1), symbols[block])
+
+        def decide(open_pairs: np.ndarray) -> None:
+            r = uniforms_to_radii(radius[open_pairs])
+            entry = np.concatenate([open_pairs, open_pairs + pairs])  # cosines, then sines
+            if count % 2 and open_pairs[-1] == pairs - 1:
+                entry = entry[:-1]  # the last pair of an odd block has no sine
+            coordinate = entry % n
+            r = np.concatenate([r, r])[: entry.size]
+            pick = np.flatnonzero(r >= rule.inner[coordinate])
+            entry, coordinate, r = entry[pick], coordinate[pick], r[pick]
+            split = int(np.searchsorted(pick, open_pairs.size))
+            pair = entry.copy()
+            pair[split:] -= pairs
+            _read_chunks(rng, origin, count + pairs, angle, normal_angles, pair)
+            z = angle[pair]  # then normals_from_angles, entry by entry
+            np.cos(z[:split], out=z[:split])
+            np.sin(z[split:], out=z[split:])
+            z *= r
+            beyond, up, band = _sides(rule, z, coordinate)
+            beyond = np.flatnonzero(beyond)
+            moving = entry[beyond]
+            _read_chunks(rng, origin, 0, uniforms, _draw_uniforms, moving)
+            hit = _moved(up[beyond], uniforms[moving] * big_k, big_k)
+            wrong[moving[hit] // n] = True
+            if band is not None:
+                tied.append(entry[band] // n)
+
+        half = max(1, _ROW_BLOCK // 2)
+        span = half * n  # a multiple of n, so every range starts the pattern afresh
+        cuts = np.tile(np.minimum(rule.cut, np.roll(rule.cut, -(pairs % n))), half)
+        found, size = [], 0
+        for a in range(0, pairs, span):
+            b = min(a + span, pairs)
+            more = a + np.flatnonzero(radius[a:b] >= cuts[: b - a])
+            if size + more.size > span:
+                decide(np.concatenate(found))
+                found, size = [], 0
+            found.append(more)
+            size += more.size
+        if size:
+            decide(np.concatenate(found))
+    errors = int(np.count_nonzero(wrong))
+    if tied:
+        rows = np.unique(np.concatenate(tied))
+        errors += row_errors(rows[~wrong[rows]], read=rule.share < _DENSE_SHARE)
     return errors
 
 
@@ -528,13 +702,13 @@ def _simulate_point(
     # thread that runs the point.
     g = plan.constellation.lattice.generator
     big_k = plan.constellation.K
-    limit = _radial_limit(g, big_k, cert, rho)
+    screen = _screen(g, big_k, cert, rho)
     sigma = 1.0 / math.sqrt(rho)
     trials = errors = 0
     while trials < plan.max_trials and errors < plan.target_errors:
         m = min(SHARD_SIZE, plan.max_trials - trials)
         rng = stream(plan.seed, grid_index, trials // SHARD_SIZE)
-        errors += _shard_errors(g, big_k, decoder, cert, limit, sigma, rng, m, buffers)
+        errors += _shard_errors(g, big_k, decoder, cert, screen, sigma, rng, m, buffers)
         trials += m
     return trials, errors
 
@@ -562,42 +736,63 @@ def simulate_sep(plan: SimPlan, threads: int = 1) -> Curve:
     every verdict is the one a full decode would give; all other rows,
     exact ties included, are decoded.  Every exact search gives the same
     counts, so the search is chosen from the constellation for speed
-    alone: a diagonal generator is rounded per coordinate, which is
-    cheaper than the certificate, so every row that reaches it is
-    decoded; otherwise the rows are decoded from the table of all
-    ``K**N`` points when ``K**N <= 4096``.  Above that, one batched
-    radius query (:meth:`latticesep.cvp.BatchDecoder.radius_query`)
-    enumerates, for all those rows at once, the box points within ``|e|**2
-    + 2e-12`` of ``y``: a row with no other point there is correct, one
-    whose other points are all closer than ``x`` by more than ``2e-12``
-    is an error, and only the rest (a point in that tie band) go to the
-    sphere search.  Every non-diagonal generator needs a condition number
-    of at most 1e8 (``ValueError`` above it).
+    alone: a diagonal generator is decided coordinate by coordinate
+    (below), which is cheaper than the certificate; otherwise the rows
+    are decoded from the table of all ``K**N`` points when ``K**N <=
+    4096``.  Above that, one batched radius query
+    (:meth:`latticesep.cvp.BatchDecoder.radius_query`) enumerates, for
+    all those rows at once, the box points within ``|e|**2 + 2e-12`` of
+    ``y``: a row with no other point there is correct, one whose other
+    points are all closer than ``x`` by more than ``2e-12`` is an error,
+    and only the rest (a point in that tie band) go to the sphere search.
+    Every non-diagonal generator needs a condition number of at most 1e8
+    (``ValueError`` above it).
 
-    Before any of that, a radial screen settles most rows at high SNR
-    from the Box-Muller radii alone.  Each noise entry is ``sigma r cos``
-    or ``sigma r sin`` of its pair's radius ``r``, so ``|e_t| <= sigma
-    r``.  A row is correct, and its noise is never formed, when ``sigma r
-    < d_i / 2`` for every coordinate (rounding, with the tie window taken
-    off) or when ``sigma**2`` times the sum of its ``r**2`` is below
-    ``d_min**2 / 4 - 1e-12`` (every other decoder), each with a relative
-    margin of at least 1e-9 against rounding.
+    Before any of that, a screen on the raw radial uniforms settles most
+    rows at high SNR.  Each noise entry is ``sigma r cos`` or ``sigma r
+    sin`` of its pair's Box-Muller radius ``r = sqrt(-2 log1p(-u))``, so
+    ``|e_t| <= sigma r``, and ``r >= L`` exactly when ``1 - u <= exp(-L**2
+    / 2)``; so the uniforms are compared as they are, and a radius is
+    formed only where a row needs it.  With a certificate, a row is
+    correct, and its noise is never formed, when the product of its
+    entries' ``1 - u`` is above ``exp(-lambda / 2)``, that is when
+    ``sigma**2`` times the sum of its ``r**2`` is below ``lambda =
+    d_min**2 / 4 - 1e-12``.  Each threshold carries a relative allowance
+    of 1e-9 on the safe side, against rounding.
+
+    On a diagonal generator ``diag(d)`` rounding is separable, so each
+    entry is decided on its own and a row is an error exactly when one
+    of its entries moves its coordinate.  Entry ``e_i`` keeps coordinate
+    i when ``|e_i| < |d_i| / 2 - 1e-12 / (2 |d_i|)``, and moves it when
+    ``sign(d_i) e_i`` passes ``+-(|d_i| / 2 + 1e-12 / (2 |d_i|))`` and
+    the neighbour on that side is in the box (tested on ``K w`` for the
+    entry's symbol uniform ``w``, as the symbol map forms it), each
+    limit with a relative margin of at least 1e-9.  Only a row with an
+    entry in the band between the two, about 1e-9 wide, is decoded.  A
+    radial uniform is screened against the larger of its pair's two
+    thresholds (pair ``p`` holds entry ``p``, a cosine, and entry ``p +
+    pairs``, a sine); only an open pair's entries that reach their limit
+    get an angle, and only an entry past its outer limit gets its symbol.
+    A shard whose expected share of open entries, ``mean_i exp(-L_i**2 /
+    2)``, is at least 0.35 skips the screen and decides every entry.
 
     Shard ``s`` of grid point ``i`` lays out all its symbol uniforms,
-    then all its noise radii, then its noise angles, in ``stream(seed, i,
-    s)``, so a point's result depends on no other point.  The streams are
-    counter-based, so a shard reads its words by position
-    (:func:`latticesep.streams.seek`): its radii first.  A shard with no
-    open row reads nothing more; one with fewer than two open rows per
-    1024 symbol words reads only the 1024-word chunks of symbol and angle
-    words that hold an open row's entries; any other reads every word, and
-    transforms each 2048-row range that is at least 90% open whole, its
-    settled rows deciding as correct.  The other open rows get their
-    noise, symbols, received points and verdicts, 2048 rows at a time.
-    Every row carries the values that a front-to-back read of the shard
-    gives it, so every ``(trials, errors)`` is the one that deciding
-    every row gives.  The grid
-    points are the unit of parallel work: ``min(threads, points)``
+    then all its radial uniforms, then its angular uniforms, in
+    ``stream(seed, i, s)``, so a point's result depends on no other
+    point.  The streams are counter-based, so a shard reads its words by
+    position (:func:`latticesep.streams.seek`): its radial uniforms
+    first.  A screened diagonal shard then reads only the 1024-word
+    chunks of angle and symbol words that its open entries use.  With a
+    certificate, a shard with no open row reads nothing more; one with
+    fewer than two open rows per 1024 symbol words reads only the
+    1024-word chunks of symbol and angle words that hold an open row's
+    entries; any other reads every word, and transforms each 2048-row
+    range that is at least 90% open whole, its settled rows deciding as
+    correct.  The other open rows get their noise, symbols, received
+    points and verdicts, 2048 rows at a time.  Every row carries the
+    values that a front-to-back read of the shard gives it, so every
+    ``(trials, errors)`` is the one that decoding every row gives.  The
+    grid points are the unit of parallel work: ``min(threads, points)``
     workers take them in grid order, each runs its point's shards one
     after another and stops at the first shard boundary that reaches
     ``target_errors``, and the estimates are gathered in grid order.  So

@@ -24,16 +24,18 @@ Two conventions make runs reproducible down to the byte:
   other words were read or in what order.
 
 The transform comes in steps that a caller may also take apart:
-:func:`normal_radii` draws the radial uniforms and returns the radii
-``r``, :func:`normal_angles` draws angular uniforms and returns the
+:func:`normal_radii` draws the radial uniforms ``u`` and returns the
+radii ``r`` (:func:`uniforms_to_radii`, the same map on uniforms already
+drawn), :func:`normal_angles` draws angular uniforms and returns the
 angles, and :func:`normals_from_angles` returns ``r cos`` / ``r sin`` --
 of the whole block, of a contiguous range of it, or of chosen entries
 only.  Every entry of the block is at most its pair's radius in
-magnitude, so a caller can settle a trial from the radii alone and
-transform only the trials that remain, reading only the angles those
-trials use.  The radii and angles can be written into caller-owned
-buffers.  :func:`uniforms_to_symbols` is the symbol map of
-:func:`uniform_symbols` on uniforms already drawn.
+magnitude, and ``r >= L`` exactly when ``1 - u <= exp(-L**2 / 2)``,
+where ``1 - u`` is exact.  So a caller can settle a trial from its raw
+radial uniforms alone, then form only the radii and read only the
+angles that the remaining trials use.  The radii and angles can be
+written into caller-owned buffers.  :func:`uniforms_to_symbols` is the
+symbol map of :func:`uniform_symbols` on uniforms already drawn.
 
 Work is split into shards of :data:`SHARD_SIZE` trials.  Each shard owns a
 private stream, so shards can be evaluated in any order -- or in parallel
@@ -56,6 +58,7 @@ __all__ = [
     "standard_normals",
     "stream",
     "uniform_symbols",
+    "uniforms_to_radii",
     "uniforms_to_symbols",
 ]
 
@@ -121,19 +124,30 @@ def seek(rng: np.random.Generator, origin: dict, position: int) -> None:
         rng.random(position % 4)
 
 
+def uniforms_to_radii(u: np.ndarray) -> np.ndarray:
+    """Box-Muller radii ``sqrt(-2 log1p(-u))`` of radial uniforms ``u``, in place.
+
+    Overwrites ``u`` with the radii and returns it.  A radius is at least
+    ``L`` exactly when ``1 - u <= exp(-L**2 / 2)``, and ``1 - u`` is exact
+    for every value ``Generator.random`` returns (a multiple of
+    ``2**-53``), so a caller can screen the uniforms before transforming
+    them.
+    """
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    u *= -2.0
+    return np.sqrt(u, out=u)
+
+
 def normal_radii(rng: np.random.Generator, count: int, out: np.ndarray | None = None) -> np.ndarray:
     """Step 1 of :func:`standard_normals`: the radii of a block of ``count`` normals.
 
     Draws the ``ceil(count / 2)`` radial uniforms ``u1`` and returns
-    ``r = sqrt(-2 log1p(-u1))``, one radius per Box-Muller pair, in the
-    leading entries of ``out`` if it is given.
+    ``r = sqrt(-2 log1p(-u1))`` (:func:`uniforms_to_radii`), one radius per
+    Box-Muller pair, in the leading entries of ``out`` if it is given.
     """
     pairs = (count + 1) // 2
-    radius = rng.random(pairs) if out is None else rng.random(out=out[:pairs])
-    np.negative(radius, out=radius)
-    np.log1p(radius, out=radius)
-    radius *= -2.0
-    return np.sqrt(radius, out=radius)
+    return uniforms_to_radii(rng.random(pairs) if out is None else rng.random(out=out[:pairs]))
 
 
 def normal_angles(rng: np.random.Generator, pairs: int, out: np.ndarray | None = None) -> np.ndarray:

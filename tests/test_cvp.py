@@ -505,6 +505,31 @@ class TestBatchDecoder:
         with pytest.raises(ValueError):
             decoder.decode_indices(np.zeros((1, 2)))
 
+    @pytest.mark.parametrize(
+        "name, box, method",
+        [
+            ("A2", 4, Decoder.BRUTE_FORCE),  # the point table
+            ("E8", 3, Decoder.SPHERE_DECODER),  # the sphere search
+            ("A2", None, Decoder.SPHERE_DECODER),  # the unbounded sphere search
+            ("Z3", 4, Decoder.SPHERE_DECODER),  # rounding
+            ("Z3", None, Decoder.SPHERE_DECODER),
+        ],
+    )
+    def test_no_targets_decode_to_an_empty_array(self, name, box, method):
+        # Every search returns shape (0, n) int64 for zero rows, as it does
+        # for one row in (1, n); so does the point table's index query.
+        g = catalog_lattice(name).generator
+        n = g.shape[0]
+        decoder = BatchDecoder(g, box, method)
+        decoded = decoder.decode(np.empty((0, n)))
+        assert decoded.shape == (0, n) and decoded.dtype == np.int64
+        assert decoder.decode(np.zeros((1, n))).shape == (1, n)
+        if method is Decoder.BRUTE_FORCE:
+            assert decoder.decode_indices(np.empty((0, n))).shape == (0,)
+        else:
+            searched = decoder._search(np.empty((0, n)))
+            assert searched.shape == (0, n) and searched.dtype == np.int64
+
     def test_chunking_covers_large_tables(self):
         # E8 with K = 4 has 65536 points, forcing many score chunks.
         g = catalog_lattice("E8").generator

@@ -107,12 +107,16 @@ def test_exact_monte_carlo_csv_bytes_beyond_a2(name, big_k, seed, grid, digest):
 
 # A fixed skewed 3-D basis (condition number 9.2 after scaling to unit
 # volume); with K = 20 it has 8000 points, so the radius query decides its
-# open trials.
-_SKEW3 = [[1.0, 0.6, -0.3], [0.2, 1.1, 0.7], [-0.4, 0.3, 0.9]]
+# open trials.  And a signed diagonal of unit volume, decided coordinate by
+# coordinate with three different limits, one of them mirrored.
+_BASES = {
+    "skew3": [[1.0, 0.6, -0.3], [0.2, 1.1, 0.7], [-0.4, 0.3, 0.9]],
+    "diag3": [[2.0, 0.0, 0.0], [0.0, -0.5, 0.0], [0.0, 0.0, 1.0]],
+}
 
 
 def _lattice(name):
-    return load_lattice(_SKEW3, name=name) if name == "skew3" else catalog_lattice(name)
+    return load_lattice(_BASES[name], name=name) if name in _BASES else catalog_lattice(name)
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -143,25 +147,31 @@ def _lattice(name):
             "skew3", 20, Decoder.SPHERE_DECODER, 5, [6.0, 12.0, 18.0], 200000, 1000,
             "ff6cf33a57517aa7bb96a470cc09daa93db28d5aa94ca1319f12935c473fb17e",
         ),
+        (
+            "diag3", 5, Decoder.SPHERE_DECODER, 15, [4.0, 11.0, 18.0], 150001, 30000,
+            "5eef075bd32d06f786edd0a20d68d7f5a15f50a870cdd91f9f62316cdb5ec5d1",
+        ),
     ],
 )
 def test_simulation_csv_bytes(
     name, big_k, decoder, seed, snr_db, max_trials, target_errors, digest, threads, monkeypatch
 ):
     # Every search the simulator picks: the point table (A2 K = 4, E4
-    # K = 2), diagonal rounding (Z3) and, for a non-diagonal sphere
-    # decoder, the radius query with the sphere search for its tie-band
-    # rows (A2 K = 128, 16384 points; E8 K = 4; the skewed basis), with
-    # budgets that stop some points mid-wave at 3 threads, some after
-    # several shards and some at the trial cap.  The E4 and A2 K = 128
-    # digests were recorded with the sphere search for every open row, and
-    # the E8 and skewed-basis ones with the sphere search for every row the
-    # certificate left open, so they also pin that the choice of search
-    # changes no byte.
+    # K = 2), diagonal rounding (Z3; diag(2, -0.5, 1) with K = 5, whose
+    # last point runs to the cap and ends in an 18929-row shard) and, for a
+    # non-diagonal sphere decoder, the radius query with the sphere search
+    # for its tie-band rows (A2 K = 128, 16384 points; E8 K = 4; the skewed
+    # basis), with budgets that stop some points mid-wave at 3 threads,
+    # some after several shards and some at the trial cap.  The E4 and
+    # A2 K = 128 digests were recorded with the sphere search for every
+    # open row, the E8 and skewed-basis ones with the sphere search for
+    # every row the certificate left open, and the diag3 one with every row
+    # the radii left open decoded whole, so they also pin that the choice
+    # of search, and deciding rounding entry by entry, change no byte.
     lattice = _lattice(name)
     chosen = sep_module._decoder(lattice.generator, big_k)
     assert chosen.method is decoder
-    assert chosen.rounds is (name == "Z3")
+    assert chosen.rounds is (name in ("Z3", "diag3"))
     queried = []
     radius_query = BatchDecoder.radius_query
 

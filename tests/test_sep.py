@@ -39,6 +39,8 @@ from latticesep.streams import (
     standard_normals,
     stream,
     uniform_symbols,
+    uniforms_to_radii,
+    uniforms_to_symbols,
 )
 
 # Closed-form anchors at rho = 10 (from the Q-function oracle).
@@ -791,42 +793,120 @@ def _full_path_errors(generator, big_k, decoder, cert, sigma, rng, m):
     e = standard_normals(rng, m * n).reshape(m, n) * sigma
     y = u @ generator.T + e
     wrong, rows = sep_module._certify(cert, u, e)
-    if rows.size:
-        wrong[rows] = np.any(decoder.decode(y[rows]) != u[rows], axis=1)
+    wrong[rows] = np.any(decoder.decode(y[rows]) != u[rows], axis=1)
     return wrong
 
 
-def _assert_screen_is_sound(generator, big_k, method, seeds):
-    # For each seed: an SNR that puts the screen's threshold at typical
-    # radii (a fraction f in [0.5, 1.5] of the threshold that settles about
-    # half the rows), and a shard of m rows, m odd for odd seeds.  Every
-    # row the radii settle must be correct on the full path, and the
-    # screened shard must count the full path's errors.
+def _settled_rows(screen, raw, m, n, squared=None):
+    # The rows of an (m, n) noise block that the raw-uniform screen settles,
+    # from its radial uniforms `raw`.  A certificate leaves a row open when
+    # the product of its entries' 1 - u is at most the bound
+    # (sep._open_rows).  Rounding settles entry t when the uniform of its
+    # pair, t (cosine) or t - pairs (sine), is below the cut of its
+    # coordinate, which puts its radius below the inner limit; the shard
+    # opens a pair when either of its entries is open.
+    # Whatever the screen settles, the float radii settle too: rounding
+    # entries with radii below their inner limit, and certificate rows
+    # whose squared radii sum to less than the limit `squared`.
+    entries = np.arange(m * n)
+    pair = np.where(entries < raw.size, entries, entries - raw.size)
+    radius = uniforms_to_radii(raw.copy())[pair].reshape(m, n)
+    settled = np.ones(m, dtype=bool)
+    if not isinstance(screen, sep_module._Rounding):
+        settled[sep_module._open_rows(raw, m, n, screen)] = False
+        assert np.all(np.einsum("ij,ij->i", radius, radius)[settled] < squared)
+        return settled
+    entry_settled = (raw[pair] < screen.cut[entries % n]).reshape(m, n)
+    assert np.all((radius < screen.inner)[entry_settled])
+    return np.all(entry_settled, axis=1)
+
+
+def _typical_rho(generator, cert, f):
+    # An SNR that puts the screen's threshold at typical radii: a fraction
+    # f of the one that settles about half the rows.
+    n = generator.shape[0]
+    if cert is None:
+        # Every one of n radii below L: (1 - exp(-L**2 / 2))**n = 1/2.
+        typical = -2.0 * math.log1p(-(0.5 ** (1.0 / n)))
+        return f * typical / (0.5 * float(np.abs(np.diagonal(generator)).min())) ** 2
+    return f * (2 * n - 2.0 / 3.0) / cert.inscribed  # median of a chi-square with 2n d.o.f.
+
+
+def _assert_screen_is_sound(generator, big_k, method, seeds, dbs=None):
+    # For each seed: an SNR from dbs in turn, or else a typical one (a
+    # fraction f in [0.5, 1.5] of _typical_rho), and a shard of m rows, m
+    # odd for odd seeds.  Every row the raw radial uniforms settle must be
+    # correct on the full path, and the screened shard must count the full
+    # path's errors.  At typical SNRs the screen settles some rows but not
+    # all.
     n = generator.shape[0]
     decoder = BatchDecoder(generator, big_k, method)
     cert = None if decoder.rounds else sep_module._certificate(generator, big_k)
-    for seed in seeds:
-        f = 0.5 + (seed % 11) / 10.0
-        if cert is None:
-            # Every one of n radii below L: (1 - exp(-L**2 / 2))**n = 1/2.
-            typical = -2.0 * math.log1p(-(0.5 ** (1.0 / n)))
-            rho = f * typical / (0.5 * float(np.abs(np.diagonal(generator)).min())) ** 2
+    for i, seed in enumerate(seeds):
+        if dbs is None:
+            rho = _typical_rho(generator, cert, 0.5 + (seed % 11) / 10.0)
         else:
-            rho = f * (2 * n - 2.0 / 3.0) / cert.inscribed  # median of a chi-square with 2n d.o.f.
+            rho = 10.0 ** (dbs[i % len(dbs)] / 10.0)
         sigma = 1.0 / math.sqrt(rho)
-        limit = sep_module._radial_limit(generator, big_k, cert, rho)
+        screen = sep_module._screen(generator, big_k, cert, rho)
         m = 600 + seed % 2
         rng = stream(seed, 4)
         rng.random(m * n)
-        radius = normal_radii(rng, m * n)
-        settled = np.ones(m, dtype=bool)
-        settled[sep_module._open_rows(radius, m, n, limit)] = False
+        squared = None if cert is None else cert.inscribed * (1.0 - sep_module._SCREEN_MARGIN) * rho
+        settled = _settled_rows(screen, rng.random((m * n + 1) // 2), m, n, squared)
         full = _full_path_errors(generator, big_k, decoder, cert, sigma, stream(seed, 4), m)
         assert not np.any(full & settled), seed
-        assert settled.any() and not settled.all(), seed
+        if dbs is None:
+            assert settled.any() and not settled.all(), seed
         buffers = sep_module._shard_buffers(m * n)
-        screened = sep_module._shard_errors(generator, big_k, decoder, cert, limit, sigma, stream(seed, 4), m, buffers)
+        screened = sep_module._shard_errors(generator, big_k, decoder, cert, screen, sigma, stream(seed, 4), m, buffers)
         assert screened == np.count_nonzero(full), seed
+
+
+# Signed diagonals of unit volume, with three different entry limits.
+_SIGNED_DIAGONALS = [[2.0, -0.5, 1.0], [-1.25, 0.8, -1.0]]
+
+
+class TestEntryVerdicts:
+    @pytest.mark.parametrize("db", [-30.0, 0.0, 12.0, 40.0])
+    @pytest.mark.parametrize("big_k", [2, 5, 2**20])
+    @pytest.mark.parametrize("diagonal", _SIGNED_DIAGONALS)
+    def test_verdicts_match_decoding_the_row(self, diagonal, big_k, db):
+        # Noise on one coordinate of a row, the others noiseless: at
+        # +-|d_i| / 2 and a few ulps either side, 1e-6 either side, and
+        # further off; symbol uniforms at the first, second, last and
+        # next-to-last levels and just either side of the level edges
+        # 1 / K and (K - 1) / K.  An entry the rule decides gets the verdict
+        # that decoding the whole row gives; the ones at a tie are in the
+        # band.
+        g = np.diag(diagonal)
+        n = g.shape[0]
+        decoder = BatchDecoder(g, big_k, Decoder.SPHERE_DECODER)
+        rho = 10.0 ** (db / 10.0)
+        rule = sep_module._screen(g, big_k, None, rho)
+        ulps = np.arange(-4, 5) * np.finfo(float).eps
+        scales = np.concatenate([1.0 + ulps, [1.0 - 1e-6, 1.0 + 1e-6, 0.0, 0.6, 1.9, 3.1]])
+        edges = [1.0 / big_k, (big_k - 1.0) / big_k]
+        levels = [0.5, 1.5, big_k - 0.5, big_k - 1.5]
+        w = np.array([*(v / big_k for v in levels), *(np.nextafter(e, t) for e in edges for t in (0.0, 1.0)), *edges])
+        for i in range(n):
+            e = np.outer(np.concatenate([scales, -scales]), [0.5 * abs(diagonal[i])]).reshape(-1)
+            z = e * math.sqrt(rho)
+            for uniform in w:
+                u = np.zeros((z.size, n), dtype=np.int64)
+                u[:, i] = uniforms_to_symbols(np.full(1, uniform), big_k)[0]
+                noise = np.zeros((z.size, n))
+                noise[:, i] = z * (1.0 / math.sqrt(rho))  # as the simulator forms it
+                decoded = decoder.decode(u @ g.T + noise)
+                full = np.any(decoded != u, axis=1)
+                coordinate = np.full(z.size, i)
+                beyond, up, band = sep_module._sides(rule, z, coordinate)
+                moved = sep_module._moved(up, np.full(z.size, uniform) * big_k, big_k)
+                band = np.zeros(z.size, dtype=bool) if band is None else band
+                tie = np.tile(np.abs(scales - 1.0) < 1e-12, 2)
+                assert np.all(band[tie]), (i, uniform)
+                decided = ~band
+                assert np.array_equal((beyond & moved)[decided], full[decided]), (i, uniform)
 
 
 class _CountingGenerator:
@@ -865,6 +945,110 @@ class TestRadialScreen:
         g = _unit_volume_basis(matrix)
         _assert_screen_is_sound(g, 4, Decoder.BRUTE_FORCE, range(6))
 
+    @pytest.mark.parametrize("big_k", [2, 5, 2**20])
+    @pytest.mark.parametrize("diagonal", _SIGNED_DIAGONALS)
+    def test_settled_rows_are_correct_on_signed_diagonals(self, diagonal, big_k):
+        _assert_screen_is_sound(np.diag(diagonal), big_k, Decoder.SPHERE_DECODER, range(8))
+
+    @pytest.mark.parametrize(
+        "generator,big_k,method",
+        [
+            (np.diag(_SIGNED_DIAGONALS[0]), 5, Decoder.SPHERE_DECODER),  # rounding
+            (catalog_lattice("Z8").generator, 4, Decoder.SPHERE_DECODER),
+            (catalog_lattice("A2").generator, 4, Decoder.BRUTE_FORCE),  # the product screen
+            (catalog_lattice("E4").generator, 4, Decoder.SPHERE_DECODER),
+            (catalog_lattice("E8").generator, 2, Decoder.BRUTE_FORCE),
+        ],
+    )
+    def test_extreme_snrs_settle_only_correct_rows(self, generator, big_k, method):
+        # At -30 dB the raw uniforms settle nothing, at 40 dB nearly
+        # everything; both screens stay sound, and both count the full
+        # path's errors, at either end and in between.
+        _assert_screen_is_sound(generator, big_k, method, range(6), dbs=[-30.0, 40.0, 5.0])
+
+    def test_tail_bound_keeps_every_radius_that_reaches_its_limit(self):
+        # Near the edge 1 - u = exp(-L**2 / 2), a few ulps either side: a
+        # uniform whose float radius reaches L is never below the cut, and
+        # one below the cut has a float radius below L.
+        eps = np.finfo(float).eps
+        for limit in np.linspace(0.05, 8.5, 400):
+            cut = 1.0 - sep_module._tail_bound(limit**2)
+            edge = -math.expm1(-0.5 * limit**2)
+            u = edge + np.arange(-40, 41) * (eps / 2 if edge < 0.5 else eps / 4)
+            u = u[(u >= 0.0) & (u < 1.0)]
+            reaches = uniforms_to_radii(u.copy()) >= limit
+            assert not np.any(reaches & (u < cut)), limit
+
+    def test_the_last_pair_of_an_odd_block_has_no_sine(self):
+        # Z3 with m odd: the last pair holds a cosine only.  Shards whose
+        # last pair is open, at SNRs that screen the radial uniforms, count
+        # the full path's errors; a sine read for it would lie past the
+        # block.
+        g = catalog_lattice("Z3").generator
+        decoder = BatchDecoder(g, 4, Decoder.SPHERE_DECODER)
+        m = 1001
+        pairs = (3 * m + 1) // 2
+        buffers = sep_module._shard_buffers(3 * m)
+        checked = 0
+        for seed in range(40):
+            for db in (10.0, 12.0):
+                rho = 10.0 ** (db / 10.0)
+                screen = sep_module._screen(g, 4, None, rho)
+                assert screen.share < sep_module._DENSE_SHARE
+                rng = stream(seed, 9)
+                rng.random(3 * m)
+                if rng.random(pairs)[-1] < screen.cut.min():
+                    continue
+                checked += 1
+                sigma = 1.0 / math.sqrt(rho)
+                full = _full_path_errors(g, 4, decoder, None, sigma, stream(seed, 9), m)
+                screened = sep_module._shard_errors(g, 4, decoder, None, screen, sigma, stream(seed, 9), m, buffers)
+                assert screened == np.count_nonzero(full), (seed, db)
+        assert checked >= 5
+
+    def test_screened_batches_stay_within_a_row_block(self, monkeypatch):
+        # Z8 at 12 dB opens about a seventh of a shard's pairs: they are
+        # decided in batches of at most _ROW_BLOCK / 2 rows' pairs, so no
+        # per-entry array exceeds _ROW_BLOCK n entries.
+        sizes = []
+
+        def recording(u):
+            sizes.append(u.size)
+            return uniforms_to_radii(u)
+
+        monkeypatch.setattr(sep_module, "uniforms_to_radii", recording)
+        g = catalog_lattice("Z8").generator
+        rho = 10.0 ** 1.2
+        screen = sep_module._screen(g, 4, None, rho)
+        buffers = sep_module._shard_buffers(SHARD_SIZE * 8)
+        decoder = sep_module._decoder(g, 4)
+        sep_module._shard_errors(g, 4, decoder, None, screen, 1.0 / math.sqrt(rho), stream(4, 0, 0), SHARD_SIZE, buffers)
+        assert sum(sizes) > 0.1 * SHARD_SIZE * 4
+        assert max(sizes) <= sep_module._ROW_BLOCK * 8 // 2
+
+    @pytest.mark.parametrize("db", [0.0, 14.0])
+    def test_a_wide_band_sends_its_rows_to_the_decoder(self, monkeypatch, db):
+        # A 5% margin widens the band between the entry limits from about
+        # 1e-9 to about 10% of |d_i| / 2, so that many rows reach the
+        # decoder, from a shard that forms every normal (0 dB) and from one
+        # that screens its radial uniforms (14 dB); the counts stay the full
+        # path's.
+        monkeypatch.setattr(sep_module, "_SCREEN_MARGIN", 0.05)
+        decoded = _count_decoded_rows(monkeypatch)
+        g = np.diag(_SIGNED_DIAGONALS[0])
+        decoder = BatchDecoder(g, 5, Decoder.SPHERE_DECODER)
+        rho = 10.0 ** (db / 10.0)
+        sigma = 1.0 / math.sqrt(rho)
+        screen = sep_module._screen(g, 5, None, rho)
+        assert (screen.share >= sep_module._DENSE_SHARE) is (db == 0.0)
+        m = 3001
+        full = _full_path_errors(g, 5, decoder, None, sigma, stream(8, 1), m)
+        decoded[0] = 0
+        buffers = sep_module._shard_buffers(3 * m)
+        screened = sep_module._shard_errors(g, 5, decoder, None, screen, sigma, stream(8, 1), m, buffers)
+        assert screened == np.count_nonzero(full)
+        assert 50 < decoded[0] < m
+
     @pytest.mark.parametrize(
         "name,big_k,method",
         [("Z3", 4, Decoder.SPHERE_DECODER), ("A2", 4, Decoder.BRUTE_FORCE), ("E4", 4, Decoder.BRUTE_FORCE)],
@@ -879,17 +1063,19 @@ class TestRadialScreen:
         "name,big_k,m,dbs",
         [
             ("Z3", 4, 10001, [17.0, 0.0]),  # rounding; m n odd
-            ("Z8", 4, SHARD_SIZE, [18.0, 10.0, 0.0]),  # rounding; 10 dB mixes dense and other ranges
+            ("Z8", 4, SHARD_SIZE, [18.0, 10.0, 0.0]),  # rounding; 10 dB is screened, with most chunks read
             ("E4", 4, 20000, [18.0, 8.0]),  # the 256-point table
             ("A2", 5, 4465, [18.0, 0.0]),  # the 25-point table; a partial last shard
             ("E8", 3, 2000, [19.0, 16.0, 10.0]),  # the radius query
         ],
     )
     def test_sparse_and_dense_shards_count_the_full_path_errors(self, name, big_k, m, dbs):
-        # The first SNR leaves fewer than two rows open per 1024 symbol
-        # words, so the shard reads only the chunks of symbol and angle words
-        # that hold them; the last leaves a row range at least 90% open,
-        # which is transformed whole.
+        # With a certificate, the first SNR leaves fewer than two rows open
+        # per 1024 symbol words, so the shard reads only the chunks of symbol
+        # and angle words that hold them; the last leaves a row range at
+        # least 90% open, which is transformed whole.  Rounding screens the
+        # radial uniforms at the first SNR, where a few pairs are open, and
+        # forms every normal at the last.
         g = catalog_lattice(name).generator
         n = g.shape[0]
         decoder = sep_module._decoder(g, big_k)
@@ -898,16 +1084,26 @@ class TestRadialScreen:
         for i, db in enumerate(dbs):
             rho = 10.0 ** (db / 10.0)
             sigma = 1.0 / math.sqrt(rho)
-            limit = sep_module._radial_limit(g, big_k, cert, rho)
+            screen = sep_module._screen(g, big_k, cert, rho)
             rng = stream(2, 0, 0)
             rng.random(m * n)
-            rows = sep_module._open_rows(normal_radii(rng, m * n), m, n, limit)
-            if i == 0:
-                assert 0 < rows.size * sep_module._SEEK_CHUNK < sep_module._SPARSE_OPEN * m * n
-            if i == len(dbs) - 1:
-                assert rows.size >= sep_module._DENSE_RANGE * min(m, sep_module._ROW_BLOCK)
+            raw = rng.random((m * n + 1) // 2)
+            if cert is None:
+                opened = np.count_nonzero(~_settled_rows(screen, raw, m, n))
+                if i == 0:
+                    assert 0 < opened * sep_module._SEEK_CHUNK < sep_module._SPARSE_OPEN * m * n
+                    assert screen.share < sep_module._DENSE_SHARE
+                if i == len(dbs) - 1:
+                    assert opened >= sep_module._DENSE_RANGE * min(m, sep_module._ROW_BLOCK)
+                    assert screen.share >= sep_module._DENSE_SHARE
+            else:
+                rows = sep_module._open_rows(raw, m, n, screen)
+                if i == 0:
+                    assert 0 < rows.size * sep_module._SEEK_CHUNK < sep_module._SPARSE_OPEN * m * n
+                if i == len(dbs) - 1:
+                    assert rows.size >= sep_module._DENSE_RANGE * min(m, sep_module._ROW_BLOCK)
             full = _full_path_errors(g, big_k, decoder, cert, sigma, stream(2, 0, 0), m)
-            screened = sep_module._shard_errors(g, big_k, decoder, cert, limit, sigma, stream(2, 0, 0), m, buffers)
+            screened = sep_module._shard_errors(g, big_k, decoder, cert, screen, sigma, stream(2, 0, 0), m, buffers)
             assert screened == np.count_nonzero(full), db
 
     @pytest.mark.parametrize("m,n", [(3391, 3), (2000, 8), (1500, 5), (777, 7)])
@@ -948,8 +1144,8 @@ class TestRadialScreen:
         for db in (24.0, 20.0, 0.0):
             rho = 10.0 ** (db / 10.0)
             rng = _CountingGenerator(stream(1, 0, 0))
-            limit = sep_module._radial_limit(g, 4, None, rho)
-            sep_module._shard_errors(g, 4, decoder, None, limit, 1.0 / math.sqrt(rho), rng, m, buffers)
+            screen = sep_module._screen(g, 4, None, rho)
+            sep_module._shard_errors(g, 4, decoder, None, screen, 1.0 / math.sqrt(rho), rng, m, buffers)
             words[db] = rng.words
         total = m * n + 2 * pairs
         assert words[24.0] == pairs == total // 4
