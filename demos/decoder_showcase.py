@@ -4,9 +4,9 @@ Maximum-likelihood detection of a carved constellation is the closest
 vector problem restricted to coefficients in {0..K-1}**N.  The package
 ships two decoders: an exhaustive tabulated search, and a sphere
 decoder that enumerates all rows at once, level by level, and prunes by
-partial distance (with a coordinate-wise fast path for diagonal
-generators).  They return identical coefficients;
-their costs diverge as the table grows.
+partial distance, on diagonal generators too (the simulator rounds
+those itself).  They return identical coefficients; their costs diverge
+as the table grows.
 """
 
 import time

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,17 +35,22 @@ _CI_FACTOR = 1.96  # two-sided 95% normal quantile
 class SnrGrid:
     """A strictly increasing grid of SNR points.
 
-    ``rho`` is the linear SNR (per-coordinate noise variance ``1/rho``);
-    ``db`` holds the same points as ``10 log10(rho)``.
+    Built from ``db``, the points in decibels (any 1-d sequence, copied);
+    ``rho = 10 ** (db / 10)`` is the linear SNR derived from it
+    (per-coordinate noise variance ``1/rho``).  Both arrays are read-only.
     """
 
     db: np.ndarray
-    rho: np.ndarray
+    rho: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        db = np.array(self.db, dtype=float)
+        with np.errstate(over="ignore"):  # an infinite rho fails the finiteness check
+            object.__setattr__(self, "rho", 10.0 ** (db / 10.0))
+        object.__setattr__(self, "db", db)
         self.db.setflags(write=False)
         self.rho.setflags(write=False)
-        if self.db.ndim != 1 or self.db.shape != self.rho.shape or self.db.size < 1:
+        if self.db.ndim != 1 or self.db.size < 1:
             raise ValueError("SNR grid must be a non-empty 1-d sequence")
         if not (np.all(np.isfinite(self.db)) and np.all(np.isfinite(self.rho))):
             raise ValueError("SNR grid has non-finite entries")
@@ -69,9 +74,7 @@ class SnrGrid:
 
     @classmethod
     def from_db_values(cls, values) -> "SnrGrid":
-        db = np.asarray(values, dtype=float).copy()
-        with np.errstate(over="ignore"):  # an infinite rho fails the finiteness check
-            return cls(db=db, rho=10.0 ** (db / 10.0))
+        return cls(db=values)
 
     @classmethod
     def default(cls) -> "SnrGrid":

@@ -278,8 +278,8 @@ def _certify(
 ) -> tuple[np.ndarray, np.ndarray]:
     # Decides the trials y = G u + e that the test vectors settle; returns
     # a mask of the rows decided as errors and the ascending indices of the
-    # rows left undecided; without a certificate (a rounding decoder) that
-    # is every row.  A row is correct if |e|**2 < d_min**2 / 4 - TIE_TOL
+    # rows left undecided; without a certificate (a diagonal generator)
+    # that is every row.  A row is correct if |e|**2 < d_min**2 / 4 - TIE_TOL
     # (the inscribed sphere), or if e . v_j - h_j < -TIE_TOL / 2
     # for every j: then every other lattice point is farther than |e|**2 +
     # TIE_TOL, so G u is decoded whatever the tie rule.  A row is an error
@@ -336,6 +336,12 @@ def _tail_bound(squared):
     # rounding of log1p, sqrt and the sum, and on the value, for that of exp
     # and the product.  1 - u itself is exact.
     return np.exp(-0.5 * (1.0 - _SCREEN_MARGIN) * np.maximum(squared, 0.0)) * (1.0 + _SCREEN_MARGIN)
+
+
+def _is_diagonal(generator: np.ndarray) -> bool:
+    # Whether trials on `generator` are decided entry by entry (_Rounding)
+    # rather than by a certificate.
+    return np.array_equal(generator, np.diag(np.diagonal(generator)))
 
 
 def _screen(generator: np.ndarray, big_k: int, cert: _Certificate | None, rho: float):
@@ -427,15 +433,14 @@ def _any_column(columns) -> np.ndarray:
 
 
 def _decoder(generator: np.ndarray, big_k: int) -> BatchDecoder:
-    # The cheapest exact search for the rows the certificate leaves open:
-    # rounding for a diagonal generator, else the point table up to
-    # _TABLE_POINTS points, else the radius query around the transmitted
-    # point, which sends only its tie-band rows to the sphere search
-    # (_errors).  Every exact search gives the same verdicts, so the choice
-    # changes only the speed.
-    decoder = BatchDecoder(generator, big_k, Decoder.SPHERE_DECODER)
-    if decoder.rounds or big_k ** generator.shape[0] > _TABLE_POINTS:
-        return decoder
+    # The cheapest exact search for the rows the certificate or the entry
+    # verdicts leave open, for every generator alike: the point table up
+    # to _TABLE_POINTS points, else the sphere search, which with a
+    # certificate gets only the tie-band rows of the radius query around
+    # the transmitted point (_errors).  Every exact search gives the same
+    # verdicts, so the choice changes only the speed.
+    if big_k ** generator.shape[0] > _TABLE_POINTS:
+        return BatchDecoder(generator, big_k, Decoder.SPHERE_DECODER)
     return BatchDecoder(generator, big_k, Decoder.BRUTE_FORCE)
 
 
@@ -456,17 +461,17 @@ def _errors(
     e: np.ndarray,
 ) -> np.ndarray:
     # Error mask of the trials y = G u + e.  The certificate, if there is
-    # one, settles most rows (_certify).  Where the sphere search would decode the rest,
-    # the radius query around G u settles most of those
+    # one, settles most rows (_certify); where the sphere search would
+    # decode the rest, the radius query around G u settles most of those
     # (BatchDecoder.radius_query): a row with no other box point within
     # |e|**2 + 2 TIE_TOL of y is correct, and one whose other points there
     # are all closer than G u by more than 2 TIE_TOL is an error, whatever
     # the tie rule.  The rest -- a point in that tie band, or u not
-    # reached -- and every row the certificate leaves to another search
-    # are decoded.
+    # reached -- and every row left to the point table, or given without
+    # a certificate, are decoded.
     n = generator.shape[0]
     wrong, undecided = _certify(cert, u, e)
-    if undecided.size and decoder.method is Decoder.SPHERE_DECODER and not decoder.rounds:
+    if undecided.size and cert is not None and decoder.method is Decoder.SPHERE_DECODER:
         own, other = decoder.radius_query(u[undecided], e[undecided])
         settled = other < own - 2.0 * TIE_TOL
         wrong[undecided[settled]] = other[settled] > -np.inf
@@ -478,44 +483,27 @@ def _errors(
     return wrong
 
 
-def _chunk_runs(size: int, *words: np.ndarray) -> list[tuple[int, int]]:
+def _chunk_runs(size: int, words: np.ndarray) -> list[tuple[int, int]]:
     # Word ranges [a, b) of the runs of consecutive _SEEK_CHUNK-word chunks
     # of a size-word region that hold any of `words`, in ascending order.
     marks = np.zeros(-(-size // _SEEK_CHUNK) + 2, dtype=bool)  # one False each side
-    for w in words:
-        marks[1 + w // _SEEK_CHUNK] = True
+    marks[1 + words // _SEEK_CHUNK] = True
     edges = np.flatnonzero(marks[1:] != marks[:-1]) * _SEEK_CHUNK
     return [(a, min(b, size)) for a, b in zip(edges[::2].tolist(), edges[1::2].tolist())]
 
 
-def _read_chunks(rng, origin: dict, start: int, out: np.ndarray, draw, *words: np.ndarray) -> None:
+def _read_chunks(rng, origin: dict, start: int, out: np.ndarray, draw, words: np.ndarray) -> None:
     # Reads into `out`, the region of a shard's layout that begins at word
     # `start`, the chunks of it that hold any of `words`, one seek per run
     # of chunks; draw(rng, size, out) reads `size` words into `out`.  Every
     # other word of `out` is left as it was.
-    for a, b in _chunk_runs(out.size, *words):
+    for a, b in _chunk_runs(out.size, words):
         seek(rng, origin, start + a)
         draw(rng, b - a, out[a:b])
 
 
 def _draw_uniforms(rng, size: int, out: np.ndarray) -> None:
     rng.random(out=out)
-
-
-def _read_open_words(rng, origin: dict, rows: np.ndarray, n: int, uniforms, angle) -> None:
-    # Reads into `uniforms` and `angle` the chunks of a shard's symbol and
-    # angle words that hold the entries of `rows` (_read_chunks).  Row r
-    # has entries t = r n .. r n + n - 1, symbol words t, and angle words t
-    # (cosines, t < pairs) or t - pairs (sines).  A row's entries span at
-    # most two chunks, so marking the chunks of their ends marks them all.
-    count, pairs = uniforms.size, angle.size
-    first = rows * n
-    last = first + (n - 1)
-    _read_chunks(rng, origin, 0, uniforms, _draw_uniforms, first, last)
-    cosine = first[: np.searchsorted(first, pairs)]
-    sine = last[np.searchsorted(last, pairs) :] - pairs
-    ends = (cosine, np.minimum(cosine + (n - 1), pairs - 1), np.maximum(sine - (n - 1), 0), sine)
-    _read_chunks(rng, origin, count + pairs, angle, normal_angles, *ends)
 
 
 def _shard_errors(
@@ -561,12 +549,15 @@ def _shard_errors(
 
     def row_errors(rows: np.ndarray, read: bool) -> int:
         # Errors among `rows` (ascending) on the full path, _ROW_BLOCK rows
-        # at a time.  With `read`, their words are read first and their
-        # pairs' radii formed, once each (a pair used twice is one value).
+        # at a time.  With `read`, the chunks of symbol and angle words that
+        # hold their entries are read first (entry t has symbol word t and
+        # angle word t, a cosine, or t - pairs, a sine), and their pairs'
+        # radii formed, once each (a pair used twice is one value).
         if read:
-            _read_open_words(rng, origin, rows, n, uniforms, angle)
             entries = (rows[:, None] * n + columns).reshape(-1)
             pair = np.where(entries < pairs, entries, entries - pairs)
+            _read_chunks(rng, origin, 0, uniforms, _draw_uniforms, entries)
+            _read_chunks(rng, origin, count + pairs, angle, normal_angles, pair)
             radius[pair] = uniforms_to_radii(radius[pair])
         errors = 0
         for start in range(0, rows.size, _ROW_BLOCK):
@@ -734,19 +725,19 @@ def simulate_sep(plan: SimPlan, threads: int = 1) -> Curve:
     box.  These are the decoders' own tie rule (squared distances within
     1e-12 tie, and ties go to the lexicographically smallest point), so
     every verdict is the one a full decode would give; all other rows,
-    exact ties included, are decoded.  Every exact search gives the same
-    counts, so the search is chosen from the constellation for speed
-    alone: a diagonal generator is decided coordinate by coordinate
-    (below), which is cheaper than the certificate; otherwise the rows
-    are decoded from the table of all ``K**N`` points when ``K**N <=
-    4096``.  Above that, one batched radius query
-    (:meth:`latticesep.cvp.BatchDecoder.radius_query`) enumerates, for
-    all those rows at once, the box points within ``|e|**2 + 2e-12`` of
-    ``y``: a row with no other point there is correct, one whose other
-    points are all closer than ``x`` by more than ``2e-12`` is an error,
-    and only the rest (a point in that tie band) go to the sphere search.
-    Every non-diagonal generator needs a condition number of at most 1e8
-    (``ValueError`` above it).
+    exact ties included, are decoded.  A diagonal generator is decided
+    coordinate by coordinate instead (below), which is cheaper than the
+    certificate.  Every exact search gives the same counts, so the search
+    for the rows left open is chosen from the constellation for speed
+    alone, whatever the generator: the table of all ``K**N`` points when
+    ``K**N <= 4096``, else the sphere search.  With a certificate, one
+    batched radius query (:meth:`latticesep.cvp.BatchDecoder.radius_query`)
+    first enumerates, for all those rows at once, the box points within
+    ``|e|**2 + 2e-12`` of ``y``: a row with no other point there is
+    correct, one whose other points are all closer than ``x`` by more
+    than ``2e-12`` is an error, and only the rest (a point in that tie
+    band) go to the sphere search.  Every non-diagonal generator needs a
+    condition number of at most 1e8 (``ValueError`` above it).
 
     Before any of that, a screen on the raw radial uniforms settles most
     rows at high SNR.  Each noise entry is ``sigma r cos`` or ``sigma r
@@ -768,7 +759,8 @@ def simulate_sep(plan: SimPlan, threads: int = 1) -> Curve:
     the neighbour on that side is in the box (tested on ``K w`` for the
     entry's symbol uniform ``w``, as the symbol map forms it), each
     limit with a relative margin of at least 1e-9.  Only a row with an
-    entry in the band between the two, about 1e-9 wide, is decoded.  A
+    entry in the band between the two, about 1e-9 wide, is decoded, by
+    the table or the sphere search as above.  A
     radial uniform is screened against the larger of its pair's two
     thresholds (pair ``p`` holds entry ``p``, a cosine, and entry ``p +
     pairs``, a sine); only an open pair's entries that reach their limit
@@ -813,7 +805,7 @@ def simulate_sep(plan: SimPlan, threads: int = 1) -> Curve:
     threads = check_integer("threads", threads, 1)
     generator = plan.constellation.lattice.generator
     decoder = _decoder(generator, plan.constellation.K)
-    cert = None if decoder.rounds else _certificate(generator, plan.constellation.K)
+    cert = None if _is_diagonal(generator) else _certificate(generator, plan.constellation.K)
     points = range(len(plan.grid))
     workers = min(threads, len(points))
     entries = min(SHARD_SIZE, plan.max_trials) * plan.constellation.dimension

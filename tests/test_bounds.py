@@ -59,8 +59,18 @@ class TestSnrGrid:
             SnrGrid.from_db(5.0, 1.0)
         with pytest.raises(ValueError):
             SnrGrid.from_db(0.0, 10.0, -1.0)
-        with pytest.raises(ValueError):
-            SnrGrid(db=np.array([0.0]), rho=np.array([-1.0]))
+        with pytest.raises(ValueError, match="positive"):
+            SnrGrid.from_db_values([-4000.0])  # rho underflows to 0
+        # rho is derived from db, so a grid cannot label one SNR with another.
+        with pytest.raises(TypeError):
+            SnrGrid(db=np.array([0.0, 10.0]), rho=np.array([5.0, 7.0]))
+        # A list is accepted, and the caller's array stays writable.
+        assert SnrGrid(db=[0.0, 10.0]).rho.tolist() == [1.0, 10.0]
+        db = np.array([0.0, 10.0])
+        grid = SnrGrid(db=db)
+        assert db.flags.writeable and not grid.db.flags.writeable and not grid.rho.flags.writeable
+        db[0] = -5.0
+        assert grid.db.tolist() == [0.0, 10.0]
 
 
 class TestSingleSphereBounds:

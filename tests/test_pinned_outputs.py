@@ -132,7 +132,7 @@ def _lattice(name):
             "95b5195e40507759c1e0ee1d527c73be983741df1ba8c38b94cda52dfed0c0fa",
         ),
         (
-            "Z3", 4, Decoder.SPHERE_DECODER, 13, [10.0, 14.0, 17.0], 500000, 5000,
+            "Z3", 4, Decoder.BRUTE_FORCE, 13, [10.0, 14.0, 17.0], 500000, 5000,
             "95d1af5c49e7e14ba3fb9d2426d6c598e67363e1518a7c1502ce3b303e647af7",
         ),
         (
@@ -148,7 +148,7 @@ def _lattice(name):
             "ff6cf33a57517aa7bb96a470cc09daa93db28d5aa94ca1319f12935c473fb17e",
         ),
         (
-            "diag3", 5, Decoder.SPHERE_DECODER, 15, [4.0, 11.0, 18.0], 150001, 30000,
+            "diag3", 5, Decoder.BRUTE_FORCE, 15, [4.0, 11.0, 18.0], 150001, 30000,
             "5eef075bd32d06f786edd0a20d68d7f5a15f50a870cdd91f9f62316cdb5ec5d1",
         ),
     ],
@@ -157,7 +157,8 @@ def test_simulation_csv_bytes(
     name, big_k, decoder, seed, snr_db, max_trials, target_errors, digest, threads, monkeypatch
 ):
     # Every search the simulator picks: the point table (A2 K = 4, E4
-    # K = 2), diagonal rounding (Z3; diag(2, -0.5, 1) with K = 5, whose
+    # K = 2), diagonal generators decided entry by entry, with the point
+    # table for their band rows (Z3; diag(2, -0.5, 1) with K = 5, whose
     # last point runs to the cap and ends in an 18929-row shard) and, for a
     # non-diagonal sphere decoder, the radius query with the sphere search
     # for its tie-band rows (A2 K = 128, 16384 points; E8 K = 4; the skewed
@@ -165,13 +166,15 @@ def test_simulation_csv_bytes(
     # some after several shards and some at the trial cap.  The E4 and
     # A2 K = 128 digests were recorded with the sphere search for every
     # open row, the E8 and skewed-basis ones with the sphere search for
-    # every row the certificate left open, and the diag3 one with every row
-    # the radii left open decoded whole, so they also pin that the choice
-    # of search, and deciding rounding entry by entry, change no byte.
+    # every row the certificate left open, the Z3 one with every row
+    # rounded by the decoder, and the diag3 one with every row the radii
+    # left open decoded whole, so they also pin that the choice of search,
+    # and deciding rounding entry by entry, change no byte.
     lattice = _lattice(name)
     chosen = sep_module._decoder(lattice.generator, big_k)
     assert chosen.method is decoder
-    assert chosen.rounds is (name in ("Z3", "diag3"))
+    diagonal = sep_module._is_diagonal(lattice.generator)
+    assert diagonal is (name in ("Z3", "diag3"))
     queried = []
     radius_query = BatchDecoder.radius_query
 
@@ -189,4 +192,4 @@ def test_simulation_csv_bytes(
     )
     estimates = simulate_sep(plan, threads=threads)
     assert _digest(sep_csv_rows(estimates, name, big_k, seed)) == digest
-    assert bool(queried) is (decoder is Decoder.SPHERE_DECODER and not chosen.rounds)
+    assert bool(queried) is (decoder is Decoder.SPHERE_DECODER and not diagonal)

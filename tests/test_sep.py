@@ -304,8 +304,8 @@ class TestSimPlan:
                 SimPlan(constellation=c, grid=grid, seed=seed)
 
     def test_levels_above_2_to_20_are_refused(self):
-        # Beyond them y = G u + e holds too few bits of the noise for the
-        # rounding decoder: on Z2, K = 2**52 simulated a 20 dB SEP of 6.6e-3
+        # Beyond them y = G u + e holds too few bits of the noise for a
+        # decoder: on Z2, K = 2**52 simulated a 20 dB SEP of 6.6e-3
         # against an exact 1.1e-6.
         grid = SnrGrid.from_db_values([10.0])
         z2 = catalog_lattice("Z2")
@@ -327,9 +327,9 @@ class TestSimPlan:
 
 class TestDecoderChoice:
     @pytest.mark.parametrize(
-        "name,big_k,method,rounds",
+        "name,big_k,method,diagonal",
         [
-            ("Z2", 2, Decoder.SPHERE_DECODER, True),
+            ("Z2", 2, Decoder.BRUTE_FORCE, True),
             ("Z8", 4, Decoder.SPHERE_DECODER, True),
             ("A2", 4, Decoder.BRUTE_FORCE, False),
             ("A2", 64, Decoder.BRUTE_FORCE, False),  # 4096 points
@@ -340,12 +340,13 @@ class TestDecoderChoice:
             ("E8", 4, Decoder.SPHERE_DECODER, False),
         ],
     )
-    def test_search_follows_the_constellation(self, name, big_k, method, rounds):
-        # Rounding for a diagonal generator, else the point table up to
-        # 2**12 points, else the sphere search with its radius query.
-        decoder = sep_module._decoder(catalog_lattice(name).generator, big_k)
-        assert decoder.method is method
-        assert decoder.rounds is rounds
+    def test_search_follows_the_constellation(self, name, big_k, method, diagonal):
+        # The point table up to 2**12 points, else the sphere search, for
+        # every generator; only a non-diagonal one gets a certificate, and
+        # with it the radius query.
+        generator = catalog_lattice(name).generator
+        assert sep_module._decoder(generator, big_k).method is method
+        assert sep_module._is_diagonal(generator) is diagonal
 
 
 class TestSimulateSep:
@@ -726,6 +727,10 @@ class TestRadiusQuery:
         assert tied.any() and not np.any(settled[tied])
         _assert_query_matches_table(g, 20, 7)
 
+    def test_verdicts_match_the_table_on_a_signed_diagonal(self):
+        # A diagonal generator is queried as any other, mirrored axis included.
+        _assert_query_matches_table(np.diag([2.0, -0.5, 1.0]), 5, 13)
+
     def test_tiny_chunks_keep_the_verdicts(self, monkeypatch):
         # With 6 nodes per enumeration step, levels and single windows are
         # split into many chunks; the query still settles rows as the
@@ -737,7 +742,6 @@ class TestRadiusQuery:
     def test_rejects_searches_without_a_query(self):
         u, e = np.zeros((1, 2), dtype=np.int64), np.zeros((1, 2))
         for decoder in (
-            BatchDecoder(np.eye(2), 4, Decoder.SPHERE_DECODER),
             BatchDecoder(catalog_lattice("A2").generator, 4, Decoder.BRUTE_FORCE),
             BatchDecoder(catalog_lattice("A2").generator, None, Decoder.SPHERE_DECODER),
         ):
@@ -841,7 +845,7 @@ def _assert_screen_is_sound(generator, big_k, method, seeds, dbs=None):
     # all.
     n = generator.shape[0]
     decoder = BatchDecoder(generator, big_k, method)
-    cert = None if decoder.rounds else sep_module._certificate(generator, big_k)
+    cert = None if sep_module._is_diagonal(generator) else sep_module._certificate(generator, big_k)
     for i, seed in enumerate(seeds):
         if dbs is None:
             rho = _typical_rho(generator, cert, 0.5 + (seed % 11) / 10.0)
@@ -1079,7 +1083,7 @@ class TestRadialScreen:
         g = catalog_lattice(name).generator
         n = g.shape[0]
         decoder = sep_module._decoder(g, big_k)
-        cert = None if decoder.rounds else sep_module._certificate(g, big_k)
+        cert = None if sep_module._is_diagonal(g) else sep_module._certificate(g, big_k)
         buffers = sep_module._shard_buffers(m * n)
         for i, db in enumerate(dbs):
             rho = 10.0 ** (db / 10.0)
@@ -1124,10 +1128,42 @@ class TestRadialScreen:
         for picked in [rows, rows[::2], *rows[:, None]]:
             uniforms, angle = np.full(count, np.nan), np.full(pairs, np.nan)
             rng = stream(3, m, n)
-            sep_module._read_open_words(rng, rng.bit_generator.state, picked, n, uniforms, angle)
+            origin = rng.bit_generator.state
             entries = (picked[:, None] * n + np.arange(n)).reshape(-1)
+            pair = np.where(entries < pairs, entries, entries - pairs)
+            sep_module._read_chunks(rng, origin, 0, uniforms, sep_module._draw_uniforms, entries)
+            sep_module._read_chunks(rng, origin, count + pairs, angle, normal_angles, pair)
             assert np.array_equal(uniforms[entries], whole[entries])
             assert np.array_equal(normals_from_angles(radius, angle, count, entries), normals[entries])
+
+    def test_a_sparse_shard_reads_its_open_rows_front_to_back(self):
+        # E4 K = 4 at 18 dB leaves fewer than two rows open per 1024 symbol
+        # words, so the shard reads only the chunks of symbol and angle
+        # words that hold them, here into buffers of NaN: every open row's
+        # symbol uniforms, radii and angles are the front-to-back ones.
+        g = catalog_lattice("E4").generator
+        m, n = 20000, 4
+        count, pairs = m * n, m * n // 2
+        rng = stream(2, 0, 0)
+        whole = rng.random(count)
+        raw = rng.random(pairs)
+        angles = normal_angles(rng, pairs)
+        rho = 10.0 ** 1.8
+        cert = sep_module._certificate(g, 4)
+        screen = sep_module._screen(g, 4, cert, rho)
+        rows = sep_module._open_rows(raw, m, n, screen)
+        assert 0 < rows.size * sep_module._SEEK_CHUNK < sep_module._SPARSE_OPEN * count
+        buffers = sep_module._shard_buffers(count)
+        for buffer in buffers:
+            buffer.fill(np.nan)
+        decoder = sep_module._decoder(g, 4)
+        sep_module._shard_errors(g, 4, decoder, cert, screen, 1.0 / math.sqrt(rho), stream(2, 0, 0), m, buffers)
+        uniforms, radius, angle = buffers
+        entries = (rows[:, None] * n + np.arange(n)).reshape(-1)
+        pair = np.where(entries < pairs, entries, entries - pairs)
+        assert np.array_equal(uniforms[entries], whole[entries])
+        assert np.array_equal(radius[pair], uniforms_to_radii(raw.copy())[pair])
+        assert np.array_equal(angle[pair], angles[pair])
 
     def test_a_shard_reads_only_the_words_its_open_rows_use(self):
         # Z8 K = 4, one whole shard: its layout is m n symbol words, then
