@@ -30,6 +30,7 @@ config errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -44,18 +45,15 @@ from .bounds import (
     _CI_FACTOR, SepEstimate, SepMethod, SnrGrid, format_sig, mslb, msub, slb, sub, write_curve_csv
 )
 from .constellation import FiniteConstellation, facet_count, points_per_facet
-from .cvp import _MAX_CONDITION, BatchDecoder, Decoder, shortest_vector_norm
+from .cvp import BatchDecoder, Decoder, shortest_vector_norm
 from .exceptions import LatticeSepError
 from .lattices import Lattice, catalog_lattice, catalog_names, is_integer_orthonormal, read_lattice_file
 from .sep import (
-    _MAX_SIM_DIMENSION,
-    _MAX_SIM_LEVELS,
-    _MIN_J_TRIALS,
-    _MIN_MAX_TRIALS,
-    _MIN_TARGET_ERRORS,
     JSource,
     SimPlan,
     _certificate,
+    _check_budget,
+    _check_theorem1,
     _decoder,
     _errors,
     exact_sep_theorem1,
@@ -63,7 +61,7 @@ from .sep import (
     write_sep_csv,
 )
 from .special import q_function
-from .streams import _MAX_SEED, stream
+from .streams import _check_seed, stream
 from .svgplot import CurveSeries, write_svg
 
 __all__ = ["ConfigError", "ExperimentConfig", "main", "parse_config_data", "preset_names"]
@@ -106,17 +104,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"snr_db.start must be below snr_db.stop, got {self.snr_start} >= {self.snr_stop}"
             )
-        if self.K < 2:
-            raise ConfigError(f"K must be at least 2, got {self.K}")
-        if not 0 <= self.seed < _MAX_SEED:
-            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
-        for name, minimum in (
-            ("max_trials", _MIN_MAX_TRIALS),
-            ("target_errors", _MIN_TARGET_ERRORS),
-            ("trials_per_j", _MIN_J_TRIALS),
-        ):
-            if getattr(self, name) < minimum:
-                raise ConfigError(f"{name} must be at least {minimum}, got {getattr(self, name)}")
+        # K and the curves' own limits are checked when the run is planned.
+        try:
+            _check_seed(self.seed)
+            for name in ("max_trials", "target_errors", "trials_per_j"):
+                _check_budget(name, getattr(self, name))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def _require(data: dict, key: str, source: str):
@@ -185,19 +179,17 @@ def parse_config_data(data, source: str = "config") -> ExperimentConfig:
         choices = ", ".join(decoders)
         raise ConfigError(f"{source}: unknown decoder {data['decoder']!r}; choose from {choices}")
 
-    description = data.get("description", "")
-    if not isinstance(description, str):
-        raise ConfigError(f"{source}: field 'description' must be a string")
-    out = data.get("out", "")
-    if not isinstance(out, str):
-        raise ConfigError(f"{source}: field 'out' must be a directory path string")
-
-    # Validated here, not inside the try below: _as_int's messages already
-    # name the source.
-    seed = _as_int(data.get("seed", 0), "seed", source)
-    max_trials = _as_int(data.get("max_trials", 10**6), "max_trials", source)
-    target_errors = _as_int(data.get("target_errors", 100), "target_errors", source)
-    trials_per_j = _as_int(data.get("trials_per_j", 10**5), "trials_per_j", source)
+    # Only the optional fields given are passed on, so each default is the
+    # dataclass's; checked here, not in the try below, as these name the source.
+    optional = {}
+    for name, kind in (("description", "a string"), ("out", "a directory path string")):
+        if name in data:
+            if not isinstance(data[name], str):
+                raise ConfigError(f"{source}: field {name!r} must be {kind}")
+            optional[name] = data[name]
+    for name in ("seed", "max_trials", "target_errors", "trials_per_j"):
+        if name in data:
+            optional[name] = _as_int(data[name], name, source)
     try:
         return ExperimentConfig(
             lattice=lattice,
@@ -206,12 +198,7 @@ def parse_config_data(data, source: str = "config") -> ExperimentConfig:
             snr_stop=stop,
             snr_step=step,
             curves=tuple(curves),
-            seed=seed,
-            max_trials=max_trials,
-            target_errors=target_errors,
-            trials_per_j=trials_per_j,
-            out=out,
-            description=description,
+            **optional,
         )
     except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from None
@@ -288,40 +275,33 @@ def _beyond_3_sigma(est: SepEstimate, bound: float, is_lower: bool) -> bool:
     return bound > est.mean + slack if is_lower else est.mean - slack > bound
 
 
-def _run_curves(config: ExperimentConfig, lattice: Lattice, grid: SnrGrid, threads: int):
-    """Compute every requested curve; returns name -> Curve."""
+def _plan_curves(config: ExperimentConfig, lattice: Lattice, grid: SnrGrid, threads: int):
+    """Every requested curve as the call that computes it; returns name -> call.
+
+    Making the calls runs the library's checks (the constellation, each
+    ``SimPlan``, the Theorem-1 arguments), so a broken limit raises
+    ``ValueError`` naming the curve before any curve runs.  The functions
+    are looked up here, at run time, so that a tracer may replace them.
+    """
     constellation = FiniteConstellation(lattice=lattice, K=config.K)
-    results: dict[str, object] = {}
+    bounds = {"MSLB": mslb, "MSUB": msub, "SLB": slb, "SUB": sub}
+    calls = {}
     for name in config.curves:
-        if name == "SLB":
-            results[name] = slb(lattice, grid)
-        elif name == "SUB":
-            results[name] = sub(lattice, grid)
-        elif name == "MSLB":
-            results[name] = mslb(constellation, grid)
-        elif name == "MSUB":
-            results[name] = msub(constellation, grid)
-        elif name == "SEP_SIM":
-            plan = SimPlan(
-                constellation=constellation,
-                grid=grid,
-                seed=config.seed,
-                max_trials=config.max_trials,
-                target_errors=config.target_errors,
-            )
-            results[name] = simulate_sep(plan, threads=threads)
-        elif name == "SEP_EXACT":
-            if is_integer_orthonormal(lattice):
-                results[name] = exact_sep_theorem1(constellation, grid, JSource.ANALYTIC_ZN)
+        try:
+            if name == "SEP_SIM":
+                plan = SimPlan(constellation, grid, config.seed, config.max_trials, config.target_errors)
+                calls[name] = functools.partial(simulate_sep, plan, threads=threads)
+            elif name == "SEP_EXACT":
+                source = JSource.ANALYTIC_ZN if is_integer_orthonormal(lattice) else JSource.MC_VORONOI
+                sampling = (config.trials_per_j, config.seed)  # ANALYTIC_ZN ignores them
+                _check_theorem1(constellation, source, *sampling)
+                calls[name] = functools.partial(exact_sep_theorem1, constellation, grid, source, *sampling)
             else:
-                results[name] = exact_sep_theorem1(
-                    constellation,
-                    grid,
-                    JSource.MC_VORONOI,
-                    trials_per_j=config.trials_per_j,
-                    seed=config.seed,
-                )
-    return results
+                arg = lattice if name in ("SLB", "SUB") else constellation
+                calls[name] = functools.partial(bounds[name], arg, grid)
+        except ValueError as exc:
+            raise ValueError(f"curves: {name}: {exc}") from None
+    return calls
 
 
 def _write_outputs(config, lattice, grid, results, out_dir: Path, plot: bool) -> list[Path]:
@@ -382,49 +362,28 @@ def cmd_run(args) -> int:
         raise ConfigError("exactly one of --config or --figure is required")
     config = load_config_file(args.config) if args.config else load_preset(args.figure)
 
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.max_trials is not None:
-        overrides["max_trials"] = args.max_trials
-    if args.target_errors is not None:
-        overrides["target_errors"] = args.target_errors
-    if overrides:
-        config = replace(config, **overrides)
+    flags = {name: getattr(args, name) for name in ("seed", "max_trials", "target_errors")}
+    config = replace(config, **{name: value for name, value in flags.items() if value is not None})
 
     if args.threads < 1:
         raise ConfigError(f"--threads must be a positive integer, got {args.threads}")
 
     lattice = _resolve_lattice(config.lattice)
-    sampled = [
-        name
-        for name in config.curves
-        if name == "SEP_SIM" or (name == "SEP_EXACT" and not is_integer_orthonormal(lattice))
-    ]
-    if sampled and lattice.dimension > _MAX_SIM_DIMENSION:
-        raise ConfigError(
-            f"curves: {', '.join(sampled)} on {lattice.name} needs dimension N <= "
-            f"{_MAX_SIM_DIMENSION}, got N={lattice.dimension}"
-        )
-    condition = float(np.linalg.cond(lattice.generator))
-    if sampled and condition > _MAX_CONDITION:
-        raise ConfigError(
-            f"curves: {', '.join(sampled)} on {lattice.name} needs a generator condition number "
-            f"<= {_MAX_CONDITION:.0e}, got {condition:.3g}"
-        )
-    if "SEP_SIM" in config.curves and config.K > _MAX_SIM_LEVELS:
-        raise ConfigError(f"curves: SEP_SIM needs K <= {_MAX_SIM_LEVELS}, got K={config.K}")
     try:
         grid = SnrGrid.from_db(config.snr_start, config.snr_stop, config.snr_step)
     except ValueError as exc:
         raise ConfigError(f"snr_db: {exc}") from None
-
     label = args.figure or str(args.config)
+    try:
+        calls = _plan_curves(config, lattice, grid, args.threads)
+    except ValueError as exc:
+        raise ConfigError(f"{label}: {exc}") from None
+
     print(f"run {label}: {lattice.name} {config.K}-PAM, {len(grid)} SNR points, seed {config.seed}")
     if config.description:
         print(f"  {config.description}")
 
-    results = _run_curves(config, lattice, grid, args.threads)
+    results = {name: call() for name, call in calls.items()}
     out_dir = Path(args.out or config.out or ".")
     written = _write_outputs(config, lattice, grid, results, out_dir, args.plot)
     _print_summary(config, results)

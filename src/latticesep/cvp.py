@@ -27,8 +27,6 @@ from .exceptions import BudgetError, check_integer
 # lexicographically smallest coefficient vector so results are reproducible.
 TIE_TOL = 1e-12
 
-# Unconstrained searches on nearly singular generators are numerically
-# meaningless and potentially unbounded; refuse them.
 _MAX_CONDITION = 1e8
 
 _ENUM_MAX_NODES = 1 << 26
@@ -61,6 +59,16 @@ def triangularize(generator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("generator is singular or numerically rank-deficient")
     signs = np.sign(diag)
     return q * signs, r * signs[:, None]
+
+
+def _check_condition(generator: np.ndarray, what: str) -> None:
+    # Searches on nearly singular generators are numerically meaningless
+    # and potentially unbounded; every search refuses them here, naming `what`.
+    condition = float(np.linalg.cond(generator))
+    if condition > _MAX_CONDITION:
+        raise ValueError(
+            f"{what} needs a generator condition number <= {_MAX_CONDITION:.0e}, got {condition:.3g}"
+        )
 
 
 def _frame(qt, r, y, name):
@@ -161,24 +169,35 @@ def _babai(r, center, lo=None, hi=None):
 
 def _near_best(r, center, slack, lo=None, hi=None):
     # Every vector within slack(d) of its row's least cost d, once, as
-    # arrays (row, z) in lexicographic order.  The search starts from each row's Babai point, whose slack is
-    # the row's first budget, and lowers the budget to slack(least cost so
-    # far) as leaves come: the sphere decoder's shrinking radius.  The
-    # Babai points stay candidates, so every row has one even where
-    # rounding keeps the enumeration from reaching it again.
+    # arrays (row, z) in lexicographic order.  The search starts from each
+    # row's Babai point, whose slack is the row's first budget, and lowers
+    # the budget to slack(least cost so far) as leaves come: the sphere
+    # decoder's shrinking radius.  The Babai points stay candidates, so
+    # every row has one even where rounding keeps the enumeration from
+    # reaching it again.  Budgets only fall, so the candidates need their
+    # filter only at the end, and before it whenever they have doubled.
     z, cost = _babai(r, center, lo, hi)
-    row = np.arange(len(center))
     budget = slack(cost)
-    for new_row, new_z, new_cost in _leaves(r, center, budget, lo, hi):
-        # Rows ascend within a chunk.
-        starts = np.flatnonzero(np.diff(new_row, prepend=-1))
-        seen = new_row[starts]
-        budget[seen] = np.minimum(budget[seen], slack(np.minimum.reduceat(new_cost, starts)))
-        row = np.concatenate([row, new_row])
-        z = np.concatenate([z, new_z])
-        cost = np.concatenate([cost, new_cost])
+
+    def within(found):
+        row, z, cost = (np.concatenate(parts) for parts in zip(*found))
         keep = cost <= budget[row]
-        row, z, cost = row[keep], z[keep], cost[keep]
+        return [(row[keep], z[keep], cost[keep])]
+
+    found = [(np.arange(len(center)), z, cost)]
+    held = live = len(center)
+    for row, z, cost in _leaves(r, center, budget, lo, hi):
+        # Rows ascend within a chunk.
+        starts = np.flatnonzero(np.diff(row, prepend=-1))
+        seen = row[starts]
+        budget[seen] = np.minimum(budget[seen], slack(np.minimum.reduceat(cost, starts)))
+        keep = cost <= budget[row]
+        found.append((row[keep], z[keep], cost[keep]))
+        held += found[-1][0].size
+        if held > 2 * live:
+            found = within(found)
+            held = live = found[0][0].size
+    row, z, _ = within(found)[0]
     order = np.lexsort(np.vstack([z.T[::-1], row]))
     row, z = row[order], z[order]
     # A Babai point the enumeration reached again is listed twice, in a row.
@@ -313,8 +332,8 @@ class BatchDecoder:
             self._points = self._coeffs @ g.T
             self._norms = np.sum(self._points**2, axis=1)
         elif method is Decoder.SPHERE_DECODER:
-            if box is None and np.linalg.cond(g) > _MAX_CONDITION:
-                raise ValueError("unbounded search rejected: generator condition number exceeds 1e8")
+            if box is None:
+                _check_condition(g, "an unbounded search")
             self._qt = q.T.copy()
             self._r = r
         else:
@@ -469,8 +488,7 @@ def voronoi_test_vectors(generator: np.ndarray) -> np.ndarray:
     """
     g = np.asarray(generator, dtype=float)
     _, r = triangularize(g)
-    if np.linalg.cond(g) > _MAX_CONDITION:
-        raise ValueError("unbounded search rejected: generator condition number exceeds 1e8")
+    _check_condition(g, "the relevant-vector search")
     k = g.shape[0]
     cosets = np.indices((2,) * k, dtype=float).reshape(k, -1).T[1:]
     # The coset c + 2z is shortest where z is closest to -c/2; in the QR

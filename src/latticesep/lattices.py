@@ -223,7 +223,7 @@ def sublattice_generator(lattice: Lattice, subset) -> np.ndarray:
     values in ``[1, N]``.  The selected ``N x k`` columns are rotated into
     their own span by orthogonal-triangular factorization; the returned
     ``k x k`` upper triangular matrix (positive diagonal) has exactly the
-    same Gram matrix, checked to 1e-10.
+    same Gram matrix, checked to 1e-10 times ``max(1, max |Gram|)``.
     """
     subset = tuple(int(i) for i in subset)
     n = lattice.dimension
@@ -241,7 +241,7 @@ def sublattice_generator(lattice: Lattice, subset) -> np.ndarray:
     r = r * signs[:, None]
     gram_in = cols.T @ cols
     gram_out = r.T @ r
-    if np.max(np.abs(gram_in - gram_out)) > _GRAM_TOL:
+    if np.max(np.abs(gram_in - gram_out)) > _GRAM_TOL * max(1.0, np.max(np.abs(gram_in))):
         raise InternalCheckError("sublattice triangularization failed the Gram check")
     return r
 

@@ -40,9 +40,9 @@ import numpy as np
 
 from .bounds import _CI_FACTOR, Curve, SepEstimate, SepMethod, SnrGrid, _curve, format_sig
 from .constellation import FiniteConstellation, facet_sum
-from .cvp import TIE_TOL, BatchDecoder, Decoder, voronoi_test_vectors
+from .cvp import TIE_TOL, BatchDecoder, Decoder, _check_condition, voronoi_test_vectors
 from .exceptions import check_integer
-from .lattices import is_integer_orthonormal, sublattice_generator
+from .lattices import Lattice, is_integer_orthonormal, sublattice_generator
 from .special import q_function
 from .streams import (
     SHARD_SIZE,
@@ -67,9 +67,7 @@ __all__ = [
     "write_sep_csv",
 ]
 
-_MIN_J_TRIALS = 10**4
-_MIN_MAX_TRIALS = 10**4
-_MIN_TARGET_ERRORS = 50
+_MIN_BUDGETS = {"max_trials": 10**4, "target_errors": 50, "trials_per_j": 10**4}
 _MAX_SIM_DIMENSION = 8
 _MAX_SIM_LEVELS = 1 << 20  # here y = G u + e keeps 32 fractional bits of the noise; at 2**52, none
 _RELIABLE_ERRORS = 20
@@ -91,13 +89,29 @@ class JSource(enum.Enum):
     MC_VORONOI = "mc_voronoi"
 
 
+def _check_budget(name: str, value) -> int:
+    return check_integer(name, value, _MIN_BUDGETS[name])
+
+
+def _check_sampled(lattice: Lattice, what: str) -> None:
+    # The limits of both sampled curves: simulation and MC_VORONOI.
+    n = lattice.dimension
+    if n > _MAX_SIM_DIMENSION:
+        raise ValueError(f"{what} on {lattice.name} needs dimension N <= {_MAX_SIM_DIMENSION}, got N={n}")
+    _check_condition(lattice.generator, f"{what} on {lattice.name}")
+
+
 @dataclass(frozen=True, eq=False)
 class SimPlan:
     """Everything that determines a simulation run.
 
     Two runs with equal plans produce identical estimates, whatever the
-    thread count.  The constellation may have up to 8 dimensions and
-    ``K <= 2**20`` levels.
+    thread count.  The plan checks every limit of the run when it is
+    made, and raises ``ValueError`` naming the first one broken: the
+    constellation needs at most 8 dimensions, a generator condition
+    number of at most 1e8 and ``K <= 2**20`` levels; ``seed`` must lie in
+    ``[0, 2**64)``, ``max_trials`` must be at least 10**4 and
+    ``target_errors`` at least 50.
     """
 
     constellation: FiniteConstellation
@@ -107,15 +121,13 @@ class SimPlan:
     target_errors: int = 100
 
     def __post_init__(self):
-        if self.constellation.dimension > _MAX_SIM_DIMENSION:
-            raise ValueError(
-                f"simulation supports dimensions up to {_MAX_SIM_DIMENSION}, "
-                f"got {self.constellation.dimension}"
-            )
-        check_integer("K", self.constellation.K, 2, _MAX_SIM_LEVELS)
+        _check_sampled(self.constellation.lattice, "simulation")
+        big_k = self.constellation.K
+        if big_k > _MAX_SIM_LEVELS:
+            raise ValueError(f"K must be at most {_MAX_SIM_LEVELS} for simulation, got K={big_k}")
         object.__setattr__(self, "seed", _check_seed(self.seed))
-        for name, minimum in (("max_trials", _MIN_MAX_TRIALS), ("target_errors", _MIN_TARGET_ERRORS)):
-            object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
+        for name in ("max_trials", "target_errors"):
+            object.__setattr__(self, name, _check_budget(name, getattr(self, name)))
 
 
 def _membership_halfspaces(generator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,6 +172,18 @@ def _clip_probability(p: float) -> float:
     return min(1.0, max(0.0, p))
 
 
+def _check_theorem1(c: FiniteConstellation, j_source, trials_per_j, seed) -> tuple[int, int]:
+    # exact_sep_theorem1's limits: the checked (trials_per_j, seed), or its ValueError.
+    if not isinstance(j_source, JSource):
+        raise ValueError(f"j_source must be a JSource, got {j_source!r}")
+    if j_source is JSource.ANALYTIC_ZN:
+        if not is_integer_orthonormal(c.lattice):
+            raise ValueError("ANALYTIC_ZN applies only to the identity-generator cubic lattices")
+        return trials_per_j, seed
+    _check_sampled(c.lattice, "MC_VORONOI")
+    return _check_budget("trials_per_j", trials_per_j), _check_seed(seed)
+
+
 def exact_sep_theorem1(
     c: FiniteConstellation,
     grid: SnrGrid,
@@ -200,25 +224,22 @@ def exact_sep_theorem1(
     vector has basis coefficients ``|c_i| <= 1``, as on Z^N and A2 but not
     on E4 (up to 2) or E8 (up to 7).  On E8 with K = 2 at 10 dB the estimate
     sits 9.1 sigma above simulation: there it is not the exact SEP.
+
+    Every limit is checked before any work, with a ``ValueError`` naming
+    the first one broken: ``ANALYTIC_ZN`` needs an identity generator;
+    ``MC_VORONOI`` needs at most 8 dimensions, a generator condition
+    number of at most 1e8, ``trials_per_j`` of at least 10**4 and a
+    ``seed`` in ``[0, 2**64)``.
     """
     n = c.dimension
-    if not isinstance(j_source, JSource):
-        raise ValueError(f"j_source must be a JSource, got {j_source!r}")
-
+    trials_per_j, seed = _check_theorem1(c, j_source, trials_per_j, seed)
     if j_source is JSource.ANALYTIC_ZN:
-        if not is_integer_orthonormal(c.lattice):
-            raise ValueError("ANALYTIC_ZN applies only to the identity-generator cubic lattices")
-
         # Every rank-k cell is the unit k-cube, whose mass factorizes per
         # coordinate.
         interval = [1.0 - 2.0 * q_function(math.sqrt(float(rho)) / 2.0) for rho in grid.rho]
         groups = [(k, math.comb(n, k), [(j**k, 0.0) for j in interval]) for k in range(1, n + 1)]
         method, trials = SepMethod.CLOSED_FORM_ZN, 0
     else:
-        if n > _MAX_SIM_DIMENSION:
-            raise ValueError(f"MC_VORONOI supports dimensions up to {_MAX_SIM_DIMENSION}")
-        trials_per_j = check_integer("trials_per_j", trials_per_j, _MIN_J_TRIALS)
-
         # Group subsets with bit-identical sublattice Gram matrices; each
         # group is estimated once, on the whole grid, from the stream of its
         # first (lexicographic) member.
@@ -736,8 +757,9 @@ def simulate_sep(plan: SimPlan, threads: int = 1) -> Curve:
     ``|e|**2 + 2e-12`` of ``y``: a row with no other point there is
     correct, one whose other points are all closer than ``x`` by more
     than ``2e-12`` is an error, and only the rest (a point in that tie
-    band) go to the sphere search.  Every non-diagonal generator needs a
-    condition number of at most 1e8 (``ValueError`` above it).
+    band) go to the sphere search.  The plan has already refused a
+    generator whose condition number is above 1e8, diagonal or not
+    (:class:`SimPlan`).
 
     Before any of that, a screen on the raw radial uniforms settles most
     rows at high SNR.  Each noise entry is ``sigma r cos`` or ``sigma r

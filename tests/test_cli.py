@@ -295,15 +295,22 @@ class TestRunCommand:
             ("target_errors", 1),
             ("trials_per_j", 5),
             ("lattice", "Z99"),
+            ("K", 1),
         ],
     )
     def test_out_of_range_field_exits_2(self, tmp_path, capsys, field, value):
-        data = make_config_data(lattice="E4", curves=["SEP_SIM", "SEP_EXACT"])
-        data[field] = value
-        config_path = tmp_path / "experiment.json"
-        config_path.write_text(json.dumps(data))
-        assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 2
-        assert field in capsys.readouterr().err
+        # Whatever the curves: sampled ones, or a bound alone.
+        for i, curves in enumerate((["SEP_SIM", "SEP_EXACT"], ["MSLB"])):
+            data = make_config_data(lattice="E4", curves=curves)
+            data[field] = value
+            config_path = tmp_path / f"experiment-{i}.json"
+            config_path.write_text(json.dumps(data))
+            out_dir = tmp_path / f"results-{i}"
+            assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 2
+            err = capsys.readouterr().err
+            assert field in err
+            assert field == "lattice" or str(config_path) in err
+            assert not out_dir.exists()
 
     def test_simulation_beyond_8_dimensions_exits_2_before_any_curve(self, tmp_path, capsys):
         config_path = tmp_path / "experiment.json"
@@ -333,21 +340,23 @@ class TestRunCommand:
 
     def test_ill_conditioned_simulation_exits_2_before_any_curve(self, tmp_path, capsys):
         # Condition number 4e8: brute force and the sphere decoder disagree
-        # on such a basis, so sampled curves are refused.
+        # on such a basis, so sampled curves are refused, on a diagonal
+        # generator too.
         turn = math.pi / 6.0
         rotation = [[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]]
-        generator = [[row[0] * 2e4, row[1] * 5e-5] for row in rotation]
-        lattice_path = tmp_path / "needle.json"
-        lattice_path.write_text(json.dumps({"name": "needle", "dimension": 2, "generator": generator}))
-        config_path = tmp_path / "experiment.json"
-        config_path.write_text(
-            json.dumps(make_config_data(lattice=str(lattice_path), curves=["MSLB", "SEP_SIM"]))
-        )
-        out_dir = tmp_path / "results"
-        assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 2
-        err = capsys.readouterr().err
-        assert "curves" in err and "SEP_SIM" in err and "4e+08" in err
-        assert not out_dir.exists()
+        needle = [[row[0] * 2e4, row[1] * 5e-5] for row in rotation]
+        for name, generator in (("needle", needle), ("diagonal", [[2e4, 0.0], [0.0, 5e-5]])):
+            lattice_path = tmp_path / f"{name}.json"
+            lattice_path.write_text(json.dumps({"name": name, "dimension": 2, "generator": generator}))
+            config_path = tmp_path / "experiment.json"
+            config_path.write_text(
+                json.dumps(make_config_data(lattice=str(lattice_path), curves=["MSLB", "SEP_SIM"]))
+            )
+            out_dir = tmp_path / f"results-{name}"
+            assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 2
+            err = capsys.readouterr().err
+            assert "curves" in err and "SEP_SIM" in err and "4e+08" in err
+            assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "payload",

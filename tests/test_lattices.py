@@ -197,6 +197,20 @@ class TestSublatticeGenerator:
                 assert np.all(np.diagonal(r) > 0.0)
                 assert np.allclose(r, np.triu(r))
 
+    def test_gram_check_is_relative_on_a_wide_basis(self):
+        # Unit volume, condition number 2.1e5.  Column 2 has squared norm
+        # 3.6e5, and its one-column QR misses that by about 1.2e-10, which
+        # an absolute 1e-10 tolerance refused.
+        lat = load_lattice([[2000.0, 600.0, 0.0], [0.0, 0.05, 0.0], [0.0, 0.0, 0.01]], normalize=False)
+        import itertools
+
+        for k in range(1, 4):
+            for subset in itertools.combinations(range(1, 4), k):
+                r = sublattice_generator(lat, subset)
+                cols = lat.generator[:, [i - 1 for i in subset]]
+                gram = cols.T @ cols
+                assert np.max(np.abs(r.T @ r - gram)) <= 1e-10 * np.max(np.abs(gram))
+
     def test_selector_validation(self):
         lat = catalog_lattice("Z4")
         with pytest.raises(ValueError, match="at least one basis index"):

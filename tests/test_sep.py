@@ -266,6 +266,21 @@ class TestExactSepMonteCarlo:
         with pytest.raises(ValueError):
             exact_sep_theorem1(c, grid, JSource.MC_VORONOI, trials_per_j=10**3)
 
+    def test_ill_conditioned_generator_is_refused_before_any_work(self, monkeypatch):
+        # A rotated diag(2e4, 5e-5): condition number 4e8.
+        turn = math.pi / 6.0
+        rotation = np.array([[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]])
+        needle = load_lattice(rotation * [2e4, 5e-5], name="needle", normalize=False)
+
+        def no_work(*args):
+            raise AssertionError("exact_sep_theorem1 started work on a refused generator")
+
+        monkeypatch.setattr(sep_module, "sublattice_generator", no_work)
+        monkeypatch.setattr(sep_module, "_cell_masses_mc", no_work)
+        c = FiniteConstellation(lattice=needle, K=4)
+        with pytest.raises(ValueError, match=r"needle needs a generator condition number <= 1e\+08, got 4e\+08"):
+            exact_sep_theorem1(c, SnrGrid.from_db_values([10.0]), JSource.MC_VORONOI, trials_per_j=10**4)
+
 
 class TestSimPlan:
     def test_defaults(self):
@@ -313,6 +328,14 @@ class TestSimPlan:
         assert plan.constellation.K == 1 << 20
         with pytest.raises(ValueError, match="K must be at most 1048576"):
             SimPlan(constellation=FiniteConstellation(lattice=z2, K=(1 << 20) + 1), grid=grid, seed=0)
+
+    def test_ill_conditioned_diagonal_generator_is_refused(self):
+        # Condition number 4e8.  A diagonal generator needs no relevant-vector
+        # search, but the plan refuses it as the CLI always has.
+        lattice = load_lattice([[2e4, 0.0], [0.0, 5e-5]], name="diagonal", normalize=False)
+        c = FiniteConstellation(lattice=lattice, K=4)
+        with pytest.raises(ValueError, match=r"condition number <= 1e\+08, got 4e\+08"):
+            SimPlan(constellation=c, grid=SnrGrid.from_db_values([10.0]), seed=0)
 
     @pytest.mark.parametrize("value", [20000.0, True, "20000"])
     def test_budgets_must_be_integers(self, value):
