@@ -418,7 +418,7 @@ class BatchDecoder:
 
     def _indices(self, y: np.ndarray) -> np.ndarray:
         total = self._points.shape[0]
-        chunk = max(1, (1 << 22) // total)
+        chunk = max(1, (1 << 20) // total)
         out = np.empty(y.shape[0], dtype=np.int64)
         # The score |p|**2 - 2 y . p is off by up to about eps (|p|**2 + 2
         # |y|_1 |p|); a row with more than one point within TIE_TOL plus

@@ -134,32 +134,32 @@ def _membership_halfspaces(generator: np.ndarray) -> tuple[np.ndarray, np.ndarra
     # Half-space form of the Voronoi cell around the origin: x belongs iff
     # x . v <= ||v||**2 / 2 for every Voronoi-relevant vector v (ties inside).
     vectors = voronoi_test_vectors(generator)
-    half_norms = 0.5 * np.sum(vectors**2, axis=1)
-    return vectors.T.copy(), half_norms
+    return vectors, 0.5 * np.sum(vectors**2, axis=1)
 
 
 def _cell_masses_mc(
-    vt: np.ndarray, half_norms: np.ndarray, rhos, trials: int, seed: int
+    v: np.ndarray, half_norms: np.ndarray, rhos, trials: int, seed: int
 ) -> list[tuple[float, float]]:
     # Fraction of N(0, I/rho) samples inside the cell at each rho, with
     # standard error.  Shard s draws unit-variance samples z from
     # stream(seed, s) whatever rho is, and sigma z lies in the cell (ties
     # inside) iff its gauge max_j (z . v_j) / (h_j + TIE_TOL) is at most
-    # sqrt(rho); so one sorted set of gauges serves every rho.  The product
-    # with the test vectors is taken a block of rows at a time, into one
+    # sqrt(rho); so one sorted set of gauges serves every rho.  The products
+    # are taken vector-major (J, rows), a block of rows at a time, into one
     # reused buffer (a fresh 2 MB block per product costs its page faults).
-    k, vectors = vt.shape
-    bounds = half_norms + TIE_TOL
+    vectors, k = v.shape
+    bounds = (half_norms + TIE_TOL)[:, None]
     rows = max(1, _GAUGE_BLOCK // vectors)
     gauges = np.empty(trials)
-    buffer = np.empty((min(rows, trials), vectors))
+    buffer = np.empty(min(rows, trials) * vectors)
     for start in range(0, trials, SHARD_SIZE):
         m = min(SHARD_SIZE, trials - start)
         z = standard_normals(stream(seed, start // SHARD_SIZE), m * k).reshape(m, k)
         for i in range(0, m, rows):
-            block = np.matmul(z[i : i + rows], vt, out=buffer[: min(rows, m - i)])
+            size = min(rows, m - i)
+            block = np.matmul(v, z[i : i + size].T, out=buffer[: vectors * size].reshape(vectors, size))
             block /= bounds
-            np.max(block, axis=1, out=gauges[start + i : start + i + block.shape[0]])
+            np.max(block, axis=0, out=gauges[start + i : start + i + size])
     gauges.sort()
     masses = []
     for inside in np.searchsorted(gauges, np.sqrt(rhos), side="right").tolist():
@@ -252,9 +252,9 @@ def exact_sep_theorem1(
                 if key in found:
                     found[key][1] += 1
                 else:
-                    vt, half_norms = _membership_halfspaces(generator)
+                    v, half_norms = _membership_halfspaces(generator)
                     group_seed = derive_seed(seed, k, p)
-                    masses = _cell_masses_mc(vt, half_norms, grid.rho, trials_per_j, group_seed)
+                    masses = _cell_masses_mc(v, half_norms, grid.rho, trials_per_j, group_seed)
                     found[key] = [k, 1, masses]
         groups = [tuple(group) for group in found.values()]
         method, trials = SepMethod.THEOREM1, trials_per_j
@@ -268,30 +268,51 @@ class _Certificate:
 
     One half-space per facet of the Voronoi cell (240 on E8, 24 on E4):
     :func:`latticesep.cvp.voronoi_test_vectors` shows that ``TIE_TOL / 2``
-    margins on these imply them on every other lattice vector.
+    margins on these imply them on every other lattice vector.  They are
+    stored as rows, so a block's products ``v @ e.T`` are vector-major
+    ``(J, rows)`` and every fold over the vectors runs along contiguous
+    rows.  ``u + c_j`` in the box is read from one table of at most 256
+    classes per group of coordinates (E4 with K = 4: one 256 x 24; E8:
+    two 256 x 240; A2: one 9 x 6).
     """
 
-    vt: np.ndarray  # (n, J): the vectors v_j as columns
-    half_norms: np.ndarray  # (J,): h_j = |v_j|**2 / 2
+    vectors: np.ndarray  # (J, n): the vectors v_j as rows
+    half_norms: np.ndarray  # (J, 1): h_j = |v_j|**2 / 2
     inscribed: float  # d_min**2 / 4 - TIE_TOL, with d_min**2 = 2 min_j h_j
-    in_box: np.ndarray  # (n, R, J) bool: in_box[i, row(a), j] is 0 <= a + c_ji < K
+    in_box: tuple[np.ndarray, ...]  # per group, (classes, J) bool: 0 <= a_i + c_ji < K on all its coordinates
+    radix: np.ndarray  # (n, groups) int: classes = row(a) @ radix, a group's first coordinate lowest
     reach: int  # max |c_ji|; row(a) = a - max(0, min(a, top) - reach)
     top: int  # K - 1 - reach
 
 
 def _certificate(generator: np.ndarray, big_k: int) -> _Certificate:
-    vt, half_norms = _membership_halfspaces(generator)
-    coeffs = np.rint(np.linalg.solve(generator, vt)).astype(np.int64)
-    # Every level a with reach <= a <= K - 1 - reach keeps a + c_ji in the
-    # box, so those levels share one table row and the table has at most
-    # 2 reach + 1 rows, whatever K is.
-    reach = int(np.abs(coeffs).max())
-    levels = np.arange(min(big_k, 2 * reach + 1))
+    vectors, half_norms = _membership_halfspaces(generator)
+    coeffs = np.rint(np.linalg.solve(generator, vectors.T)).astype(np.int64)
+    # Every level a with reach <= a <= K - 1 - reach keeps a + c_ji in the box,
+    # so those levels share one row: at most 2 reach + 1 rows, whatever K is.
+    # A group takes as many coordinates as keep its classes at most 256.
+    reach, coord = int(np.abs(coeffs).max()), np.arange(len(coeffs))
+    levels = np.arange(min(big_k, 2 * reach + 1))[:, None]
     levels[reach + 1 :] += big_k - levels.size
-    levels = levels[None, :, None]
-    in_box = (levels >= -coeffs[:, None, :]) & (levels < big_k - coeffs[:, None, :])
+    per_level = (levels >= -coeffs[:, None, :]) & (levels < big_k - coeffs[:, None, :])
+    size = max(1, int(np.log(256.5) / np.log(levels.size)))
+    radix = np.zeros((coord.size, -(-coord.size // size)), dtype=np.int64)
+    radix[coord, coord // size] = levels.size ** (coord % size)
+    tables = [np.ones((1, len(vectors)), dtype=bool)] * radix.shape[1]
+    for i in coord:
+        tables[i // size] = (per_level[i][:, None] & tables[i // size]).reshape(-1, len(vectors))
     inscribed = 0.5 * float(half_norms.min()) - TIE_TOL
-    return _Certificate(vt, half_norms, inscribed, in_box, reach, big_k - 1 - reach)
+    top = big_k - 1 - reach
+    return _Certificate(vectors, half_norms[:, None], inscribed, tuple(tables), radix, reach, top)
+
+
+def _in_box(cert: _Certificate, u: np.ndarray) -> np.ndarray:
+    # The (rows, J) mask of 0 <= u + c_j < K, one row gather per group.
+    classes = (u - np.maximum(np.minimum(u, cert.top) - cert.reach, 0)) @ cert.radix
+    mask = np.take(cert.in_box[0], classes[:, 0], axis=0)
+    for group, table in enumerate(cert.in_box[1:], start=1):
+        mask &= np.take(table, classes[:, group], axis=0)
+    return mask
 
 
 def _certify(
@@ -307,7 +328,7 @@ def _certify(
     # if some u + c_j is in the box and e . v_j - h_j > TIE_TOL / 2: that
     # constellation point is closer by more than TIE_TOL.  Every other row,
     # exact ties included, is left to the decoder.  The products e . v_j
-    # are taken a block of rows at a time.
+    # are taken a block of rows at a time, vector-major (J, rows).
     if cert is None:
         return np.zeros(len(e), dtype=bool), np.arange(len(e))
     rows = np.flatnonzero(np.einsum("ij,ij->i", e, e) >= cert.inscribed)
@@ -316,18 +337,14 @@ def _certify(
     undecided = []
     for start in range(0, rows.size, step):
         block = rows[start : start + step]
-        margins = e[block] @ cert.vt
+        margins = cert.vectors @ e[block].T
         margins -= cert.half_norms
-        open_rows = np.max(margins, axis=1) >= -0.5 * TIE_TOL
-        block = block[open_rows]
-        closer = (margins > 0.5 * TIE_TOL)[open_rows]
-        levels = u[block]
-        table_rows = levels - np.maximum(np.minimum(levels, cert.top) - cert.reach, 0)
-        for i, table in enumerate(cert.in_box):
-            closer &= table[table_rows[:, i]]
-        hit = np.any(closer, axis=1)
+        open_rows = np.max(margins, axis=0) >= -0.5 * TIE_TOL
+        closer = margins > 0.5 * TIE_TOL
+        closer &= _in_box(cert, u[block]).T
+        hit = np.any(closer, axis=0)
         wrong[block[hit]] = True
-        undecided.append(block[~hit])
+        undecided.append(block[open_rows & ~hit])
     return wrong, np.concatenate(undecided) if undecided else rows
 
 
@@ -739,11 +756,14 @@ def simulate_sep(plan: SimPlan, threads: int = 1) -> Curve:
     Voronoi-relevant vectors ``v_j = M c_j`` of the lattice, one per facet
     of its Voronoi cell (:func:`latticesep.cvp.voronoi_test_vectors`: 240
     on E8, 24 on E4; a margin on these implies one on every other lattice
-    vector).  With ``e = y - x`` and
-    ``h_j = |v_j|**2 / 2``, a row is correct if ``|e|**2 < d_min**2 / 4 -
-    1e-12`` or if ``e . v_j - h_j < -0.5e-12`` for every j, and it is an
-    error if ``e . v_j - h_j > 0.5e-12`` for some j with ``u + c_j`` in the
-    box.  These are the decoders' own tie rule (squared distances within
+    vector).  With ``e = y - x`` and ``h_j = |v_j|**2 / 2``, a row is
+    correct if ``|e|**2 < d_min**2 / 4 - 1e-12`` or if ``e . v_j - h_j <
+    -0.5e-12`` for every j, and it is an error if ``e . v_j - h_j >
+    0.5e-12`` for some j with ``u + c_j`` in the box.  A block of rows'
+    products is formed vector-major, ``(J, rows)``, so every fold over j
+    runs along contiguous rows; whether ``u + c_j`` is in the box is read
+    from one table of at most 256 classes per group of coordinates.
+    These are the decoders' own tie rule (squared distances within
     1e-12 tie, and ties go to the lexicographically smallest point), so
     every verdict is the one a full decode would give; all other rows,
     exact ties included, are decoded.  A diagonal generator is decided

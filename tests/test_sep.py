@@ -165,6 +165,16 @@ class TestJIntegralMc:
             mass, _ = sep_module._cell_masses_mc(vt, half_norms, np.array([1.0]), 1, seed=0)[0]
             assert mass == expected, samples
 
+    @pytest.mark.parametrize("name", ["E4", "A2"])
+    def test_short_blocks_keep_the_masses(self, monkeypatch, name):
+        # 1000-row blocks: each shard, and the run, ends in a short block.
+        v, half_norms = sep_module._membership_halfspaces(catalog_lattice(name).generator)
+        rhos = 10.0 ** (np.arange(0.0, 21.0, 2.0) / 10.0)
+        trials = SHARD_SIZE + 10007
+        masses = sep_module._cell_masses_mc(v, half_norms, rhos, trials, seed=4)
+        monkeypatch.setattr(sep_module, "_GAUGE_BLOCK", 1000 * len(v))
+        assert sep_module._cell_masses_mc(v, half_norms, rhos, trials, seed=4) == masses
+
     def test_validation(self):
         with pytest.raises(ValueError):
             monte_carlo("A2", 4, [10.0], 10**3, seed=0)
@@ -620,7 +630,7 @@ def _certified_rows(generator, big_k, rng, vectors=None, random_rows=400):
     us = [rng.integers(0, big_k, (random_rows, n))]
     es = [rng.standard_normal((random_rows, n)) * sigmas[:, None]]
     ties = [np.zeros(random_rows, dtype=bool)]
-    chosen = cert.vt.T if vectors is None else cert.vt.T[vectors]
+    chosen = cert.vectors if vectors is None else cert.vectors[vectors]
     for corner in (rng.integers(0, big_k, n), rng.integers(0, 2, n) * (big_k - 1)):
         for delta in _DELTAS:
             us.append(np.tile(corner, (len(chosen), 1)))
@@ -683,16 +693,42 @@ class TestCertificate:
         assert wrong.tolist() == [False, False, False]
         assert rows.tolist() == [0, 1, 2]
 
+    @pytest.mark.parametrize(
+        "generator,big_k,reach,groups",
+        [
+            (catalog_lattice("E4").generator, 4, 2, [4]),
+            (catalog_lattice("A2").generator, 5, 1, [2]),
+            (catalog_lattice("E4").generator, 32, 2, [3, 1]),  # 5 rows a coordinate: 125 and 5 classes
+            (np.array([[1.0, 0.6, -0.3], [0.2, 1.1, 0.7], [-0.4, 0.3, 0.9]]), 7, 2, [3]),
+        ],
+        ids=["E4-4", "A2-5", "E4-32", "skewed-3"],
+    )
+    def test_in_box_tables_match_the_direct_test(self, generator, big_k, reach, groups):
+        # Every level vector u of the box, against 0 <= u + c_j < K directly.
+        n = generator.shape[0]
+        cert = sep_module._certificate(generator, big_k)
+        assert cert.reach == reach
+        assert [np.count_nonzero(column) for column in cert.radix.T] == groups
+        assert all(table.shape[0] <= 256 for table in cert.in_box)
+        coeffs = np.rint(np.linalg.solve(generator, cert.vectors.T)).astype(np.int64)
+        levels = np.indices((big_k,) * n).reshape(n, -1).T
+        for first in range(0, len(levels), 1 << 15):
+            u = levels[first : first + (1 << 15)]
+            direct = np.ones((len(u), coeffs.shape[1]), dtype=bool)
+            for i in range(n):
+                direct &= (u[:, i : i + 1] + coeffs[i] >= 0) & (u[:, i : i + 1] + coeffs[i] < big_k)
+            assert np.array_equal(sep_module._in_box(cert, u), direct)
+
     def test_in_box_table_is_bounded_for_large_k(self):
         # Rows x_u + 0.6 v_j at the box corners and inside: v_j's point is
         # closer than x_u, and in the box or not depending on the corner.
         big_k = 10**6
         g = catalog_lattice("A2").generator
         cert = sep_module._certificate(g, big_k)
-        assert cert.in_box.shape[1] == 2 * cert.reach + 1
+        assert [table.shape[0] for table in cert.in_box] == [(2 * cert.reach + 1) ** 2]
         corners = np.array([[0, 0], [0, big_k - 1], [big_k - 1, 0], [big_k - 1, big_k - 1], [500, 7]])
         u = np.repeat(corners, cert.half_norms.size, axis=0)
-        e = np.tile(0.6 * cert.vt.T, (len(corners), 1))
+        e = np.tile(0.6 * cert.vectors, (len(corners), 1))
         wrong, rows = sep_module._certify(cert, u, e)
         decided = np.ones(len(u), dtype=bool)
         decided[rows] = False
@@ -700,6 +736,16 @@ class TestCertificate:
         assert np.array_equal(wrong[decided], full[decided])
         assert wrong.any() and rows.size > 0
         assert np.all(wrong[-cert.half_norms.size :])  # every neighbour of an inner point is in the box
+
+    @pytest.mark.parametrize("name,big_k", [("E4", 4), ("E8", 2)])
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_short_blocks_keep_the_verdicts(self, monkeypatch, name, big_k, rows):
+        cert, u, e, _ = _certified_rows(catalog_lattice(name).generator, big_k, np.random.default_rng(11))
+        wrong, undecided = sep_module._certify(cert, u, e)
+        monkeypatch.setattr(sep_module, "_CERT_BLOCK", rows * cert.half_norms.size)
+        short_wrong, short_undecided = sep_module._certify(cert, u, e)
+        assert np.array_equal(short_wrong, wrong)
+        assert np.array_equal(short_undecided, undecided)
 
 
 def _assert_query_matches_table(generator, big_k, seed, vectors=None):
