@@ -47,6 +47,7 @@ from .special import q_function
 from .streams import (
     SHARD_SIZE,
     _check_seed,
+    coarse_normals,
     derive_seed,
     normal_angles,
     normals_from_angles,
@@ -79,7 +80,8 @@ _TABLE_POINTS = 1 << 12  # largest constellation decoded from a point table
 _SEEK_CHUNK = 1 << 10  # words of a shard's symbol or angle region that are read, or skipped, whole
 _SPARSE_OPEN = 2  # open rows per _SEEK_CHUNK symbol words from which a shard reads every word
 _DENSE_RANGE = 0.9  # share of open rows from which a _ROW_BLOCK row range is transformed whole
-_DENSE_SHARE = 0.35  # expected share of open entries from which a rounding shard forms every normal
+_DENSE_SHARE = 0.25  # expected share of open entries from which a rounding shard forms every normal
+_COARSE_SLACK = 2.0**-14  # distance to an entry limit within which a single-precision normal is redone
 
 
 class JSource(enum.Enum):
@@ -356,11 +358,14 @@ class _Rounding:
     to its symbol when ``|z| < inner_i``, and to the neighbour above (below)
     its symbol when ``sign_i z > outer_i`` (``< -outer_i``) and that
     neighbour is in the box, to its symbol when it is not.  Between the two
-    limits, a band about 1e-9 wide, the decoder decides.
+    limits, a band about 1e-9 wide, the decoder decides.  The entries come
+    from float32 trig, and exactly where ``| |z| - centre_i | <= width_i``.
     """
 
     inner: np.ndarray  # (n,)
     outer: np.ndarray  # (n,)
+    centre: np.ndarray  # (n,): (inner + outer) / 2
+    width: np.ndarray  # (n,): (outer - inner) / 2 + _COARSE_SLACK
     flipped: np.ndarray  # (n,): d_i < 0, so that the symbol above is below in y
     cut: np.ndarray  # (n,): a radial uniform below cut_i has a radius below inner_i
     share: float  # mean_i exp(-inner_i**2 / 2), the expected share of entries that cut_i leaves open
@@ -402,7 +407,8 @@ def _screen(generator: np.ndarray, big_k: int, cert: _Certificate | None, rho: f
         inner = (0.5 * a - 0.5 * TIE_TOL / a) * ((1.0 - slack) * math.sqrt(rho))
         outer = (0.5 * a + 0.5 * TIE_TOL / a) * ((1.0 + slack) * math.sqrt(rho))
         tail = _tail_bound(np.maximum(inner, 0.0) ** 2)
-        return _Rounding(inner, outer, d < 0, 1.0 - tail, float(np.mean(np.minimum(tail, 1.0))))
+        centre, width = 0.5 * (inner + outer), 0.5 * (outer - inner) + _COARSE_SLACK
+        return _Rounding(inner, outer, centre, width, d < 0, 1.0 - tail, float(np.mean(np.minimum(tail, 1.0))))
     return float(_tail_bound(cert.inscribed * (1.0 - _SCREEN_MARGIN) * rho))
 
 
@@ -443,6 +449,25 @@ def _sides(rule: _Rounding, z: np.ndarray, coordinate) -> tuple[np.ndarray, np.n
     if rule.flipped.any():
         up ^= rule.flipped[coordinate]
     return beyond, up, band
+
+
+def _rounding_normals(rule: _Rounding, radius, angle, count: int, entries, coordinate) -> np.ndarray:
+    # The normals of `entries` of a block, for _sides: a slice of whole rows,
+    # returned as (rows, n), with `coordinate` slice(None), or ascending
+    # indices of coordinates `coordinate`.  From float32 trig, within 4.3e-6
+    # of their exact values (streams.coarse_normals), and exact within
+    # _COARSE_SLACK = 2**-14, 14 times that, of a limit: so every other one
+    # is on the same side of both limits as its exact value, with its sign.
+    rows = isinstance(entries, slice)
+    z = coarse_normals(radius, angle, count, entries).reshape((-1, rule.inner.size) if rows else -1)
+    off = np.abs(z)
+    off -= rule.centre[coordinate]
+    np.abs(off, out=off)
+    patch = np.flatnonzero(off <= rule.width[coordinate])
+    if patch.size:
+        exact = patch + entries.start if rows else entries[patch]
+        z.reshape(-1)[patch] = normals_from_angles(radius, angle, count, exact)
+    return z
 
 
 def _moved(up: np.ndarray, scaled: np.ndarray, big_k: int) -> np.ndarray:
@@ -660,7 +685,7 @@ def _entry_errors(
         read_all()
         for lo in range(0, m, _ROW_BLOCK):
             hi = min(lo + _ROW_BLOCK, m)
-            z = normals_from_angles(radius, angle, count, slice(lo * n, hi * n)).reshape(-1, n)
+            z = _rounding_normals(rule, radius, angle, count, slice(lo * n, hi * n), slice(None))
             beyond, up, band = _sides(rule, z, slice(None))
             hit = _moved(up, uniforms[lo * n : hi * n].reshape(-1, n) * big_k, big_k)
             hit &= beyond
@@ -674,18 +699,14 @@ def _entry_errors(
             entry = np.concatenate([open_pairs, open_pairs + pairs])  # cosines, then sines
             if count % 2 and open_pairs[-1] == pairs - 1:
                 entry = entry[:-1]  # the last pair of an odd block has no sine
-            coordinate = entry % n
-            r = np.concatenate([r, r])[: entry.size]
-            pick = np.flatnonzero(r >= rule.inner[coordinate])
-            entry, coordinate, r = entry[pick], coordinate[pick], r[pick]
-            split = int(np.searchsorted(pick, open_pairs.size))
+            size, coordinate = entry.size, entry % n
+            pick = np.flatnonzero(np.concatenate([r, r])[:size] >= rule.inner[coordinate])
+            entry, coordinate = entry[pick], coordinate[pick]
             pair = entry.copy()
-            pair[split:] -= pairs
+            pair[int(np.searchsorted(pick, open_pairs.size)) :] -= pairs
             _read_chunks(rng, origin, count + pairs, angle, normal_angles, pair)
-            z = angle[pair]  # then normals_from_angles, entry by entry
-            np.cos(z[:split], out=z[:split])
-            np.sin(z[split:], out=z[split:])
-            z *= r
+            # The open pairs' radii and angles: a block whose entries `pick` are `entry`.
+            z = _rounding_normals(rule, r, angle[open_pairs], size, pick, coordinate)
             beyond, up, band = _sides(rule, z, coordinate)
             beyond = np.flatnonzero(beyond)
             moving = entry[beyond]
@@ -800,15 +821,17 @@ def simulate_sep(plan: SimPlan, threads: int = 1) -> Curve:
     ``sign(d_i) e_i`` passes ``+-(|d_i| / 2 + 1e-12 / (2 |d_i|))`` and
     the neighbour on that side is in the box (tested on ``K w`` for the
     entry's symbol uniform ``w``, as the symbol map forms it), each
-    limit with a relative margin of at least 1e-9.  Only a row with an
-    entry in the band between the two, about 1e-9 wide, is decoded, by
-    the table or the sphere search as above.  A
+    limit with a relative margin of at least 1e-9.  The entries come from
+    float32 trig, within 4.3e-6 (:func:`latticesep.streams.coarse_normals`),
+    and from float64 within ``2**-14`` of a limit: every verdict is exact.
+    Only a row with an entry in the band between the two, about 1e-9
+    wide, is decoded, by the table or the sphere search as above.  A
     radial uniform is screened against the larger of its pair's two
     thresholds (pair ``p`` holds entry ``p``, a cosine, and entry ``p +
     pairs``, a sine); only an open pair's entries that reach their limit
     get an angle, and only an entry past its outer limit gets its symbol.
     A shard whose expected share of open entries, ``mean_i exp(-L_i**2 /
-    2)``, is at least 0.35 skips the screen and decides every entry.
+    2)``, is at least 0.25 skips the screen and decides every entry.
 
     Shard ``s`` of grid point ``i`` lays out all its symbol uniforms,
     then all its radial uniforms, then its angular uniforms, in

@@ -1064,7 +1064,7 @@ class TestRadialScreen:
         buffers = sep_module._shard_buffers(3 * m)
         checked = 0
         for seed in range(40):
-            for db in (10.0, 12.0):
+            for db in (11.0, 12.0):
                 rho = 10.0 ** (db / 10.0)
                 screen = sep_module._screen(g, 4, None, rho)
                 assert screen.share < sep_module._DENSE_SHARE
@@ -1123,6 +1123,46 @@ class TestRadialScreen:
         assert 50 < decoded[0] < m
 
     @pytest.mark.parametrize(
+        "lattice,big_k",
+        [
+            (catalog_lattice("Z2"), 4),
+            (catalog_lattice("Z8"), 4),
+            (load_lattice(np.diag(_SIGNED_DIAGONALS[0]), name="diag3", normalize=False), 5),
+        ],
+    )
+    def test_a_wide_coarse_slack_keeps_every_count(self, monkeypatch, lattice, big_k):
+        # The entries are formed in single precision and formed again
+        # exactly within _COARSE_SLACK of a limit.  Widened from 2**-14 to
+        # 0.05, the slack sends many entries to the exact path, in the shards
+        # that form every normal and in those that screen their radial
+        # uniforms alike, and every point keeps its (trials, errors).
+        plan = SimPlan(
+            constellation=FiniteConstellation(lattice=lattice, K=big_k),
+            grid=SnrGrid.from_db_values([0.0, 4.0, 8.0, 12.0, 16.0]),
+            seed=3,
+            max_trials=20000,
+            target_errors=10**9,
+        )
+        default = [(e.trials, e.errors_observed) for e in simulate_sep(plan)]
+        exact = []
+
+        def counting(radius, angle, count, entries=None):
+            exact.append(count if entries is None else np.arange(count)[entries].size)
+            return normals_from_angles(radius, angle, count, entries)
+
+        monkeypatch.setattr(sep_module, "normals_from_angles", counting)
+        formed, narrow = {}, sep_module._COARSE_SLACK
+        for slack in (narrow, 0.05):
+            monkeypatch.setattr(sep_module, "_COARSE_SLACK", slack)
+            for share in (0.0, 2.0):  # every shard forms every normal, or none does
+                monkeypatch.setattr(sep_module, "_DENSE_SHARE", share)
+                exact.clear()
+                assert [(e.trials, e.errors_observed) for e in simulate_sep(plan)] == default, (slack, share)
+                formed[slack, share] = sum(exact)
+        for share in (0.0, 2.0):
+            assert formed[0.05, share] > 100 * (1 + formed[narrow, share]), formed
+
+    @pytest.mark.parametrize(
         "name,big_k,method",
         [("Z3", 4, Decoder.SPHERE_DECODER), ("A2", 4, Decoder.BRUTE_FORCE), ("E4", 4, Decoder.BRUTE_FORCE)],
     )
@@ -1136,7 +1176,7 @@ class TestRadialScreen:
         "name,big_k,m,dbs",
         [
             ("Z3", 4, 10001, [17.0, 0.0]),  # rounding; m n odd
-            ("Z8", 4, SHARD_SIZE, [18.0, 10.0, 0.0]),  # rounding; 10 dB is screened, with most chunks read
+            ("Z8", 4, SHARD_SIZE, [18.0, 11.0, 0.0]),  # rounding; 11 dB is screened, with most chunks read
             ("E4", 4, 20000, [18.0, 8.0]),  # the 256-point table
             ("A2", 5, 4465, [18.0, 0.0]),  # the 25-point table; a partial last shard
             ("E8", 3, 2000, [19.0, 16.0, 10.0]),  # the radius query

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from latticesep import sep as sep_module
 from latticesep.streams import (
     SHARD_SIZE,
+    coarse_normals,
     derive_seed,
     normal_angles,
     normal_radii,
@@ -179,6 +181,39 @@ class TestNormalsFromRadii:
         across = (max(pairs - 5, 0), min(pairs + 4, count))
         for lo, hi in [(0, count), (0, pairs), (pairs, count), across, (count - 1, count), (pairs, pairs)]:
             assert np.array_equal(normals_from_angles(radius, angle, count, slice(lo, hi)), whole[lo:hi])
+
+
+class TestCoarseNormals:
+    def test_single_precision_trig_stays_within_its_bound(self):
+        # 2**22 random angles 2 pi u and the edges u = 0, 2**-53, 1 - 2**-53
+        # and the quarter turns, at the largest Box-Muller radius
+        # sqrt(-2 log 2**-53) ~ 8.57: every cosine and sine is within the
+        # documented 4.3e-6 of the double-precision one, and so within an
+        # eighth of the slack that the entry verdicts allow it.
+        edges = np.array([0.0, 2.0**-53, 1.0 - 2.0**-53, 0.25, 0.5, 0.75])
+        rng = np.random.default_rng(22)
+        worst = 0.0
+        for u in [edges, *(rng.random(1 << 20) for _ in range(4))]:
+            angle = u * (2.0 * np.pi)
+            radius = np.full(u.size, math.sqrt(-2.0 * math.log(2.0**-53)))
+            exact = normals_from_angles(radius, angle, 2 * u.size)
+            worst = max(worst, float(np.max(np.abs(coarse_normals(radius, angle, 2 * u.size) - exact))))
+        assert worst <= 4.3e-6
+        assert worst <= sep_module._COARSE_SLACK / 8
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (7, 3), (3391, 3)])
+    def test_entries_and_ranges_follow_the_block_layout(self, m, n):
+        # The same entries, slices and index sets, as normals_from_angles.
+        count = m * n
+        rng = stream(10, m, n)
+        radius = normal_radii(rng, count)
+        angle = normal_angles(rng, radius.size)
+        whole = coarse_normals(radius, angle, count)
+        assert whole.shape == (count,)
+        assert np.max(np.abs(whole - normals_from_angles(radius, angle, count))) <= 4.3e-6
+        entries = np.sort(np.random.default_rng(count).choice(count, (count + 1) // 2, replace=False))
+        assert np.array_equal(coarse_normals(radius, angle, count, entries), whole[entries])
+        assert np.array_equal(coarse_normals(radius, angle, count, slice(count // 2, count)), whole[count // 2 :])
 
 
 class TestSeek:
