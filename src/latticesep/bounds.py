@@ -217,9 +217,14 @@ def mslb(constellation: FiniteConstellation, grid: SnrGrid) -> Curve:
     ``C(N,k)(K-1)^k/K^N``; each cell is replaced by the volume-matched
     k-sphere (radius from ``W`` for k < N, from the unit cell for k = N):
     ``P = 1 - sum_k C(N,k)(K-1)^k/K^N * (1 - Q(k/2, R_k**2 rho/2))``.
-    Converges to the single-sphere bound as K grows.  ``W`` depends on the
-    chosen basis, so for skewed user bases the curve is not guaranteed to
-    lie below the true SEP.
+    Converges to the single-sphere bound as K grows.
+
+    Not guaranteed to be a lower bound when a Voronoi-relevant vector has
+    a basis coefficient beyond +-1, where Theorem 1's ``(K-1)^k`` count
+    is not exact: on E4 (up to 2), E8 (up to 7) and skewed user bases.  On
+    80 random unit-volume 2-3-D bases at K = 4, 6 and 12 dB, 2e4 trials
+    each, the curve lay above simulation + 4 sigma at 21 of 106 points
+    with such a coefficient and at none of the 54 without.
     """
     lat = constellation.lattice
     n = lat.dimension
@@ -230,7 +235,13 @@ def mslb(constellation: FiniteConstellation, grid: SnrGrid) -> Curve:
 def msub(constellation: FiniteConstellation, grid: SnrGrid) -> Curve:
     """Multiple-sphere upper bound: same decomposition with every sphere
     shrunk to the inscribed one, ``Q(k/2, d_min**2 rho / 8)`` per facet
-    dimension."""
+    dimension.
+
+    It weighs the cells by the same ``(K-1)^k`` count as :func:`mslb`.
+    Where that count fails (a Voronoi-relevant vector with a basis
+    coefficient beyond +-1), MSLB is not guaranteed to be a lower bound;
+    MSUB stayed above simulation at every point of the check cited there.
+    """
     lat = constellation.lattice
     radii = [inscribed_radius_sq(lat.d_min)] * lat.dimension
     return _multi_sphere(constellation, grid, radii, SepMethod.MSUB)

@@ -50,9 +50,10 @@ from .streams import (
     coarse_normals,
     derive_seed,
     normal_angles,
+    normal_radii,
     normals_from_angles,
     seek,
-    standard_normals,
+    standard_normals,  # not called here; bench/spans.py traces sep's stream functions by name
     stream,
     uniform_symbols,  # not called here; bench/spans.py traces sep's stream functions by name
     uniforms_to_radii,
@@ -145,26 +146,55 @@ def _cell_masses_mc(
     # Fraction of N(0, I/rho) samples inside the cell at each rho, with
     # standard error.  Shard s draws unit-variance samples z from
     # stream(seed, s) whatever rho is, and sigma z lies in the cell (ties
-    # inside) iff its gauge max_j (z . v_j) / (h_j + TIE_TOL) is at most
-    # sqrt(rho); so one sorted set of gauges serves every rho.  The products
-    # are taken vector-major (J, rows), a block of rows at a time, into one
-    # reused buffer (a fresh 2 MB block per product costs its page faults).
+    # inside) iff its gauge max_j (z . v_j) / b_j, b_j = h_j + TIE_TOL, is at
+    # most sqrt(rho); so one sorted set of gauges serves every rho.  The
+    # gauges are first taken as max_j z . w_j, w_j = v_j / b_j, from float32
+    # trig: within 4.3e-6 per entry (streams.coarse_normals), so within
+    # |w_j|_1 4.3e-6 of the exact gauge, plus rounding of relative size eps.
+    # A sample is formed again exactly, and gauged as (v @ z.T) / b, only in
+    # the `near`-wide cells at and beside a limit's, which hold every gauge
+    # within near = 2 _COARSE_SLACK max_j |w_j|_1, 28 times that bound, of a
+    # limit: every other one is on the same side of each limit as its exact
+    # gauge.  No gauge passes max_j |w_j|_1 sqrt(-2 log 2**-53), as no entry
+    # passes the largest Box-Muller radius, so no limit `near` beyond that
+    # needs a cell.
+    # The products are taken vector-major (J, rows), a block of rows at a
+    # time, into one reused buffer (a fresh 2 MB block per product costs its
+    # page faults).
     vectors, k = v.shape
     bounds = (half_norms + TIE_TOL)[:, None]
+    w = v / bounds
+    widest = float(np.max(np.sum(np.abs(w), axis=1)))
+    near = 2.0 * _COARSE_SLACK * widest
+    limits = np.sqrt(rhos)
+    top = min(float(np.max(limits)), widest * math.sqrt(106.0 * math.log(2.0)) + near)
+    cells = np.zeros(int(top / near) + 3, dtype=bool)  # the last, never marked, takes every gauge above
+    for shift in (-1, 0, 1):
+        cells[np.maximum((limits[limits <= top] / near).astype(np.intp) + shift, 0)] = True
     rows = max(1, _GAUGE_BLOCK // vectors)
     gauges = np.empty(trials)
     buffer = np.empty(min(rows, trials) * vectors)
+    cell = np.empty(min(SHARD_SIZE, trials), dtype=np.intp)
+    radius, angle = np.empty((2, (cell.size * k + 1) // 2))
     for start in range(0, trials, SHARD_SIZE):
         m = min(SHARD_SIZE, trials - start)
-        z = standard_normals(stream(seed, start // SHARD_SIZE), m * k).reshape(m, k)
+        rng = stream(seed, start // SHARD_SIZE)
+        r = normal_radii(rng, m * k, out=radius)
+        a = normal_angles(rng, r.size, out=angle)
+        z = coarse_normals(r, a, m * k).reshape(m, k)
+        shard = gauges[start : start + m]
         for i in range(0, m, rows):
             size = min(rows, m - i)
-            block = np.matmul(v, z[i : i + size].T, out=buffer[: vectors * size].reshape(vectors, size))
-            block /= bounds
-            np.max(block, axis=0, out=gauges[start + i : start + i + size])
+            block = np.matmul(w, z[i : i + size].T, out=buffer[: vectors * size].reshape(vectors, size))
+            np.max(block, axis=0, out=shard[i : i + size])
+        index = np.divide(shard, near, out=cell[:m], casting="unsafe")
+        redo = np.flatnonzero(cells[np.minimum(index, cells.size - 1, out=index)])
+        if redo.size:
+            z = normals_from_angles(r, a, m * k, (redo[:, None] * k + np.arange(k)).reshape(-1))
+            shard[redo] = np.max(v @ z.reshape(-1, k).T / bounds, axis=0)
     gauges.sort()
     masses = []
-    for inside in np.searchsorted(gauges, np.sqrt(rhos), side="right").tolist():
+    for inside in np.searchsorted(gauges, limits, side="right").tolist():
         mean = inside / trials
         masses.append((mean, math.sqrt(mean * (1.0 - mean) / trials)))
     return masses
@@ -220,7 +250,13 @@ def exact_sep_theorem1(
     ``1/sqrt(rho)``.  So the curve is non-increasing in SNR, and its
     points are correlated (they always were, since the streams have
     never depended on ``rho``); the cost is one sort per group, whatever
-    the grid size.
+    the grid size.  A sample lies in the cell at ``rho`` exactly when its
+    gauge ``max_j z . v_j / (h_j + TIE_TOL)`` is at most ``sqrt(rho)``.
+    The gauges are first taken from single-precision trig
+    (:func:`latticesep.streams.coarse_normals`), and only the samples
+    whose gauge lies within 28 times its error bound of some ``sqrt(rho)``
+    are formed again in double precision; so every mass is the one the
+    double-precision gauges give.
 
     Known bias: the ``(K-1)**k`` count is exact only when every relevant
     vector has basis coefficients ``|c_i| <= 1``, as on Z^N and A2 but not

@@ -186,7 +186,10 @@ def coarse_normals(radius: np.ndarray, angle: np.ndarray, count: int, entries=No
     ``2 pi 2**-24`` and the float32 trig is within ``2**-23``, so entry
     ``t`` is within ``r (2 pi 2**-24 + 2**-23) ~ 4.9e-7 r`` of its double-
     precision value: within ``4.3e-6``, as a Box-Muller radius is at most
-    ``sqrt(-2 log 2**-53) ~ 8.57``.  The trig costs a tenth.
+    ``sqrt(-2 log 2**-53) ~ 8.57``.  The trig costs a tenth.  The
+    simulator's rounding shards and the Monte Carlo cell masses of
+    :func:`latticesep.sep.exact_sep_theorem1` use it to decide most
+    entries or samples, and form exactly only those near a limit.
     """
     return _polar(radius, angle, count, entries, np.float32)
 

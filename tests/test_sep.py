@@ -6,6 +6,7 @@ with every Monte Carlo quantity pinned by a fixed seed so the assertions
 are deterministic.
 """
 
+import itertools
 import math
 import sys
 import threading
@@ -20,7 +21,7 @@ from latticesep.bounds import SnrGrid, mslb, msub
 from latticesep.constellation import FiniteConstellation
 from latticesep import cvp
 from latticesep.cvp import TIE_TOL, BatchDecoder, Decoder
-from latticesep.lattices import catalog_lattice, load_lattice
+from latticesep.lattices import catalog_lattice, load_lattice, sublattice_generator
 from latticesep.sep import (
     JSource,
     SepMethod,
@@ -86,6 +87,45 @@ class TestJIntegralZn:
             p1 = analytic_zn(1, 4, [db])[0].mean
             p3 = analytic_zn(3, 4, [db])[0].mean
             assert 1.0 - p3 == pytest.approx((1.0 - p1) ** 3, rel=1e-14)
+
+
+def _facet_groups(lattice):
+    # The half-spaces of each sublattice geometry that exact_sep_theorem1
+    # estimates once: one per bit-identical Gram matrix.
+    groups = {}
+    n = lattice.dimension
+    for k in range(1, n + 1):
+        for subset in itertools.combinations(range(1, n + 1), k):
+            generator = sublattice_generator(lattice, subset)
+            groups.setdefault((generator.T @ generator).tobytes(), generator)
+    return [sep_module._membership_halfspaces(generator) for generator in groups.values()]
+
+
+def _reference_masses(v, half_norms, rhos, trials, seed):
+    # The cell masses from double-precision gauges: every sample drawn by
+    # standard_normals, (v @ z.T) / (h + TIE_TOL) in blocks of
+    # _GAUGE_BLOCK // J rows, the max, then sort and searchsorted.
+    k = v.shape[1]
+    bounds = (half_norms + TIE_TOL)[:, None]
+    rows = max(1, sep_module._GAUGE_BLOCK // len(v))
+    gauges = []
+    for start in range(0, trials, SHARD_SIZE):
+        m = min(SHARD_SIZE, trials - start)
+        z = standard_normals(stream(seed, start // SHARD_SIZE), m * k).reshape(m, k)
+        gauges += [np.max((v @ z[i : i + rows].T) / bounds, axis=0) for i in range(0, m, rows)]
+    inside = np.searchsorted(np.sort(np.concatenate(gauges)), np.sqrt(rhos), side="right")
+    return [(c / trials, math.sqrt(c / trials * (1.0 - c / trials) / trials)) for c in inside.tolist()]
+
+
+def _inject_normals(monkeypatch, samples):
+    # _cell_masses_mc reads `samples` as its double-precision normals, and
+    # 4e-6 off as its single-precision ones.
+    for name, off in (("coarse_normals", 4e-6), ("normals_from_angles", 0.0)):
+
+        def injected(radius, angle, count, entries=None, z=np.array(samples) + off):
+            return z.copy() if entries is None else z[entries]
+
+        monkeypatch.setattr(sep_module, name, injected)
 
 
 class TestJIntegralMc:
@@ -156,14 +196,25 @@ class TestJIntegralMc:
     def test_boundary_ties_count_inside(self, monkeypatch):
         # Z1's cell is [-1/2, 1/2]: test vectors +-1 with h = 1/2.  At
         # sigma = 1 a sample within TIE_TOL beyond the face is still inside.
+        # Every gauge is near the limit 1, so the exact normal decides.
         vt, half_norms = sep_module._membership_halfspaces(np.eye(1))
         assert np.array_equal(half_norms, [0.5, 0.5])
         cases = [([0.5], 1.0), ([-0.5], 1.0), ([0.5 + 0.5e-12], 1.0), ([0.5 + 2e-12], 0.0),
                  ([-0.5 - 2e-12], 0.0)]
         for samples, expected in cases:
-            monkeypatch.setattr(sep_module, "standard_normals", lambda rng, count, z=samples: np.array(z))
+            _inject_normals(monkeypatch, samples)
             mass, _ = sep_module._cell_masses_mc(vt, half_norms, np.array([1.0]), 1, seed=0)[0]
             assert mass == expected, samples
+
+    def test_a_gauge_on_its_limit_counts_inside(self, monkeypatch):
+        # On 1.3 Z the gauge 1.3 z / b, b = 1.3**2 / 2 + TIE_TOL, of this
+        # sample is sqrt(rho), so it is inside; from the folded vector
+        # 1.3 / b its gauge is one ulp above.
+        v, half_norms = sep_module._membership_halfspaces(np.array([[1.3]]))
+        z, limit, b = 0.46933057958903024, 0.7220470455207304, half_norms[0] + TIE_TOL
+        assert (1.3 / b) * z > limit == 1.3 * z / b
+        _inject_normals(monkeypatch, [z])
+        assert sep_module._cell_masses_mc(v, half_norms, np.array([limit**2]), 1, seed=0)[0][0] == 1.0
 
     @pytest.mark.parametrize("name", ["E4", "A2"])
     def test_short_blocks_keep_the_masses(self, monkeypatch, name):
@@ -174,6 +225,47 @@ class TestJIntegralMc:
         masses = sep_module._cell_masses_mc(v, half_norms, rhos, trials, seed=4)
         monkeypatch.setattr(sep_module, "_GAUGE_BLOCK", 1000 * len(v))
         assert sep_module._cell_masses_mc(v, half_norms, rhos, trials, seed=4) == masses
+
+    @pytest.mark.parametrize(
+        "lattice,trials",
+        [
+            (catalog_lattice("E4"), SHARD_SIZE + 10007),
+            (catalog_lattice("A2"), SHARD_SIZE + 10007),
+            (load_lattice([[1.0, 0.6, -0.3], [0.2, 1.1, 0.7], [-0.4, 0.3, 0.9]]), SHARD_SIZE + 10007),
+            (catalog_lattice("E8"), 10**4),
+        ],
+        ids=["E4", "A2", "skewed-3", "E8"],
+    )
+    def test_masses_match_the_double_precision_gauges(self, lattice, trials):
+        # Every facet group, on a 0.05 dB grid from 0 to 30 dB and at -30
+        # and 300 dB (a limit far beyond every gauge).
+        db = np.concatenate([[-30.0], np.arange(0.0, 30.001, 0.05), [300.0]])
+        rhos = 10.0 ** (db / 10.0)
+        for seed, (v, half_norms) in enumerate(_facet_groups(lattice)):
+            masses = sep_module._cell_masses_mc(v, half_norms, rhos, trials, seed)
+            assert masses == _reference_masses(v, half_norms, rhos, trials, seed), seed
+
+    def test_a_wide_coarse_slack_keeps_every_mass(self, monkeypatch):
+        # Widened from 2**-14 to 0.01, the slack sends many more samples to
+        # the exact gauges, and every mass stays.
+        rhos = 10.0 ** (np.arange(0.0, 21.0, 1.0) / 10.0)
+        groups = _facet_groups(catalog_lattice("E4")) + _facet_groups(catalog_lattice("A2"))
+        exact = []
+
+        def counting(radius, angle, count, entries):
+            exact.append(entries.size)
+            return normals_from_angles(radius, angle, count, entries)
+
+        monkeypatch.setattr(sep_module, "normals_from_angles", counting)
+        formed, masses, narrow = {}, {}, sep_module._COARSE_SLACK
+        for slack in (narrow, 0.01):
+            monkeypatch.setattr(sep_module, "_COARSE_SLACK", slack)
+            exact.clear()
+            masses[slack] = [sep_module._cell_masses_mc(v, h, rhos, 20000, seed) for seed, (v, h) in
+                             enumerate(groups)]
+            formed[slack] = sum(exact)
+        assert masses[0.01] == masses[narrow]
+        assert formed[0.01] > 20 * formed[narrow] > 0, formed
 
     def test_validation(self):
         with pytest.raises(ValueError):
