@@ -46,9 +46,10 @@ from .bounds import (
 )
 from .constellation import FiniteConstellation, facet_count, points_per_facet
 from .cvp import BatchDecoder, Decoder, shortest_vector_norm
-from .exceptions import LatticeSepError
+from .exceptions import LatticeSepError, check_integer
 from .lattices import Lattice, catalog_lattice, catalog_names, is_integer_orthonormal, read_lattice_file
 from .sep import (
+    _RELIABLE_ERRORS,
     JSource,
     SimPlan,
     _certificate,
@@ -346,7 +347,7 @@ def _print_summary(config, results) -> None:
         estimates = results["SEP_SIM"]
         unreliable = sum(1 for est in estimates if not est.reliable)
         if unreliable:
-            print(f"  SEP_SIM: {unreliable} grid point(s) with < 20 errors (no CI claim)")
+            print(f"  SEP_SIM: {unreliable} grid point(s) with < {_RELIABLE_ERRORS} errors (no CI claim)")
         for bound_name, is_lower in (("MSLB", True), ("MSUB", False)):
             if bound_name not in results:
                 continue
@@ -365,8 +366,10 @@ def cmd_run(args) -> int:
     flags = {name: getattr(args, name) for name in ("seed", "max_trials", "target_errors")}
     config = replace(config, **{name: value for name, value in flags.items() if value is not None})
 
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be a positive integer, got {args.threads}")
+    try:
+        check_integer("--threads", args.threads, 1)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     lattice = _resolve_lattice(config.lattice)
     try:

@@ -3,9 +3,10 @@
 The regularized upper incomplete gamma function Q(a, x) is the chi-square tail
 that all sphere bounds reduce to; the Gaussian tail Q(t) drives the
 one-dimensional decision-distance terms.  Both are kept deliberately
-dependency-free: the gamma function is evaluated by the classic split between
-the lower series and the upper continued fraction, and the Gaussian tail is an
-exact rewrite of ``erfc``.
+dependency-free.  The bounds need Q(a, x) only at half-integer orders
+``a = k/2`` (k a facet dimension), so it is served there alone: by the lower
+series below ``x = a + 1`` and by the finite sum that Q takes at those orders
+above it.  The Gaussian tail is an exact rewrite of ``erfc``.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import math
 
 from .exceptions import ConvergenceError, InternalCheckError
 
-# Iteration control for the incomplete gamma evaluation.  The series and the
-# continued fraction both converge well inside this budget over the supported
-# domain (a in [0.5, 64], x in [0, 1e4]).
+# Iteration control for the lower series of the incomplete gamma function.  It
+# converges well inside this budget over the supported domain (a in [0.5, 64],
+# x in [0, 1e4]).
 _GAMMA_TOL = 1e-14
 _GAMMA_MAX_ITER = 500
 
@@ -61,16 +62,20 @@ def regularized_gamma_upper(a: float, x: float) -> float:
     ``a = k/2`` and ``x = r**2 * rho / 2`` it is the probability that a
     k-dimensional standard Gaussian lands outside the sphere of radius r.
 
-    Uses the standard split: the lower series for ``x < a + 1`` and the
-    Lentz-form continued fraction otherwise.  Both iterate to a relative
-    tolerance of 1e-14 and raise :class:`ConvergenceError` after 500 terms
-    (which does not happen on the supported domain a in [0.5, 64],
-    x in [0, 1e4]).
+    Only half-integer orders are served, which is all the chi-square tails of
+    the sphere bounds need.  Below ``x = a + 1``, ``1 - P(a, x)`` comes from
+    the lower series, iterated to a relative tolerance of 1e-14 (it raises
+    :class:`ConvergenceError` after 500 terms, which does not happen on the
+    supported domain a in [0.5, 64], x in [0, 1e4]).  Above it Q is the
+    finite sum ``Q(m, x) = e**-x * sum_{j<m} x**j / j!`` for integer ``a = m``
+    and ``Q(m + 1/2, x) = erfc(sqrt(x)) + e**-x * sum_{j<m} x**(j + 1/2) /
+    Gamma(j + 3/2)``.  The series is kept below the seam because the finite
+    sum alone loses monotonicity by a few ulps where ``1 - Q`` is tiny.
 
     Parameters
     ----------
     a : float
-        Shape parameter, finite and > 0.
+        Order, a positive multiple of 1/2.
     x : float
         Evaluation point, finite and >= 0.
 
@@ -81,8 +86,8 @@ def regularized_gamma_upper(a: float, x: float) -> float:
     """
     a = float(a)
     x = float(x)
-    if not math.isfinite(a) or a <= 0.0:
-        raise ValueError(f"regularized_gamma_upper requires finite a > 0, got a={a!r}")
+    if not (a > 0.0 and (2.0 * a).is_integer()):
+        raise ValueError(f"regularized_gamma_upper requires a positive multiple of 1/2, got a={a!r}")
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"regularized_gamma_upper requires finite x >= 0, got x={x!r}")
     if x == 0.0:
@@ -90,17 +95,8 @@ def regularized_gamma_upper(a: float, x: float) -> float:
     if x < a + 1.0:
         q = 1.0 - _gamma_lower_series(a, x)
     else:
-        q = _gamma_upper_continued_fraction(a, x)
+        q = _gamma_upper_finite_sum(a, x)
     return clamp_probability(q)
-
-
-def _gamma_prefactor(a: float, x: float) -> float:
-    # x**a * exp(-x) / Gamma(a), computed in log space; underflows to 0
-    # gracefully for x far in the tail.
-    log_pref = a * math.log(x) - x - math.lgamma(a)
-    if log_pref < -745.0:  # below exp() underflow of float64
-        return 0.0
-    return math.exp(log_pref)
 
 
 def _gamma_lower_series(a: float, x: float) -> float:
@@ -113,29 +109,20 @@ def _gamma_lower_series(a: float, x: float) -> float:
         term *= x / ap
         total += term
         if abs(term) < abs(total) * _GAMMA_TOL:
-            return total * _gamma_prefactor(a, x)
+            # x**a * exp(-x) / Gamma(a) in log space; exp() underflows to
+            # at most a subnormal far in the tail, where 1 - P rounds to 1.
+            return total * math.exp(a * math.log(x) - x - math.lgamma(a))
     raise ConvergenceError(f"gamma lower series did not converge for a={a}, x={x}")
 
 
-def _gamma_upper_continued_fraction(a: float, x: float) -> float:
-    # Q(a, x) by the continued fraction in modified Lentz form, for x >= a + 1.
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_TOL:
-            return h * _gamma_prefactor(a, x)
-    raise ConvergenceError(f"gamma continued fraction did not converge for a={a}, x={x}")
+def _gamma_upper_finite_sum(a: float, x: float) -> float:
+    # Q(a, x) for half-integer a: erfc(sqrt(x)) (odd 2a only) plus the terms
+    # x**s * exp(-x) / Gamma(s + 1), s = j or j + 1/2 for j < floor(a), added
+    # smallest first (x >= a + 1 makes them rise with j).
+    half = a % 1.0
+    q = math.erfc(math.sqrt(x)) if half else 0.0
+    log_x = math.log(x)
+    for j in range(int(a)):
+        s = j + half
+        q += math.exp(s * log_x - x - math.lgamma(s + 1.0))
+    return q

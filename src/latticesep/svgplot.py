@@ -8,9 +8,9 @@ result displays, so there is no styling surface beyond a fixed palette.
 
 from __future__ import annotations
 
+import html
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -99,7 +99,7 @@ def render_svg(series: list[CurveSeries], title: str = "") -> str:
     if title:
         parts.append(
             f'<text x="{_WIDTH / 2:g}" y="20" text-anchor="middle" font-size="14">'
-            f"{escape(title)}</text>"
+            f"{html.escape(title, quote=False)}</text>"
         )
 
     # Decade gridlines and y tick labels (thinned when the range is deep).
@@ -135,11 +135,12 @@ def render_svg(series: list[CurveSeries], title: str = "") -> str:
     )
     parts.append(
         f'<text x="{_MARGIN_LEFT + plot_w / 2:g}" y="{_HEIGHT - 14:g}" text-anchor="middle">'
-        f"{escape(_X_LABEL)}</text>"
+        f"{html.escape(_X_LABEL, quote=False)}</text>"
     )
     parts.append(
         f'<text x="16" y="{_MARGIN_TOP + plot_h / 2:g}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_MARGIN_TOP + plot_h / 2:g})">{escape(_Y_LABEL)}</text>'
+        f'transform="rotate(-90 16 {_MARGIN_TOP + plot_h / 2:g})">'
+        f"{html.escape(_Y_LABEL, quote=False)}</text>"
     )
 
     # Curves, split into segments at dropped points.
@@ -179,7 +180,7 @@ def render_svg(series: list[CurveSeries], title: str = "") -> str:
             f'<line x1="{legend_x:g}" y1="{yy:g}" x2="{legend_x + 22:g}" y2="{yy:g}" '
             f'stroke="{color}" stroke-width="1.6"/>'
         )
-        parts.append(f'<text x="{legend_x + 28:g}" y="{yy + 4:g}">{escape(label)}</text>')
+        parts.append(f'<text x="{legend_x + 28:g}" y="{yy + 4:g}">{html.escape(label, quote=False)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

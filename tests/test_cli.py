@@ -472,3 +472,28 @@ class TestUsageErrors:
                 snr_step=1.0,
                 curves=("NOT_A_CURVE",),
             )
+
+
+class TestStartup:
+    def test_import_loads_no_network_or_xml_modules(self):
+        # Every ``latticesep`` start imports the CLI; the SVG escape once
+        # pulled in urllib.request, http.client and the email package.
+        # urllib.parse stays: pathlib imports it.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, latticesep.cli; print(*sorted(sys.modules))"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = result.stdout.split()
+        assert "latticesep.cli" in loaded
+        banned = [
+            name
+            for name in loaded
+            if name == "urllib.request" or name.partition(".")[0] in ("http", "email", "xml")
+        ]
+        assert banned == []

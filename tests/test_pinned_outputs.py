@@ -36,7 +36,7 @@ BOUND_DIGESTS = {
         "mslb": "19e6987f38cb10a4da1845862800b8646b5aed0a9133d797b86464b8994b923e",
         "msub": "1daed4fd8f9f6591f4023d0218f394c69dd0b9906ae0422483cc91f740fd2100",
         "slb": "a16de18df9936253e1aa9c0119efa8735eb7e759164e1abfa321458989bd905b",
-        "sub": "e8660b7242aac98648afdab478564a9d9e7fc4d03860d16d7559d24770b1a50f",
+        "sub": "56fd7885502b39f7e44a857debf04927dab77dfb0772f63871e59ed1d4fa739a",
     },
     ("A2", 3): {
         "mslb": "c34858be2942b32b508b849608f15ed0985eeb3566a56e6e698881909ae9384b",

@@ -28,6 +28,11 @@ class TestRegularizedGammaUpper:
         for x in (0.0, 0.3, 1.25, 1.5915494309189535, 5.0, 40.0, 700.0):
             assert regularized_gamma_upper(1.0, x) == pytest.approx(math.exp(-x), rel=1e-12)
 
+    def test_exponential_identity_is_exact_above_the_seam(self):
+        # For x >= a + 1 = 2 the finite sum is the single term exp(-x).
+        for x in (2.0, 5.0, 40.0, 44.351673654196915, 700.0, 800.0):
+            assert regularized_gamma_upper(1.0, x) == math.exp(-x)
+
     def test_erfc_identity(self):
         # Q(1/2, x) = erfc(sqrt(x)) exactly.
         for x in (0.0, 0.01, 0.5, 1.25, 4.0, 12.5, 100.0):
@@ -58,8 +63,17 @@ class TestRegularizedGammaUpper:
             qs = [regularized_gamma_upper(a, float(x)) for x in xs]
             assert all(q1 >= q2 for q1, q2 in zip(qs, qs[1:]))
 
+    def test_monotone_on_dense_grids(self):
+        # Every facet dimension k <= 16, across the seam x = a + 1 between
+        # the lower series and the finite sum, and deep into both tails.
+        grids = (np.linspace(0.0, 80.0, 8001), np.geomspace(1e-8, 800.0, 8001))
+        for k in range(1, 17):
+            for grid in grids:
+                qs = [regularized_gamma_upper(k / 2.0, float(x)) for x in grid]
+                assert all(q1 >= q2 for q1, q2 in zip(qs, qs[1:])), k
+
     @given(
-        a=st.floats(0.5, 64.0, allow_nan=False),
+        a=st.integers(1, 128).map(lambda k: k / 2.0),
         x=st.floats(0.0, 1e4, allow_nan=False),
     )
     @settings(max_examples=200, deadline=None)
@@ -76,8 +90,9 @@ class TestRegularizedGammaUpper:
             regularized_gamma_upper(-1.0, 1.0)
         with pytest.raises(ValueError):
             regularized_gamma_upper(1.0, -0.5)
-        with pytest.raises(ValueError):
-            regularized_gamma_upper(float("nan"), 1.0)
+        for a in (1.25, 2.3, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                regularized_gamma_upper(a, 1.0)
         with pytest.raises(ValueError):
             regularized_gamma_upper(1.0, float("inf"))
 
