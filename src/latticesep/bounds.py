@@ -76,10 +76,6 @@ class SnrGrid:
     def from_db_values(cls, values) -> "SnrGrid":
         return cls(db=values)
 
-    @classmethod
-    def default(cls) -> "SnrGrid":
-        return cls.from_db(0.0, 30.0, 0.25)
-
 
 class SepMethod(enum.Enum):
     """How the points of a curve were obtained.

@@ -162,7 +162,8 @@ def load_lattice(matrix, name: str = "user", normalize: bool = True) -> Lattice:
     matrix : array_like, shape (N, N)
         Basis vectors as columns.
     name : str
-        Label carried through results and CSV output.
+        Label carried through results and CSV output, so it may hold no
+        comma, double quote, CR or LF (``ValueError``).
     normalize : bool
         Scale by ``|det|**(-1/N)`` to unit fundamental volume.  With
         ``normalize=False`` the matrix must already have ``|det| == 1``
@@ -172,6 +173,8 @@ def load_lattice(matrix, name: str = "user", normalize: bool = True) -> Lattice:
     ``d_min`` is found by complete shortest-vector enumeration, so user
     lattices are limited to N <= 12 (:class:`BudgetError` above).
     """
+    if any(c in name for c in ',"\r\n'):
+        raise ValueError(f"name must hold no comma, double quote, CR or LF, got {name!r}")
     m = np.array(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"generator must be square, got shape {m.shape}")
@@ -264,8 +267,10 @@ def write_lattice_file(lattice: Lattice, path) -> None:
 def read_lattice_file(path) -> Lattice:
     """Read a UTF-8 lattice JSON file written by :func:`write_lattice_file`.
 
-    The ``normalize`` field applies :func:`load_lattice` semantics: files
-    carrying ``normalize: true`` are rescaled to unit volume on load.
+    ``dimension`` must be a JSON integer and the optional ``normalize`` a
+    JSON boolean (``false`` when absent); it applies :func:`load_lattice`
+    semantics: files carrying ``normalize: true`` are rescaled to unit
+    volume on load.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -277,18 +282,18 @@ def read_lattice_file(path) -> Lattice:
     for field in ("name", "dimension", "generator"):
         if field not in payload:
             raise ValueError(f"{path}: missing required field {field!r}")
+    dimension, normalize = payload["dimension"], payload.get("normalize", False)
+    if type(dimension) is not int:
+        raise ValueError(f"{path}: dimension must be an integer, got {dimension!r}")
+    if not isinstance(normalize, bool):
+        raise ValueError(f"{path}: normalize must be true or false, got {normalize!r}")
     try:
         matrix = np.array(payload["generator"], dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"{path}: generator must be a list of rows of numbers") from None
-    if matrix.ndim != 2 or matrix.shape != (payload["dimension"], payload["dimension"]):
-        raise ValueError(
-            f"{path}: generator shape {matrix.shape} does not match dimension "
-            f"{payload['dimension']}"
-        )
-    return load_lattice(
-        matrix, name=str(payload["name"]), normalize=bool(payload.get("normalize", False))
-    )
+    if matrix.ndim != 2 or matrix.shape != (dimension, dimension):
+        raise ValueError(f"{path}: generator shape {matrix.shape} does not match dimension {dimension}")
+    return load_lattice(matrix, name=str(payload["name"]), normalize=normalize)
 
 
 def is_integer_orthonormal(lattice: Lattice) -> bool:

@@ -472,12 +472,28 @@ def _open_rows(uniforms: np.ndarray, m: int, n: int, bound: float) -> np.ndarray
     return np.concatenate(found)
 
 
-def _sides(rule: _Rounding, z: np.ndarray, coordinate) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    # For unit normals z of `coordinate` (an index array, or slice(None) for
-    # whole rows): the mask of those past their outer limit, whether each
-    # points up (sign_i z > 0), and the mask of those in the band between
-    # the two limits, or None when there is none.
+def _sides(
+    rule: _Rounding, radius, angle, count: int, entries, coordinate
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    # For the unit normals of `entries` of a block (a slice of whole rows,
+    # taken as (rows, n) with `coordinate` slice(None), or ascending indices
+    # of coordinates `coordinate`): the mask of those past their outer
+    # limit, whether each points up (sign_i z > 0), and the mask of those in
+    # the band between the two limits, or None when there is none.  The
+    # normals come from float32 trig, within 4.3e-6 of their exact values
+    # (streams.coarse_normals), and are redone exactly within _COARSE_SLACK
+    # = 2**-14, 14 times that, of a limit: so every verdict is that of the
+    # exact normal.
+    rows = isinstance(entries, slice)
+    z = coarse_normals(radius, angle, count, entries).reshape((-1, rule.inner.size) if rows else -1)
     size = np.abs(z)
+    off = size - rule.centre[coordinate]
+    np.abs(off, out=off)
+    patch = np.flatnonzero(off <= rule.width[coordinate])
+    if patch.size:
+        exact = normals_from_angles(radius, angle, count, patch + entries.start if rows else entries[patch])
+        z.reshape(-1)[patch] = exact
+        size.reshape(-1)[patch] = np.abs(exact)
     beyond = size > rule.outer[coordinate]
     reach = size >= rule.inner[coordinate]
     band = reach & ~beyond if np.count_nonzero(reach) > np.count_nonzero(beyond) else None
@@ -485,25 +501,6 @@ def _sides(rule: _Rounding, z: np.ndarray, coordinate) -> tuple[np.ndarray, np.n
     if rule.flipped.any():
         up ^= rule.flipped[coordinate]
     return beyond, up, band
-
-
-def _rounding_normals(rule: _Rounding, radius, angle, count: int, entries, coordinate) -> np.ndarray:
-    # The normals of `entries` of a block, for _sides: a slice of whole rows,
-    # returned as (rows, n), with `coordinate` slice(None), or ascending
-    # indices of coordinates `coordinate`.  From float32 trig, within 4.3e-6
-    # of their exact values (streams.coarse_normals), and exact within
-    # _COARSE_SLACK = 2**-14, 14 times that, of a limit: so every other one
-    # is on the same side of both limits as its exact value, with its sign.
-    rows = isinstance(entries, slice)
-    z = coarse_normals(radius, angle, count, entries).reshape((-1, rule.inner.size) if rows else -1)
-    off = np.abs(z)
-    off -= rule.centre[coordinate]
-    np.abs(off, out=off)
-    patch = np.flatnonzero(off <= rule.width[coordinate])
-    if patch.size:
-        exact = patch + entries.start if rows else entries[patch]
-        z.reshape(-1)[patch] = normals_from_angles(radius, angle, count, exact)
-    return z
 
 
 def _moved(up: np.ndarray, scaled: np.ndarray, big_k: int) -> np.ndarray:
@@ -582,21 +579,16 @@ def _errors(
     return wrong
 
 
-def _chunk_runs(size: int, words: np.ndarray) -> list[tuple[int, int]]:
-    # Word ranges [a, b) of the runs of consecutive _SEEK_CHUNK-word chunks
-    # of a size-word region that hold any of `words`, in ascending order.
-    marks = np.zeros(-(-size // _SEEK_CHUNK) + 2, dtype=bool)  # one False each side
-    marks[1 + words // _SEEK_CHUNK] = True
-    edges = np.flatnonzero(marks[1:] != marks[:-1]) * _SEEK_CHUNK
-    return [(a, min(b, size)) for a, b in zip(edges[::2].tolist(), edges[1::2].tolist())]
-
-
 def _read_chunks(rng, origin: dict, start: int, out: np.ndarray, draw, words: np.ndarray) -> None:
     # Reads into `out`, the region of a shard's layout that begins at word
-    # `start`, the chunks of it that hold any of `words`, one seek per run
-    # of chunks; draw(rng, size, out) reads `size` words into `out`.  Every
+    # `start`, the _SEEK_CHUNK-word chunks of it that hold any of `words`,
+    # one seek per run [a, b) of consecutive such chunks, in ascending
+    # order; draw(rng, size, out) reads `size` words into `out`.  Every
     # other word of `out` is left as it was.
-    for a, b in _chunk_runs(out.size, words):
+    marks = np.zeros(-(-out.size // _SEEK_CHUNK) + 2, dtype=bool)  # one False each side
+    marks[1 + words // _SEEK_CHUNK] = True
+    edges = np.flatnonzero(marks[1:] != marks[:-1]) * _SEEK_CHUNK
+    for a, b in zip(edges[::2].tolist(), np.minimum(edges[1::2], out.size).tolist()):
         seek(rng, origin, start + a)
         draw(rng, b - a, out[a:b])
 
@@ -721,8 +713,7 @@ def _entry_errors(
         read_all()
         for lo in range(0, m, _ROW_BLOCK):
             hi = min(lo + _ROW_BLOCK, m)
-            z = _rounding_normals(rule, radius, angle, count, slice(lo * n, hi * n), slice(None))
-            beyond, up, band = _sides(rule, z, slice(None))
+            beyond, up, band = _sides(rule, radius, angle, count, slice(lo * n, hi * n), slice(None))
             hit = _moved(up, uniforms[lo * n : hi * n].reshape(-1, n) * big_k, big_k)
             hit &= beyond
             wrong[lo:hi] = _any_column(hit[:, i] for i in range(n))
@@ -742,8 +733,7 @@ def _entry_errors(
             pair[int(np.searchsorted(pick, open_pairs.size)) :] -= pairs
             _read_chunks(rng, origin, count + pairs, angle, normal_angles, pair)
             # The open pairs' radii and angles: a block whose entries `pick` are `entry`.
-            z = _rounding_normals(rule, r, angle[open_pairs], size, pick, coordinate)
-            beyond, up, band = _sides(rule, z, coordinate)
+            beyond, up, band = _sides(rule, r, angle[open_pairs], size, pick, coordinate)
             beyond = np.flatnonzero(beyond)
             moving = entry[beyond]
             _read_chunks(rng, origin, 0, uniforms, _draw_uniforms, moving)

@@ -82,7 +82,10 @@ def regularized_gamma_upper(a: float, x: float) -> float:
     Returns
     -------
     float
-        Q(a, x) in [0, 1]; monotone decreasing in x with Q(a, 0) = 1.
+        Q(a, x) in [0, 1] with Q(a, 0) = 1; monotone decreasing in x for
+        ``a = k/2`` with k <= 16, every order the package calls (checked on
+        dense grids of [0, 800]).  Higher orders may rise by about 1e-14
+        relative just below the seam (a = 62 and 63).
     """
     a = float(a)
     x = float(x)

@@ -46,7 +46,7 @@ class TestSnrGrid:
         assert grid.rho[-1] == pytest.approx(1000.0, rel=1e-12)
 
     def test_default(self):
-        assert len(SnrGrid.default()) == 121
+        assert len(SnrGrid.from_db(0.0, 30.0, 0.25)) == 121
 
     def test_validation(self):
         with pytest.raises(ValueError):

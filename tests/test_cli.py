@@ -364,17 +364,24 @@ class TestRunCommand:
             5,
             {"name": "x", "dimension": 2, "generator": {"a": 1}},
             {"name": "x", "dimension": 2, "generator": [[1, 0], [0, 0]]},
+            {"name": 'my,lat"x', "dimension": 2, "generator": [[1.0, 0.0], [0.0, 1.0]]},
+            {"name": "x", "dimension": 2, "generator": [[4.0, 0.0], [0.0, 1.0]], "normalize": "false"},
+            {"name": "x", "dimension": True, "generator": [[1.0]]},
         ],
     )
     def test_malformed_lattice_file_exits_2(self, tmp_path, capsys, payload):
         # The message names the file once, whether the file reader or the
-        # generator check refuses it.
+        # generator check refuses it, and nothing is written: a name that
+        # would break the CSV rows, or a field of the wrong JSON type, is
+        # refused as well.
         lattice_path = tmp_path / "malformed.json"
         lattice_path.write_text(json.dumps(payload))
         config_path = tmp_path / "experiment.json"
         config_path.write_text(json.dumps(make_config_data(lattice=str(lattice_path))))
-        assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+        out_dir = tmp_path / "results"
+        assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 2
         assert capsys.readouterr().err.count(str(lattice_path)) == 1
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("field", ["seed", "max_trials", "target_errors", "trials_per_j"])
     def test_non_integer_budget_names_the_config_once(self, tmp_path, capsys, field):

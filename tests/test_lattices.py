@@ -165,6 +165,12 @@ class TestLoadLattice:
         with pytest.raises(ValueError):
             load_lattice(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("name", ['my,lat"x', "a,b", 'say "x"', "cr\rname", "lf\nname"])
+    def test_name_that_breaks_a_csv_row_rejected(self, name):
+        # The name is written raw into the CSV rows' lattice field.
+        with pytest.raises(ValueError, match="name"):
+            load_lattice(np.eye(2), name=name)
+
 
 class TestSublatticeGenerator:
     def test_zn_subset_is_identity(self):
@@ -268,6 +274,12 @@ class TestLatticeFiles:
         [
             (5, "top level must be an object"),
             ({"name": "x", "dimension": 2, "generator": {"a": 1}}, "generator must be a list of rows"),
+            # normalize takes only a JSON boolean and dimension only an
+            # integer: "false" would otherwise rescale, and true read as 1.
+            ({"name": "x", "dimension": 2, "generator": [[4.0, 0.0], [0.0, 1.0]], "normalize": "false"}, "normalize must be"),
+            ({"name": "x", "dimension": 2, "generator": [[4.0, 0.0], [0.0, 1.0]], "normalize": 1}, "normalize must be"),
+            ({"name": "x", "dimension": True, "generator": [[1.0]]}, "dimension must be an integer"),
+            ({"name": "x", "dimension": 2.0, "generator": [[1.0, 0.0], [0.0, 1.0]]}, "dimension must be an integer"),
         ],
     )
     def test_malformed_payload_is_a_value_error(self, tmp_path, payload, message):

@@ -54,7 +54,7 @@ def _digest(rows):
 @pytest.mark.parametrize("name, big_k", list(BOUND_DIGESTS))
 def test_bound_csv_bytes(name, big_k):
     c = FiniteConstellation(catalog_lattice(name), big_k)
-    grid = SnrGrid.default()
+    grid = SnrGrid.from_db(0.0, 30.0, 0.25)
     curves = {
         "mslb": mslb(c, grid),
         "msub": msub(c, grid),
@@ -69,7 +69,7 @@ def test_bound_csv_bytes(name, big_k):
 
 def test_exact_analytic_csv_bytes():
     c = FiniteConstellation(catalog_lattice("Z3"), 4)
-    estimates = exact_sep_theorem1(c, SnrGrid.default(), JSource.ANALYTIC_ZN)
+    estimates = exact_sep_theorem1(c, SnrGrid.from_db(0.0, 30.0, 0.25), JSource.ANALYTIC_ZN)
     assert _digest(sep_csv_rows(estimates, "Z3", 4, None)) == (
         "b092d4917fe2ca3837efe7a412e8563a3edf84d617074b7d44cc3f9f0a75682c"
     )

@@ -34,6 +34,7 @@ from latticesep.sep import (
 from latticesep.special import q_function, regularized_gamma_upper
 from latticesep.streams import (
     SHARD_SIZE,
+    coarse_normals,
     normal_angles,
     normal_radii,
     normals_from_angles,
@@ -389,7 +390,7 @@ class TestSimPlan:
         z2 = catalog_lattice("Z2")
         plan = SimPlan(
             constellation=FiniteConstellation(lattice=z2, K=4),
-            grid=SnrGrid.default(),
+            grid=SnrGrid.from_db(0.0, 30.0, 0.25),
             seed=0,
         )
         assert plan.max_trials == 10**7
@@ -398,7 +399,7 @@ class TestSimPlan:
     def test_validation(self):
         z2 = catalog_lattice("Z2")
         c = FiniteConstellation(lattice=z2, K=4)
-        grid = SnrGrid.default()
+        grid = SnrGrid.from_db(0.0, 30.0, 0.25)
         with pytest.raises(ValueError):
             SimPlan(constellation=c, grid=grid, seed=0, max_trials=9_999)
         with pytest.raises(ValueError):
@@ -1064,14 +1065,47 @@ class TestEntryVerdicts:
                 noise[:, i] = z * (1.0 / math.sqrt(rho))  # as the simulator forms it
                 decoded = decoder.decode(u @ g.T + noise)
                 full = np.any(decoded != u, axis=1)
+                # z as the radius |z| at angle 0 or pi, where cos is exactly
+                # +-1 in float32 and float64 alike, so the step sees z itself.
+                radius, angle = np.abs(z), np.where(np.signbit(z), math.pi, 0.0)
                 coordinate = np.full(z.size, i)
-                beyond, up, band = sep_module._sides(rule, z, coordinate)
+                beyond, up, band = sep_module._sides(rule, radius, angle, z.size, np.arange(z.size), coordinate)
                 moved = sep_module._moved(up, np.full(z.size, uniform) * big_k, big_k)
                 band = np.zeros(z.size, dtype=bool) if band is None else band
                 tie = np.tile(np.abs(scales - 1.0) < 1e-12, 2)
                 assert np.all(band[tie]), (i, uniform)
                 decided = ~band
                 assert np.array_equal((beyond & moved)[decided], full[decided]), (i, uniform)
+
+    def test_single_precision_verdicts_match_the_exact_normals(self):
+        # A random 2048 x 8 block on Z8, every third cosine entry placed
+        # between 1e-10 and 1e-6 relative off one of its limits, where a
+        # float32 normal may fall on the other side, or in the band: the
+        # verdicts of the whole rows and of a random subset of entries equal
+        # those of the exact normals.
+        n, m, big_k = 8, 2048, 4
+        count, pairs = m * n, m * n // 2
+        rule = sep_module._screen(np.eye(n), big_k, None, 10.0**1.2)
+        rng = np.random.default_rng(11)
+        radius = uniforms_to_radii(rng.random(pairs))
+        angle = rng.random(pairs) * (2.0 * math.pi)
+        near = np.arange(0, pairs, 3)
+        near = near[np.abs(np.cos(angle[near])) > 0.3]
+        limit = np.where(rng.random(near.size) < 0.5, rule.inner[near % n], rule.outer[near % n])
+        offset = rng.choice([-1.0, 1.0], near.size) * 10.0 ** rng.uniform(-10.0, -6.0, near.size)
+        radius[near] = limit * (1.0 + offset) / np.abs(np.cos(angle[near]))
+        coordinates = np.arange(count) % n
+        z = normals_from_angles(radius, angle, count)
+        beyond = np.abs(z) > rule.outer[coordinates]
+        band = (np.abs(z) >= rule.inner[coordinates]) & ~beyond
+        # The float32 normals alone would give some other verdicts.
+        assert np.any((np.abs(coarse_normals(radius, angle, count)) > rule.outer[coordinates]) != beyond)
+        entries = np.flatnonzero(rng.random(count) < 0.5)
+        for step, coordinate in ((slice(0, count), slice(None)), (entries, entries % n)):
+            got_beyond, got_up, got_band = sep_module._sides(rule, radius, angle, count, step, coordinate)
+            assert np.array_equal(got_beyond.reshape(-1), beyond[step])
+            assert np.array_equal(got_up.reshape(-1), z[step] > 0.0)
+            assert np.array_equal(got_band.reshape(-1), band[step])
 
 
 class _CountingGenerator:
