@@ -248,23 +248,22 @@ def format_sig(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def curve_csv_rows(curve: Curve, lattice_name: str, big_k: int) -> list[str]:
+def curve_csv_rows(curve: Curve, constellation: FiniteConstellation) -> list[str]:
     """CSV lines for a bound curve: header ``snr_db,value,kind,lattice,K``.
 
     ``kind`` is the points' method.  ``K`` stays empty for the
     single-sphere bounds, which do not depend on it.
     """
     kind = curve[0].method
-    k_field = "" if kind in (SepMethod.SLB, SepMethod.SUB) else str(big_k)
+    k_field = "" if kind in (SepMethod.SLB, SepMethod.SUB) else str(constellation.K)
+    name = constellation.lattice.name
     rows = ["snr_db,value,kind,lattice,K"]
     for est in curve:
-        rows.append(
-            f"{format_sig(est.snr_db)},{format_sig(est.mean)},{kind.value},{lattice_name},{k_field}"
-        )
+        rows.append(f"{format_sig(est.snr_db)},{format_sig(est.mean)},{kind.value},{name},{k_field}")
     return rows
 
 
-def write_curve_csv(curve: Curve, path, lattice_name: str, big_k: int) -> None:
+def write_curve_csv(curve: Curve, path, constellation: FiniteConstellation) -> None:
     """Write :func:`curve_csv_rows` to ``path`` with a trailing newline."""
-    rows = curve_csv_rows(curve, lattice_name, big_k)
+    rows = curve_csv_rows(curve, constellation)
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")

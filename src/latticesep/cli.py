@@ -276,15 +276,15 @@ def _beyond_3_sigma(est: SepEstimate, bound: float, is_lower: bool) -> bool:
     return bound > est.mean + slack if is_lower else est.mean - slack > bound
 
 
-def _plan_curves(config: ExperimentConfig, lattice: Lattice, grid: SnrGrid, threads: int):
+def _plan_curves(config: ExperimentConfig, constellation: FiniteConstellation, grid: SnrGrid, threads: int):
     """Every requested curve as the call that computes it; returns name -> call.
 
-    Making the calls runs the library's checks (the constellation, each
-    ``SimPlan``, the Theorem-1 arguments), so a broken limit raises
-    ``ValueError`` naming the curve before any curve runs.  The functions
-    are looked up here, at run time, so that a tracer may replace them.
+    Making the calls runs the library's checks (each ``SimPlan``, the
+    Theorem-1 arguments), so a broken limit raises ``ValueError`` naming
+    the curve before any curve runs.  The functions are looked up here, at
+    run time, so that a tracer may replace them.
     """
-    constellation = FiniteConstellation(lattice=lattice, K=config.K)
+    lattice = constellation.lattice
     bounds = {"MSLB": mslb, "MSUB": msub, "SLB": slb, "SUB": sub}
     calls = {}
     for name in config.curves:
@@ -305,18 +305,18 @@ def _plan_curves(config: ExperimentConfig, lattice: Lattice, grid: SnrGrid, thre
     return calls
 
 
-def _write_outputs(config, lattice, grid, results, out_dir: Path, plot: bool) -> list[Path]:
+def _write_outputs(config, constellation, grid, results, out_dir: Path, plot: bool) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = _stem(lattice.name, config.K)
+    stem = _stem(constellation.lattice.name, config.K)
     written = []
 
     for name, curve in results.items():
         path = out_dir / f"{stem}-{name.lower()}.csv"
         if name.startswith("SEP_"):
             seed = None if curve[0].method is SepMethod.CLOSED_FORM_ZN else config.seed
-            write_sep_csv(path, curve, lattice.name, config.K, seed)
+            write_sep_csv(path, curve, constellation, seed)
         else:
-            write_curve_csv(curve, path, lattice.name, config.K)
+            write_curve_csv(curve, path, constellation)
         written.append(path)
 
     merged = out_dir / f"{stem}-curves.csv"
@@ -334,7 +334,7 @@ def _write_outputs(config, lattice, grid, results, out_dir: Path, plot: bool) ->
             for name, curve in results.items()
         ]
         svg_path = out_dir / f"{stem}.svg"
-        write_svg(svg_path, series, title=f"{lattice.name} {config.K}-PAM")
+        write_svg(svg_path, series, title=f"{constellation.lattice.name} {config.K}-PAM")
         written.append(svg_path)
     return written
 
@@ -378,7 +378,8 @@ def cmd_run(args) -> int:
         raise ConfigError(f"snr_db: {exc}") from None
     label = args.figure or str(args.config)
     try:
-        calls = _plan_curves(config, lattice, grid, args.threads)
+        constellation = FiniteConstellation(lattice=lattice, K=config.K)
+        calls = _plan_curves(config, constellation, grid, args.threads)
     except ValueError as exc:
         raise ConfigError(f"{label}: {exc}") from None
 
@@ -388,7 +389,7 @@ def cmd_run(args) -> int:
 
     results = {name: call() for name, call in calls.items()}
     out_dir = Path(args.out or config.out or ".")
-    written = _write_outputs(config, lattice, grid, results, out_dir, args.plot)
+    written = _write_outputs(config, constellation, grid, results, out_dir, args.plot)
     _print_summary(config, results)
     for path in written:
         print(f"  wrote {path}")

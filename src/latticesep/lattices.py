@@ -12,7 +12,7 @@ import enum
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,54 +33,67 @@ class DminMethod(enum.Enum):
     ENUMERATE = "enumerate"
 
 
+def _square_finite(matrix) -> np.ndarray:
+    """``matrix`` as a new float array, else a ``ValueError`` naming the generator."""
+    m = np.array(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise ValueError(f"generator must be a square matrix of at least 1x1, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("generator has non-finite entries")
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class Lattice:
-    """A unit-volume lattice with cached geometric parameters.
+    """A unit-volume lattice, checked where it is built.
+
+    ``name``, ``generator`` and ``d_min`` are given; the other attributes
+    are derived from them.  Building one (``dataclasses.replace`` too)
+    raises ``ValueError`` naming the field unless the name holds no comma,
+    double quote, CR or LF (it is written raw into CSV rows), the
+    generator is square and finite with ``|det| == 1`` within 1e-9, and
+    ``0 < d_min <=`` the shortest basis norm.
 
     Attributes
     ----------
     name : str
         Catalog name or user-supplied label.
+    generator : ndarray, shape (N, N)
+        Basis vectors as columns: a read-only float copy of the given matrix.
+    d_min : float
+        Minimum distance: the known value for catalog lattices, the
+        enumerated one for user lattices.
     dimension : int
         Ambient (and lattice) dimension N.
-    generator : ndarray, shape (N, N)
-        Basis vectors as columns; ``|det| == 1`` within 1e-9.
     basis_norms : ndarray, shape (N,)
         Euclidean norms of the basis vectors.
     mean_norm : float
         W, the mean of ``basis_norms``.
-    d_min : float
-        Minimum distance: the known value for catalog lattices, the
-        enumerated one for user lattices.
     """
 
     name: str
-    dimension: int
     generator: np.ndarray
-    basis_norms: np.ndarray
-    mean_norm: float
     d_min: float
+    dimension: int = field(init=False)
+    basis_norms: np.ndarray = field(init=False)
+    mean_norm: float = field(init=False)
 
     def __post_init__(self):
-        self.generator.setflags(write=False)
-        self.basis_norms.setflags(write=False)
-
-
-def _build_lattice(name: str, matrix: np.ndarray) -> Lattice:
-    det = abs(float(np.linalg.det(matrix)))
-    if abs(det - 1.0) > _UNIT_DET_TOL:
-        raise InternalCheckError(
-            f"lattice {name!r}: |det| = {det!r} deviates from 1 beyond 1e-9"
-        )
-    norms = np.linalg.norm(matrix, axis=0)
-    return Lattice(
-        name=name,
-        dimension=matrix.shape[0],
-        generator=matrix,
-        basis_norms=norms,
-        mean_norm=float(norms.mean()),
-        d_min=float(norms.min()),
-    )
+        if not isinstance(self.name, str) or any(c in self.name for c in ',"\r\n'):
+            raise ValueError(f"name {self.name!r} is not a string free of comma, double quote, CR and LF")
+        m = _square_finite(self.generator)
+        det = abs(float(np.linalg.det(m)))
+        if abs(det - 1.0) > _UNIT_DET_TOL:
+            raise ValueError(f"generator of {self.name!r}: |det| = {det!r} deviates from 1 beyond 1e-9")
+        norms = np.linalg.norm(m, axis=0)
+        d_min, shortest = float(self.d_min), float(norms.min())
+        if not 0.0 < d_min <= shortest:
+            raise ValueError(f"d_min = {d_min!r} is not in (0, {shortest!r}], the shortest basis norm")
+        m.setflags(write=False)
+        norms.setflags(write=False)
+        for key, value in (("generator", m), ("d_min", d_min), ("dimension", m.shape[0]),
+                           ("basis_norms", norms), ("mean_norm", float(norms.mean()))):
+            object.__setattr__(self, key, value)
 
 
 def _a2_matrix() -> np.ndarray:
@@ -125,6 +138,7 @@ def _e8_matrix() -> np.ndarray:
 
 
 _ZN_RE = re.compile(r"^Z_?([0-9]+)$", re.IGNORECASE)
+_CATALOG = {"A2": _a2_matrix, "E4": _e4_matrix, "E8": _e8_matrix}
 
 
 def catalog_names() -> tuple[str, ...]:
@@ -135,8 +149,9 @@ def catalog_names() -> tuple[str, ...]:
 def catalog_lattice(name: str) -> Lattice:
     """One of the built-in lattices: ``Z1``..``Z16``, ``A2``, ``E4``, ``E8``.
 
-    All catalog generators have unit determinant without rescaling; a
-    deviation beyond 1e-9 raises :class:`InternalCheckError`.
+    All catalog generators have unit determinant without rescaling (else the
+    :class:`Lattice` check raises ``ValueError``), and their shortest basis
+    vector is a shortest lattice vector, so that norm is ``d_min``.
     """
     key = str(name).strip().upper()
     match = _ZN_RE.match(key)
@@ -144,14 +159,12 @@ def catalog_lattice(name: str) -> Lattice:
         n = int(match.group(1))
         if not 1 <= n <= _MAX_ZN_DIM:
             raise ValueError(f"Z_N is available for 1 <= N <= {_MAX_ZN_DIM}, got N={n}")
-        return _build_lattice(f"Z{n}", np.eye(n))
-    if key == "A2":
-        return _build_lattice("A2", _a2_matrix())
-    if key == "E4":
-        return _build_lattice("E4", _e4_matrix())
-    if key == "E8":
-        return _build_lattice("E8", _e8_matrix())
-    raise ValueError(f"unknown catalog lattice {name!r}; available: Z1..Z16, A2, E4, E8")
+        key, m = f"Z{n}", np.eye(n)
+    elif key in _CATALOG:
+        m = _CATALOG[key]()
+    else:
+        raise ValueError(f"unknown catalog lattice {name!r}; available: Z1..Z16, A2, E4, E8")
+    return Lattice(key, m, float(np.linalg.norm(m, axis=0).min()))
 
 
 def load_lattice(matrix, name: str = "user", normalize: bool = True) -> Lattice:
@@ -173,30 +186,14 @@ def load_lattice(matrix, name: str = "user", normalize: bool = True) -> Lattice:
     ``d_min`` is found by complete shortest-vector enumeration, so user
     lattices are limited to N <= 12 (:class:`BudgetError` above).
     """
-    if any(c in name for c in ',"\r\n'):
-        raise ValueError(f"name must hold no comma, double quote, CR or LF, got {name!r}")
-    m = np.array(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"generator must be square, got shape {m.shape}")
-    if m.shape[0] < 1:
-        raise ValueError("generator must be at least 1x1")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("generator has non-finite entries")
+    m = _square_finite(matrix)
     det = abs(float(np.linalg.det(m)))
     if det < 1e-12:
         raise ValueError("generator is singular (|det| < 1e-12)")
     if normalize:
         m = m * det ** (-1.0 / m.shape[0])
-    elif abs(det - 1.0) > _UNIT_DET_TOL:
-        raise ValueError(
-            f"|det| = {det!r} is not 1; pass normalize=True to rescale to unit volume"
-        )
-    try:
-        lattice = _build_lattice(name, m)
-    except InternalCheckError as exc:
-        raise ValueError(str(exc)) from None
     # The shortest basis vector overestimates d_min for unreduced bases.
-    return replace(lattice, d_min=minimum_distance(lattice, DminMethod.ENUMERATE))
+    return Lattice(name, m, _enumerated_d_min(m))
 
 
 def minimum_distance(lattice: Lattice, method: DminMethod = DminMethod.BASIS_MIN) -> float:
@@ -210,13 +207,15 @@ def minimum_distance(lattice: Lattice, method: DminMethod = DminMethod.BASIS_MIN
     if method is DminMethod.BASIS_MIN:
         return float(lattice.basis_norms.min())
     if method is DminMethod.ENUMERATE:
-        if lattice.dimension > _ENUMERATE_MAX_DIM:
-            raise BudgetError(
-                f"shortest-vector enumeration supports N <= {_ENUMERATE_MAX_DIM}, "
-                f"got N={lattice.dimension}"
-            )
-        return shortest_vector_norm(lattice.generator)
+        return _enumerated_d_min(lattice.generator)
     raise ValueError(f"unknown minimum-distance method {method!r}")
+
+
+def _enumerated_d_min(generator: np.ndarray) -> float:
+    n = generator.shape[0]
+    if n > _ENUMERATE_MAX_DIM:
+        raise BudgetError(f"shortest-vector enumeration supports N <= {_ENUMERATE_MAX_DIM}, got N={n}")
+    return shortest_vector_norm(generator)
 
 
 def sublattice_generator(lattice: Lattice, subset) -> np.ndarray:

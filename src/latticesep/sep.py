@@ -936,7 +936,7 @@ def simulate_sep(plan: SimPlan, threads: int = 1) -> Curve:
     return Curve(estimates)
 
 
-def sep_csv_rows(estimates: Curve, lattice_name: str, big_k: int, seed: int | None) -> list[str]:
+def sep_csv_rows(estimates: Curve, constellation: FiniteConstellation, seed: int | None) -> list[str]:
     """CSV lines for SEP estimates, one row per grid point.
 
     Header ``snr_db,sep,ci_low,ci_high,trials,errors,method,lattice,K,seed``;
@@ -959,8 +959,8 @@ def sep_csv_rows(estimates: Curve, lattice_name: str, big_k: int, seed: int | No
                     str(est.trials),
                     str(est.errors_observed),
                     est.method.value,
-                    lattice_name,
-                    str(big_k),
+                    constellation.lattice.name,
+                    str(constellation.K),
                     seed_text,
                 ]
             )
@@ -968,7 +968,7 @@ def sep_csv_rows(estimates: Curve, lattice_name: str, big_k: int, seed: int | No
     return rows
 
 
-def write_sep_csv(path, estimates: Curve, lattice_name: str, big_k: int, seed: int | None) -> None:
+def write_sep_csv(path, estimates: Curve, constellation: FiniteConstellation, seed: int | None) -> None:
     """Write :func:`sep_csv_rows` to ``path`` with a trailing newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(sep_csv_rows(estimates, lattice_name, big_k, seed)) + "\n")
+        handle.write("\n".join(sep_csv_rows(estimates, constellation, seed)) + "\n")

@@ -45,9 +45,6 @@ class TestSnrGrid:
         assert grid.rho[0] == 1.0
         assert grid.rho[-1] == pytest.approx(1000.0, rel=1e-12)
 
-    def test_default(self):
-        assert len(SnrGrid.from_db(0.0, 30.0, 0.25)) == 121
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SnrGrid.from_db_values([3.0, 2.0])
@@ -106,7 +103,7 @@ class TestSingleSphereBounds:
     def test_labels(self):
         curve = slb(catalog_lattice("A2"), _grid(10.0, 20.0))
         assert all(est.method is SepMethod.SLB for est in curve)
-        rows = curve_csv_rows(curve, "A2", 4)
+        rows = curve_csv_rows(curve, _const("A2", 4))
         assert all(row.endswith(",slb,A2,") for row in rows[1:])
 
 
@@ -292,7 +289,7 @@ def test_every_curve_function_returns_a_curve(method):
 class TestCurveCsv:
     def test_format(self):
         curve = mslb(_const("Z2", 4), _grid(0.0, 10.0))
-        rows = curve_csv_rows(curve, "Z2", 4)
+        rows = curve_csv_rows(curve, _const("Z2", 4))
         assert rows[0] == "snr_db,value,kind,lattice,K"
         parsed = list(csv.reader(io.StringIO("\n".join(rows))))
         assert parsed[1][2:] == ["mslb", "Z2", "4"]
@@ -302,9 +299,9 @@ class TestCurveCsv:
         )
 
     def test_k_empty_for_single_sphere(self):
-        rows = curve_csv_rows(slb(catalog_lattice("Z2"), _grid(10.0)), "Z2", 4)
+        rows = curve_csv_rows(slb(catalog_lattice("Z2"), _grid(10.0)), _const("Z2", 4))
         assert rows[1].endswith(",slb,Z2,")
-        rows = curve_csv_rows(sub(catalog_lattice("Z2"), _grid(10.0)), "Z2", 4)
+        rows = curve_csv_rows(sub(catalog_lattice("Z2"), _grid(10.0)), _const("Z2", 4))
         assert rows[1].endswith(",sub,Z2,")
 
     def test_twelve_significant_digits(self):
@@ -315,7 +312,7 @@ class TestCurveCsv:
     def test_write_round_trip(self, tmp_path):
         curve = msub(_const("A2", 4), SnrGrid.from_db(0.0, 4.0, 1.0))
         path = tmp_path / "curve.csv"
-        write_curve_csv(curve, path, "A2", 4)
+        write_curve_csv(curve, path, _const("A2", 4))
         text = path.read_text()
         assert text.startswith("snr_db,value,kind,lattice,K\n")
         assert text.count("\n") == 6

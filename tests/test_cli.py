@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from latticesep import cli
@@ -312,6 +313,25 @@ class TestRunCommand:
             assert field == "lattice" or str(config_path) in err
             assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("snr_db", {"start": "0", "stop": 12.0, "step": 4.0}, "snr_db.start"),
+            ("snr_db", {"start": 4.0, "stop": 12.0}, "snr_db"),
+            ("lattice", "", "lattice"),
+            ("lattice", 4, "lattice"),
+            ("curves", "MSLB", "curves"),
+            ("curves", ["MSLB", 3], "curves"),
+        ],
+    )
+    def test_malformed_config_field_exits_2(self, tmp_path, capsys, field, value, named):
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(make_config_data(**{field: value})))
+        out_dir = tmp_path / "results"
+        assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 2
+        assert f"field {named!r}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_simulation_beyond_8_dimensions_exits_2_before_any_curve(self, tmp_path, capsys):
         config_path = tmp_path / "experiment.json"
         config_path.write_text(json.dumps(make_config_data(lattice="Z9", curves=["MSLB", "SEP_SIM"])))
@@ -434,14 +454,15 @@ class TestVerifyCommand:
             lattice = real(name)
             if lattice.name != "E8":
                 return lattice
-            generator = lattice.generator.copy()
-            generator[0, 0] += 1e-3
+            # Unit determinant, and no basis vector shorter than d_min,
+            # so the lattice is valid; only its mean basis norm is wrong.
+            generator = lattice.generator * np.array([1.0 / 1.001, 1.001] + [1.0] * 6)
             return dataclasses.replace(lattice, generator=generator)
 
         monkeypatch.setattr(cli, "catalog_lattice", corrupted)
         ok, detail = _check_catalog()
         assert not ok
-        assert "E8" in detail
+        assert "E8: mean basis norm" in detail
 
     def test_decoder_agreement_reaches_the_radius_query(self, monkeypatch):
         # A query that places a closer point next to every row it sees

@@ -196,6 +196,15 @@ class TestEnumerateWithinRadius:
             with pytest.raises(ValueError, match="center"):
                 enumerate_within_radius(g, 1.0, center=center)
 
+    @pytest.mark.parametrize("radius", [-1.0, math.inf, math.nan])
+    def test_bad_radius_is_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            enumerate_within_radius(np.eye(2), radius)
+
+    def test_center_of_the_wrong_length_is_rejected(self):
+        with pytest.raises(ValueError, match="center"):
+            enumerate_within_radius(np.eye(2), 1.0, center=[0.0, 0.0, 0.0])
+
     def test_node_budget(self, monkeypatch):
         monkeypatch.setattr(cvp, "_ENUM_MAX_NODES", 1000)
         with pytest.raises(BudgetError):

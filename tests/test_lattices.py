@@ -1,5 +1,6 @@
 """Lattice catalog, normalization, minimum distance, sublattices, file I/O."""
 
+import dataclasses
 import json
 import math
 
@@ -9,6 +10,7 @@ import pytest
 from latticesep import BudgetError
 from latticesep.lattices import (
     DminMethod,
+    Lattice,
     catalog_lattice,
     catalog_names,
     is_integer_orthonormal,
@@ -118,6 +120,70 @@ class TestMinimumDistance:
         with pytest.raises(BudgetError):
             minimum_distance(catalog_lattice("Z16"), DminMethod.ENUMERATE)
 
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="method"):
+            minimum_distance(catalog_lattice("Z2"), "enumerate")
+
+
+class TestLatticeChecks:
+    def test_init_fields_are_name_generator_and_d_min(self):
+        init = [f.name for f in dataclasses.fields(Lattice) if f.init]
+        assert init == ["name", "generator", "d_min"]
+        with pytest.raises(ValueError):
+            dataclasses.replace(catalog_lattice("Z2"), mean_norm=5.0)
+
+    def test_derived_fields(self):
+        e8 = catalog_lattice("E8")
+        lat = Lattice("E8", e8.generator, E8_D_MIN)
+        assert lat.dimension == 8
+        assert np.array_equal(lat.basis_norms, e8.basis_norms)
+        assert lat.mean_norm == e8.mean_norm == pytest.approx(E8_MEAN_NORM, abs=1e-9)
+        assert not lat.basis_norms.flags.writeable
+
+    @pytest.mark.parametrize("d_min", [5.0, 1.0 + 1e-12, 0.0, -1.0, float("nan")])
+    def test_d_min_outside_zero_to_shortest_basis_norm(self, d_min):
+        # MSUB reads d_min: a Z2 with d_min = 5 would give an "upper bound"
+        # of 1.6e-14 at 10 dB, K = 4, where the true MSUB is 0.204.
+        with pytest.raises(ValueError, match="d_min"):
+            Lattice("Z2", np.eye(2), d_min)
+
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            2.0 * np.eye(2),
+            np.diag([1.0, 1.0 + 2e-9]),
+            np.ones((2, 3)),
+            np.ones(2),
+            [[1.0, float("nan")], [0.0, 1.0]],
+            [[1.0, float("inf")], [0.0, 1.0]],
+        ],
+    )
+    def test_generator_not_square_finite_unit_volume(self, generator):
+        with pytest.raises(ValueError, match="generator"):
+            Lattice("x", generator, 0.5)
+
+    @pytest.mark.parametrize("name", ["a,b", 'say "x"', "cr\rname", "lf\nname", None])
+    def test_name_that_breaks_a_csv_row(self, name):
+        with pytest.raises(ValueError, match="name"):
+            Lattice(name, np.eye(2), 1.0)
+
+    def test_replace_is_checked(self):
+        a2 = catalog_lattice("A2")
+        with pytest.raises(ValueError, match="generator"):
+            dataclasses.replace(a2, generator=2.0 * a2.generator)
+        with pytest.raises(ValueError, match="d_min"):
+            dataclasses.replace(a2, d_min=2.0)
+        with pytest.raises(ValueError, match="name"):
+            dataclasses.replace(a2, name="A,2")
+
+    def test_caller_array_stays_writable_and_apart(self):
+        g = np.eye(2)
+        lat = Lattice("Z2", g, 1.0)
+        assert g.flags.writeable
+        assert not lat.generator.flags.writeable
+        g[0, 0] = 5.0
+        assert np.array_equal(lat.generator, np.eye(2))
+
 
 class TestLoadLattice:
     def test_identity_passthrough(self):
@@ -164,6 +230,10 @@ class TestLoadLattice:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             load_lattice(np.ones((2, 3)))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="generator"):
+            load_lattice(np.zeros((0, 0)))
 
     @pytest.mark.parametrize("name", ['my,lat"x', "a,b", 'say "x"', "cr\rname", "lf\nname"])
     def test_name_that_breaks_a_csv_row_rejected(self, name):

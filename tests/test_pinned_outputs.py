@@ -62,7 +62,7 @@ def test_bound_csv_bytes(name, big_k):
         "sub": sub(c.lattice, grid),
     }
     digests = {
-        kind: _digest(curve_csv_rows(curve, name, big_k)) for kind, curve in curves.items()
+        kind: _digest(curve_csv_rows(curve, c)) for kind, curve in curves.items()
     }
     assert digests == BOUND_DIGESTS[(name, big_k)]
 
@@ -70,7 +70,7 @@ def test_bound_csv_bytes(name, big_k):
 def test_exact_analytic_csv_bytes():
     c = FiniteConstellation(catalog_lattice("Z3"), 4)
     estimates = exact_sep_theorem1(c, SnrGrid.from_db(0.0, 30.0, 0.25), JSource.ANALYTIC_ZN)
-    assert _digest(sep_csv_rows(estimates, "Z3", 4, None)) == (
+    assert _digest(sep_csv_rows(estimates, c, None)) == (
         "b092d4917fe2ca3837efe7a412e8563a3edf84d617074b7d44cc3f9f0a75682c"
     )
 
@@ -79,7 +79,7 @@ def test_exact_monte_carlo_csv_bytes():
     c = FiniteConstellation(catalog_lattice("A2"), 4)
     grid = SnrGrid.from_db_values([0.0, 6.0, 12.0])
     estimates = exact_sep_theorem1(c, grid, JSource.MC_VORONOI, trials_per_j=10**4, seed=3)
-    assert _digest(sep_csv_rows(estimates, "A2", 4, 3)) == (
+    assert _digest(sep_csv_rows(estimates, c, 3)) == (
         "d1f82ff0b61c7a86c0fa8bdd6ac791d189ee43fb1a0184f5063a6db6216b4094"
     )
 
@@ -102,7 +102,7 @@ def test_exact_monte_carlo_csv_bytes_beyond_a2(name, big_k, seed, grid, digest):
     # thousands), so these pin the tie rule on cells with many faces.
     c = FiniteConstellation(catalog_lattice(name), big_k)
     estimates = exact_sep_theorem1(c, grid, JSource.MC_VORONOI, trials_per_j=10**4, seed=seed)
-    assert _digest(sep_csv_rows(estimates, name, big_k, seed)) == digest
+    assert _digest(sep_csv_rows(estimates, c, seed)) == digest
 
 
 # A fixed skewed 3-D basis (condition number 9.2 after scaling to unit
@@ -191,5 +191,5 @@ def test_simulation_csv_bytes(
         target_errors=target_errors,
     )
     estimates = simulate_sep(plan, threads=threads)
-    assert _digest(sep_csv_rows(estimates, name, big_k, seed)) == digest
+    assert _digest(sep_csv_rows(estimates, plan.constellation, seed)) == digest
     assert bool(queried) is (decoder is Decoder.SPHERE_DECODER and not diagonal)

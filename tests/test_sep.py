@@ -653,7 +653,7 @@ class TestSepCsv:
         c = FiniteConstellation(lattice=z2, K=4)
         grid = SnrGrid.from_db_values([10.0])
         plan = SimPlan(constellation=c, grid=grid, seed=7, max_trials=10**4, target_errors=10**9)
-        rows = sep_csv_rows(simulate_sep(plan), "Z2", 4, 7)
+        rows = sep_csv_rows(simulate_sep(plan), c, 7)
         assert rows[0] == "snr_db,sep,ci_low,ci_high,trials,errors,method,lattice,K,seed"
         fields = rows[1].split(",")
         assert fields[0] == "10"
@@ -668,7 +668,7 @@ class TestSepCsv:
         z2 = catalog_lattice("Z2")
         c = FiniteConstellation(lattice=z2, K=4)
         ests = exact_sep_theorem1(c, SnrGrid.from_db_values([10.0]), JSource.ANALYTIC_ZN)
-        row = sep_csv_rows(ests, "Z2", 4, None)[1]
+        row = sep_csv_rows(ests, c, None)[1]
         assert row.endswith(",closed_form_zn,Z2,4,")
         assert row.split(",")[1] == "0.163478896002"
 
@@ -677,7 +677,7 @@ class TestSepCsv:
         c = FiniteConstellation(lattice=z2, K=4)
         ests = exact_sep_theorem1(c, SnrGrid.from_db(0.0, 4.0, 1.0), JSource.ANALYTIC_ZN)
         path = tmp_path / "sep.csv"
-        write_sep_csv(path, ests, "Z2", 4, None)
+        write_sep_csv(path, ests, c, None)
         text = path.read_text(encoding="utf-8")
         assert text.endswith("\n")
         assert len(text.splitlines()) == 6
