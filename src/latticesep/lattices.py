@@ -292,7 +292,7 @@ def read_lattice_file(path) -> Lattice:
         raise ValueError(f"{path}: generator must be a list of rows of numbers") from None
     if matrix.ndim != 2 or matrix.shape != (dimension, dimension):
         raise ValueError(f"{path}: generator shape {matrix.shape} does not match dimension {dimension}")
-    return load_lattice(matrix, name=str(payload["name"]), normalize=normalize)
+    return load_lattice(matrix, name=payload["name"], normalize=normalize)
 
 
 def is_integer_orthonormal(lattice: Lattice) -> bool:

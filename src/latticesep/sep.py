@@ -73,7 +73,7 @@ _MIN_BUDGETS = {"max_trials": 10**4, "target_errors": 50, "trials_per_j": 10**4}
 _MAX_SIM_DIMENSION = 8
 _MAX_SIM_LEVELS = 1 << 20  # here y = G u + e keeps 32 fractional bits of the noise; at 2**52, none
 _RELIABLE_ERRORS = 20
-_GAUGE_BLOCK = 1 << 18  # entries per block of sample-by-test-vector products (2 MB)
+_GAUGE_BLOCK = 1 << 15  # entries per block of sample-by-test-vector products (256 kB: stays in L2)
 _CERT_BLOCK = 1 << 16  # entries per block of trial-by-test-vector products (512 kB)
 _SCREEN_MARGIN = 1e-9  # relative slack of the radial screen, far above the rounding it absorbs
 _ROW_BLOCK = 1 << 11  # rows of a shard screened, or transformed and decided, at a time, per worker
@@ -158,9 +158,11 @@ def _cell_masses_mc(
     # gauge.  No gauge passes max_j |w_j|_1 sqrt(-2 log 2**-53), as no entry
     # passes the largest Box-Muller radius, so no limit `near` beyond that
     # needs a cell.
-    # The products are taken vector-major (J, rows), a block of rows at a
-    # time, into one reused buffer (a fresh 2 MB block per product costs its
-    # page faults).
+    # A block of rows at a time is formed, multiplied vector-major (J, rows)
+    # into one reused buffer, maxed and tested for `near` cells, in one pass:
+    # at _GAUGE_BLOCK entries its normals, products and cell indices stay in
+    # a core's L2, where a shard's whole arrays (2 MB of normals alone at
+    # k = 4) would stream from L3 between passes.
     vectors, k = v.shape
     bounds = (half_norms + TIE_TOL)[:, None]
     w = v / bounds
@@ -174,21 +176,23 @@ def _cell_masses_mc(
     rows = max(1, _GAUGE_BLOCK // vectors)
     gauges = np.empty(trials)
     buffer = np.empty(min(rows, trials) * vectors)
-    cell = np.empty(min(SHARD_SIZE, trials), dtype=np.intp)
-    radius, angle = np.empty((2, (cell.size * k + 1) // 2))
+    cell = np.empty(min(rows, trials), dtype=np.intp)
+    radius, angle = np.empty((2, (min(SHARD_SIZE, trials) * k + 1) // 2))
     for start in range(0, trials, SHARD_SIZE):
         m = min(SHARD_SIZE, trials - start)
         rng = stream(seed, start // SHARD_SIZE)
         r = normal_radii(rng, m * k, out=radius)
         a = normal_angles(rng, r.size, out=angle)
-        z = coarse_normals(r, a, m * k).reshape(m, k)
         shard = gauges[start : start + m]
+        redo = []
         for i in range(0, m, rows):
             size = min(rows, m - i)
-            block = np.matmul(w, z[i : i + size].T, out=buffer[: vectors * size].reshape(vectors, size))
-            np.max(block, axis=0, out=shard[i : i + size])
-        index = np.divide(shard, near, out=cell[:m], casting="unsafe")
-        redo = np.flatnonzero(cells[np.minimum(index, cells.size - 1, out=index)])
+            z = coarse_normals(r, a, m * k, slice(i * k, (i + size) * k)).reshape(size, k)
+            block = np.matmul(w, z.T, out=buffer[: vectors * size].reshape(vectors, size))
+            gauge = np.max(block, axis=0, out=shard[i : i + size])
+            index = np.divide(gauge, near, out=cell[:size], casting="unsafe")
+            redo.append(i + np.flatnonzero(cells[np.minimum(index, cells.size - 1, out=index)]))
+        redo = np.concatenate(redo)
         if redo.size:
             z = normals_from_angles(r, a, m * k, (redo[:, None] * k + np.arange(k)).reshape(-1))
             shard[redo] = np.max(v @ z.reshape(-1, k).T / bounds, axis=0)

@@ -387,6 +387,9 @@ class TestRunCommand:
             {"name": 'my,lat"x', "dimension": 2, "generator": [[1.0, 0.0], [0.0, 1.0]]},
             {"name": "x", "dimension": 2, "generator": [[4.0, 0.0], [0.0, 1.0]], "normalize": "false"},
             {"name": "x", "dimension": True, "generator": [[1.0]]},
+            {"name": None, "dimension": 2, "generator": [[1.0, 0.0], [0.0, 1.0]]},
+            {"name": 123, "dimension": 2, "generator": [[1.0, 0.0], [0.0, 1.0]]},
+            {"name": ["a"], "dimension": 2, "generator": [[1.0, 0.0], [0.0, 1.0]]},
         ],
     )
     def test_malformed_lattice_file_exits_2(self, tmp_path, capsys, payload):

@@ -350,6 +350,10 @@ class TestLatticeFiles:
             ({"name": "x", "dimension": 2, "generator": [[4.0, 0.0], [0.0, 1.0]], "normalize": 1}, "normalize must be"),
             ({"name": "x", "dimension": True, "generator": [[1.0]]}, "dimension must be an integer"),
             ({"name": "x", "dimension": 2.0, "generator": [[1.0, 0.0], [0.0, 1.0]]}, "dimension must be an integer"),
+            # The name is taken as it is: null, a number or a list is no name.
+            ({"name": None, "dimension": 2, "generator": [[1.0, 0.0], [0.0, 1.0]]}, "name None is not a string"),
+            ({"name": 123, "dimension": 2, "generator": [[1.0, 0.0], [0.0, 1.0]]}, "name 123 is not a string"),
+            ({"name": ["a"], "dimension": 2, "generator": [[1.0, 0.0], [0.0, 1.0]]}, r"name \['a'\] is not a string"),
         ],
     )
     def test_malformed_payload_is_a_value_error(self, tmp_path, payload, message):

@@ -10,6 +10,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,15 +218,43 @@ class TestJIntegralMc:
         _inject_normals(monkeypatch, [z])
         assert sep_module._cell_masses_mc(v, half_norms, np.array([limit**2]), 1, seed=0)[0][0] == 1.0
 
-    @pytest.mark.parametrize("name", ["E4", "A2"])
-    def test_short_blocks_keep_the_masses(self, monkeypatch, name):
-        # 1000-row blocks: each shard, and the run, ends in a short block.
-        v, half_norms = sep_module._membership_halfspaces(catalog_lattice(name).generator)
+    @pytest.mark.parametrize(
+        "lattice",
+        [
+            catalog_lattice("E4"),
+            catalog_lattice("A2"),
+            load_lattice([[1.0, 0.6, -0.3], [0.2, 1.1, 0.7], [-0.4, 0.3, 0.9]]),
+        ],
+        ids=["E4", "A2", "skewed-3"],
+    )
+    def test_short_blocks_keep_the_masses(self, monkeypatch, lattice):
+        # Every facet group gives the same masses in the default blocks, in
+        # 2**18-entry blocks, and in 1000-row blocks, which divide no shard:
+        # each shard, and the run, ends in a short block.
         rhos = 10.0 ** (np.arange(0.0, 21.0, 2.0) / 10.0)
         trials = SHARD_SIZE + 10007
-        masses = sep_module._cell_masses_mc(v, half_norms, rhos, trials, seed=4)
-        monkeypatch.setattr(sep_module, "_GAUGE_BLOCK", 1000 * len(v))
-        assert sep_module._cell_masses_mc(v, half_norms, rhos, trials, seed=4) == masses
+        default = sep_module._GAUGE_BLOCK
+        for seed, (v, half_norms) in enumerate(_facet_groups(lattice)):
+            masses = []
+            for block in (default, 1 << 18, 1000 * len(v)):
+                monkeypatch.setattr(sep_module, "_GAUGE_BLOCK", block)
+                masses.append(sep_module._cell_masses_mc(v, half_norms, rhos, trials, seed))
+            assert masses[1] == masses[0] and masses[2] == masses[0], seed
+
+    def test_a_group_is_gauged_in_small_blocks(self):
+        # E4's 4-D group at 1e5 samples: a shard's radii and angles (2 MB)
+        # and the gauges (0.8 MB) are the only large arrays; a shard's whole
+        # normals (2 MB more) would pass the limit.
+        v, half_norms = _facet_groups(catalog_lattice("E4"))[-1]
+        assert v.shape[1] == 4
+        rhos = 10.0 ** (np.arange(0.0, 21.0, 1.0) / 10.0)
+        tracemalloc.start()
+        try:
+            sep_module._cell_masses_mc(v, half_norms, rhos, 10**5, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, peak
 
     @pytest.mark.parametrize(
         "lattice,trials",
